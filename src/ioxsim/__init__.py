@@ -55,8 +55,6 @@ from .bath import (
     markov_rates,
     bath_for_rates,
     discretize_bath,
-    oracle_spectrum,
-    oracle_dynamics,
 )
 
 __version__ = "0.1.0"

@@ -385,7 +385,7 @@ def main(argv=None):
                     help="RNG seed (default: IOXSIM_SEED or %d)" % DEFAULT_SEED)
     args = ap.parse_args(argv)
     results = run_all(seed=args.seed)
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if all(r.passed for r in results) else 3
 
 
 if __name__ == "__main__":

@@ -6,8 +6,10 @@ q >= 0 (one emitting mirror).  This module computes the environment
 density of states, the time- and frequency-domain memory kernels
 (including Cauchy principal values), the frequency-dependent response
 matrix M(k, omega) and its Green's inverse, the Markov rates that the
-memoryless theory uses, and an exact-diagonalization oracle built from a
-discretized realization of the same bath.  The oracle is the ground
+memoryless theory uses, and an exact oracle built from a discretized
+realization of the same bath: its resolvent comes from the discrete
+self-energy, its eigenpairs from a secular-equation solver for the
+arrowhead Hamiltonian that a shared bath produces.  The oracle is the ground
 truth against which the closed-form memoryless results are validated:
 in particular it demonstrates that a common environment generates an
 off-diagonal dissipative coupling sqrt(gamma_c*gamma_x) between the two
@@ -17,7 +19,7 @@ Work in units hbar = 1; energies are measured in units of a reference
 rate, the same convention as the rest of the package.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -31,6 +33,10 @@ from .errors import (
 
 PV_GRID_POINTS = 4001
 RECURRENCE_SAFETY = 0.5
+SOLVER_CHUNK = 128        # roots or frequencies per block of the oracle
+SOLVER_STEP_TOL = 1e-12   # relative step that ends a secular iteration
+SOLVER_MAXIT = 100
+FLOAT_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -326,21 +332,215 @@ def discretize_bath(b, n_modes, k=0.0):
     return DiscretizedBath(freqs, b.kappa_c * root_weight, b.kappa_x * root_weight)
 
 
-class BathOracle:
-    """Exact single-excitation diagonalization of system + discretized bath.
+def _secular_terms(poles, z2, origin, tau):
+    """Sums over i != origin of z2_i/(d_i - lam) and z2_i/(d_i - lam)^2.
 
-    Builds the (N+2)-dimensional real symmetric matrix in the basis
-    (cavity, emitter, bath modes), diagonalizes it once, and answers
-    spectral and dynamical questions exactly (up to the discretization
-    itself).  Everything the memoryless theory predicts — branch
+    lam = d_origin + tau, one root per row.  Each difference is formed as
+    (d_i - d_origin) - tau, so the distance from a root to the poles that
+    bracket it keeps full relative accuracy however close they are.
+    """
+    r = poles - poles[origin, None]
+    r -= tau[:, None]
+    np.reciprocal(r, out=r)
+    r[np.arange(origin.size), origin] = 0.0
+    f = r @ z2
+    np.square(r, out=r)
+    return f, r @ z2
+
+
+def _secular_step(f_rest, fp_rest, lin, s, tau, far):
+    """Zero of a rational model that matches f and f' at tau.
+
+    The origin pole keeps its true weight s.  Inside a gap, every other
+    term is lumped into one pole at the far end of the gap, at offset far
+    from the origin (the fixed-weight method of R.-C. Li, LAPACK Working
+    Note 89).  Beyond the outermost pole (far = 0) they are lumped into a
+    straight line instead.  Each model has exactly one zero on the side
+    of the origin where tau lies; it is taken in a cancellation-free form.
+    """
+    sign = np.where(far != 0.0, np.sign(far), np.sign(tau))
+    # outer roots: f ~ c + L*tau - s/tau
+    c = f_rest + lin - fp_rest * tau
+    disc = np.sqrt(c * c + 4.0 * fp_rest * s)
+    outer = np.where(sign * c > 0.0, 2.0 * sign * s / (sign * c + disc),
+                     (sign * disc - c) / (2.0 * fp_rest))
+    # inner roots, mirrored onto far > 0: f ~ c + S/(far - tau) - s/tau
+    gap = np.abs(far)
+    cm = sign * (f_rest + lin - fp_rest * (far - tau))
+    a = cm * gap + fp_rest * (far - tau) ** 2 + s
+    b = s * gap
+    disc = np.sqrt(np.maximum(a * a - 4.0 * b * cm, 0.0))
+    inner = sign * np.where(a > 0.0, 2.0 * b / (a + disc),
+                            (a - disc) / (2.0 * cm))
+    return np.where(far != 0.0, inner, outer)
+
+
+def _secular_roots(alpha, poles, z2):
+    """All n + 1 roots of f(lam) = lam - alpha + sum_i z2_i/(d_i - lam).
+
+    poles d_i must increase strictly and the weights z2_i be positive; f
+    then rises monotonically across each gap between poles and beyond
+    either end, so it has one root in every gap plus one on each side.
+    Returns (origin, tau, fp): root j is poles[origin[j]] + tau[j] with
+    origin the pole nearest to it, and fp = f'(root).  Roots are found in
+    blocks of SOLVER_CHUNK, so the working memory is O(n * SOLVER_CHUNK).
+    """
+    n = poles.size
+    reach = np.sqrt(z2.sum())
+    origin_out = np.empty(n + 1, dtype=int)
+    tau_out = np.empty(n + 1)
+    fp_out = np.empty(n + 1)
+    for start in range(0, n + 1, SOLVER_CHUNK):
+        j = np.arange(start, min(start + SOLVER_CHUNK, n + 1))
+        origin = np.clip(j - 1, 0, n - 1)
+        inner = (j > 0) & (j < n)
+        half = np.where(inner,
+                        0.5 * (poles[np.minimum(j, n - 1)] - poles[origin]), 0.0)
+        # first probe: mid-gap for inner roots; for the outer roots the
+        # bound min(alpha, d_0) - |z| (or max(alpha, d_n) + |z|), past which
+        # the pole sum is at most |z| and cannot cancel lam - alpha
+        tau = np.where(inner, half, np.where(
+            j == 0, min(alpha - poles[0], 0.0) - reach,
+            max(alpha - poles[-1], 0.0) + reach))
+        f_rest, fp_rest = _secular_terms(poles, z2, origin, tau)
+        f = f_rest + (poles[origin] - alpha + tau) - z2[origin] / tau
+        fp = 1.0 + fp_rest + z2[origin] / tau ** 2
+        # mid-gap sign picks the nearer pole as origin for the rest
+        right = inner & (f < 0.0)
+        origin = origin + right
+        tau = np.where(right, -half, tau)
+        far = np.where(right, -2.0 * half, 2.0 * half)
+        lo = np.where(inner, np.where(right, -half, 0.0), np.minimum(tau, 0.0))
+        hi = np.where(inner, np.where(right, 0.0, half), np.maximum(tau, 0.0))
+        s = z2[origin]
+        lin = poles[origin] - alpha + tau
+        fp_rest = fp - s / tau ** 2
+        f_rest = f - lin + s / tau
+        for _ in range(SOLVER_MAXIT):
+            f = f_rest + lin - s / tau
+            hi = np.where(f > 0.0, tau, hi)
+            lo = np.where(f < 0.0, tau, lo)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                new = _secular_step(f_rest, fp_rest, lin, s, tau, far)
+            # stop on a tiny step, or once f is down to its rounding noise;
+            # either may have put the step just outside the bracket
+            small = np.abs(new - tau) <= SOLVER_STEP_TOL * np.abs(tau)
+            noise = 16.0 * FLOAT_EPS * (np.abs(lin) + np.abs(f_rest)
+                                        + s / np.abs(tau))
+            done = small | (np.abs(f) <= noise)
+            bad = ~(done | ((new >= lo) & (new <= hi) & (new != 0.0)))
+            new = np.where(bad, 0.5 * (lo + hi), new)
+            origin_out[j[done]] = origin[done]
+            tau_out[j[done]] = np.where(small, new, tau)[done]
+            fp_out[j[done]] = fp_rest[done] + s[done] / tau[done] ** 2
+            keep = ~done
+            if not keep.any():
+                break
+            j, origin, far, s = j[keep], origin[keep], far[keep], s[keep]
+            lo, hi, tau = lo[keep], hi[keep], new[keep]
+            lin = poles[origin] - alpha + tau
+            f_rest, fp_rest = _secular_terms(poles, z2, origin, tau)
+            fp_rest += 1.0
+        else:
+            raise ArithmeticError("secular equation did not converge")
+    return origin_out, tau_out, fp_out
+
+
+def _bright_direction(d):
+    """Unit vector u with (coupling_c[j], coupling_x[j]) = u * w[j] for all j."""
+    gc, gx = d.coupling_c, d.coupling_x
+    norm_c, norm_x = np.sqrt(gc @ gc), np.sqrt(gx @ gx)
+    kappa = np.hypot(norm_c, norm_x)
+    if kappa == 0.0:
+        return np.array([1.0, 0.0])
+    u = np.array([norm_c, np.copysign(norm_x, gc @ gx)]) / kappa
+    if np.max(np.abs(u[0] * gx - u[1] * gc)) > 1e-12 * kappa:
+        raise ValueError("oracle needs cavity and emitter couplings that are"
+                         " proportional, as discretize_bath makes them")
+    return u
+
+
+def _oracle_eigenpairs(h_sys, u, d):
+    """Eigenvalues of the (N+2) single-excitation Hamiltonian, ascending,
+    and the (2, N+2) cavity and emitter rows of its eigenvectors.
+
+    In the basis (bright u, dark u-perp, bath modes) only the bright mode
+    couples to the bath, so the matrix is an arrowhead: tip h_bb, diagonal
+    {h_dd, omega_j}, border {h_bd, w_j}.  Zero border entries and
+    coincident diagonal entries (to rounding) deflate: their eigenpairs
+    are known in closed form.  Every other eigenvalue lam is a root of
+    the secular equation f(lam) = 0, and its eigenvector is
+    (1, z_i/(lam - d_i)) / sqrt(f'(lam)), so its bright amplitude is
+    1/sqrt(f') and its dark amplitude h_bd / ((lam - h_dd) sqrt(f')).
+    The full eigenvector matrix is never formed.
+    """
+    v = np.array([-u[1], u[0]])
+    h_bb, h_bd, h_dd = u @ h_sys @ u, u @ h_sys @ v, v @ h_sys @ v
+    diag = np.concatenate(([h_dd], d.mode_freqs))
+    border = np.concatenate(([h_bd], u[0] * d.coupling_c + u[1] * d.coupling_x))
+    order = np.argsort(diag, kind="stable")
+    diag, border = diag[order], border[order]
+    dark = int(np.flatnonzero(order == 0)[0])
+    tol = 8.0 * FLOAT_EPS * max(abs(h_bb), np.max(np.abs(diag)),
+                                np.max(np.abs(border)))
+    is_live = np.abs(border) > tol
+    live = np.flatnonzero(is_live)
+    # a run of coincident live entries acts as one pole carrying their
+    # combined weight; the rest of the run deflates
+    first = np.diff(diag[live], prepend=-np.inf) > tol
+    group = np.cumsum(first) - 1
+    poles = diag[live[first]]
+    z2 = np.bincount(group, border[live] ** 2)
+    deflated = np.setdiff1d(np.arange(diag.size), live[first])
+    deflated_dark = np.zeros(deflated.size)
+    if poles.size:
+        origin, tau, fp = _secular_roots(h_bb, poles, z2)
+        energies = poles[origin] + tau
+        bright = 1.0 / np.sqrt(fp)
+    else:
+        energies, bright = np.array([h_bb]), np.ones(1)
+    dark_amp = np.zeros(energies.size)
+    if not is_live[dark]:
+        deflated_dark[np.searchsorted(deflated, dark)] = 1.0
+    else:
+        g = group[np.searchsorted(live, dark)]
+        # lam - h_dd measured from the root's own pole, as the solver does
+        dark_amp = h_bd * bright / ((poles[origin] - poles[g]) + tau)
+        members = live[group == g]
+        if members.size > 1:
+            # one deflated partner carries the rest of the dark weight
+            others = members[members != dark]
+            deflated_dark[np.searchsorted(deflated, members[-1])] = np.sqrt(
+                np.sum(border[others] ** 2) / z2[g])
+    energies = np.concatenate((energies, diag[deflated]))
+    bright = np.concatenate((bright, np.zeros(deflated.size)))
+    dark_amp = np.concatenate((dark_amp, deflated_dark))
+    order = np.argsort(energies, kind="stable")
+    rows = np.outer(u, bright[order]) + np.outer(v, dark_amp[order])
+    return energies[order], rows
+
+
+class BathOracle:
+    """Exact single-excitation model of the system plus a discretized bath.
+
+    The (N+2)-dimensional real symmetric Hamiltonian in the basis (cavity,
+    emitter, bath modes) is never stored.  Spectra and the Green's matrix
+    come from the discrete self-energy Sigma(z) = sum_j g_j g_j^T/(z - w_j)
+    in O(N) per frequency; dynamics uses the eigenvalues and the two system
+    rows of the eigenvectors, found in O(N^2) by a secular-equation solver
+    on first use.  Everything the memoryless theory predicts — branch
     positions, linewidths, the off-diagonal dissipative coupling, the
-    undamped-state plateau — must emerge here from first principles.
+    undamped-state plateau — must emerge here from first principles, up to
+    the discretization itself.
     """
 
     def __init__(self, d, p, k=0.0, min_modes=2000, window_margin=50.0):
         if d.n_modes < min_modes:
             raise ValueError(
                 "oracle needs >= %d bath modes for converged rates" % min_modes)
+        if not all(np.all(np.isfinite(v)) for v in
+                   (astuple(p), k, d.mode_freqs, d.coupling_c, d.coupling_x)):
+            raise ValueError("oracle parameters and bath must be finite")
         eps_c, eps_x = kinetic_energies(p, k)
         lo, hi = d.mode_freqs[0], d.mode_freqs[-1]
         margin = window_margin * max(p.total_rate, 1e-12)
@@ -349,15 +549,25 @@ class BathOracle:
         self.params = p
         self.k = k
         self.bath = d
-        n = d.n_modes
-        h = np.zeros((n + 2, n + 2))
-        h[0, 0], h[1, 1] = eps_c, eps_x
-        h[0, 1] = h[1, 0] = p.g_rabi
-        h[0, 2:] = h[2:, 0] = d.coupling_c
-        h[1, 2:] = h[2:, 1] = d.coupling_x
-        h[2:, 2:][np.diag_indices(n)] = d.mode_freqs
-        self.energies, self.states = np.linalg.eigh(h)
-        self._sys = self.states[:2, :]
+        self._h_sys = _bare_hamiltonian(p, k)
+        self._bright = _bright_direction(d)
+        self._eigen = None
+
+    def _eigenpairs(self):
+        if self._eigen is None:
+            self._eigen = _oracle_eigenpairs(self._h_sys, self._bright, self.bath)
+        return self._eigen
+
+    @property
+    def energies(self):
+        """All N+2 eigenvalues, ascending (solved on first use)."""
+        return self._eigenpairs()[0]
+
+    @property
+    def system_rows(self):
+        """Cavity and emitter components of the eigenvectors, shape (2, N+2),
+        one column per entry of energies."""
+        return self._eigenpairs()[1]
 
     @property
     def recurrence_time(self):
@@ -367,17 +577,25 @@ class BathOracle:
         """Lorentzian broadening that washes out the discrete level comb."""
         return 10.0 * self.bath.spacing
 
+    def _self_energy(self, z):
+        """Sigma(z) = sum_j g_j g_j^T/(z - omega_j), shape (M, 2, 2)."""
+        d = self.bath
+        gg = np.stack((d.coupling_c ** 2, d.coupling_c * d.coupling_x,
+                       d.coupling_x ** 2), axis=1)
+        sig = np.empty((z.size, 3), dtype=complex)
+        for start in range(0, z.size, SOLVER_CHUNK):
+            block = z[start:start + SOLVER_CHUNK, None]
+            sig[start:start + SOLVER_CHUNK] = (1.0 / (block - d.mode_freqs)) @ gg
+        return sig[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+
     def spectrum(self, omega_grid, eta=None):
         """System-projected local density of states on omega_grid."""
         eta = self.default_eta() if eta is None else float(eta)
         if eta < 2.0 * self.bath.spacing:
             raise KernelAccuracyError(
                 "broadening below twice the level spacing exposes the mode comb")
-        omega_grid = np.asarray(omega_grid, dtype=float)
-        weight = (self._sys ** 2).sum(axis=0)
-        diff = omega_grid[:, None] - self.energies[None, :]
-        lor = (eta / np.pi) / (diff * diff + eta * eta)
-        return lor @ weight
+        g = self.green_system(omega_grid, eta)
+        return -(g[:, 0, 0] + g[:, 1, 1]).imag / np.pi
 
     def dynamics(self, initial, t_grid, chunk=256):
         """Exact amplitudes (c(t), x(t)) from an initial system excitation."""
@@ -388,59 +606,36 @@ class BathOracle:
             raise RecurrenceLimitError(
                 "requested times exceed %.0f%% of the recurrence time %.3g"
                 % (100 * RECURRENCE_SAFETY, self.recurrence_time))
+        energies, rows = self._eigenpairs()
         c0, x0 = initial
-        coeff = self._sys[0] * c0 + self._sys[1] * x0  # V^T psi0, bath empty
+        coeff = rows[0] * c0 + rows[1] * x0  # V^T psi0, bath empty
         c_out = np.empty(t_grid.size, dtype=complex)
         x_out = np.empty(t_grid.size, dtype=complex)
         for start in range(0, t_grid.size, chunk):
             ts = t_grid[start:start + chunk]
-            phases = np.exp(-1j * np.outer(ts, self.energies)) * coeff
-            c_out[start:start + chunk] = phases @ self._sys[0]
-            x_out[start:start + chunk] = phases @ self._sys[1]
+            phases = np.exp(-1j * np.outer(ts, energies)) * coeff
+            c_out[start:start + chunk] = phases @ rows[0]
+            x_out[start:start + chunk] = phases @ rows[1]
         return c_out, x_out
 
     def green_system(self, omega_grid, eta=None):
-        """Retarded 2x2 Green's matrix of the system block, eta-broadened."""
+        """Retarded 2x2 Green's matrix of the system block, eta-broadened:
+        G(z) = [z - H_bare - Sigma(z)]^-1 at z = omega + i*eta."""
         eta = self.default_eta() if eta is None else float(eta)
-        omega_grid = np.asarray(omega_grid, dtype=float)
-        denom = 1.0 / (omega_grid[:, None] - self.energies[None, :] + 1j * eta)
-        g = np.empty((omega_grid.size, 2, 2), dtype=complex)
-        g[:, 0, 0] = denom @ (self._sys[0] * self._sys[0])
-        g[:, 0, 1] = denom @ (self._sys[0] * self._sys[1])
-        g[:, 1, 0] = g[:, 0, 1]
-        g[:, 1, 1] = denom @ (self._sys[1] * self._sys[1])
-        return g
+        z = np.asarray(omega_grid, dtype=float) + 1j * eta
+        m = z[:, None, None] * np.eye(2) - self._h_sys - self._self_energy(z)
+        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+        g = np.stack((m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]), axis=1)
+        return g.reshape(-1, 2, 2) / det[:, None, None]
 
     def effective_damping(self, omega_grid, eta=None):
-        """Damping matrix the bath induces, extracted from the exact G.
+        """Damping matrix Gamma~(omega) the bath induces on the system.
 
-        Inverts the system Green's matrix back to the M-form
-        M = omega*1 - H_bare + i*Gamma~ and solves for Gamma~, removing
-        the artificial eta broadening.  The off-diagonal entry is the
-        dissipative coupling generated by the common environment.
+        Matching G^-1 to the M-form M = omega*1 - H_bare + i*Gamma~ gives
+        Gamma~(omega) = i*Sigma(omega + i*eta) exactly: the eta-broadened
+        discrete self-energy, with the broadening itself removed.  The
+        off-diagonal entry is the dissipative coupling generated by the
+        common environment.
         """
         eta = self.default_eta() if eta is None else float(eta)
-        g = self.green_system(omega_grid, eta)
-        omega_grid = np.asarray(omega_grid, dtype=float)
-        det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
-        if np.any(np.abs(det) == 0.0):
-            raise SingularMatrixError("system Green's matrix singular")
-        inv = np.empty_like(g)
-        inv[:, 0, 0] = g[:, 1, 1] / det
-        inv[:, 1, 1] = g[:, 0, 0] / det
-        inv[:, 0, 1] = -g[:, 0, 1] / det
-        inv[:, 1, 0] = -g[:, 1, 0] / det
-        h_bare = _bare_hamiltonian(self.params, self.k)
-        ident = np.eye(2)
-        gam = -1j * (inv - omega_grid[:, None, None] * ident + h_bare)
-        return gam - eta * ident
-
-
-def oracle_spectrum(d, p, omega_grid, k=0.0, eta=None):
-    """LDOS of the discretized-bath oracle (convenience wrapper)."""
-    return BathOracle(d, p, k=k).spectrum(omega_grid, eta)
-
-
-def oracle_dynamics(d, p, initial, t_grid, k=0.0):
-    """Exact oracle amplitudes (convenience wrapper)."""
-    return BathOracle(d, p, k=k).dynamics(initial, t_grid)
+        return 1j * self._self_energy(np.asarray(omega_grid, dtype=float) + 1j * eta)

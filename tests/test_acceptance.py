@@ -5,7 +5,9 @@ prints its PASS/FAIL line (visible with pytest -s or on failure), and
 asserts the aggregate pass flag, which includes the runtime budget.
 """
 
-from ioxsim import acceptance
+import pytest
+
+from ioxsim import acceptance, cli
 
 
 def _report(res):
@@ -43,3 +45,13 @@ def test_absorption_ridge():
 
 def test_dynamics_agreement():
     _report(acceptance.check_dynamics_agreement())
+
+
+@pytest.mark.parametrize("passed, code", [(True, 0), (False, 3)])
+def test_exit_codes_match_cli(monkeypatch, passed, code):
+    # python -m ioxsim.acceptance and `ioxsim acceptance` exit alike
+    monkeypatch.setattr(acceptance, "CHECKS", (
+        ("stub", lambda: acceptance.CheckResult("stub", passed, "", 0.0, 1.0),
+         False),))
+    assert acceptance.main([]) == code
+    assert cli.main(["acceptance"]) == code

@@ -1,7 +1,9 @@
 """Tests for the first-principles environment layer.
 
-The heavyweight exact-diagonalization oracles are built once per module
-and shared across tests; each eigh of a ~4000-mode bath costs seconds.
+The converged oracles (a few thousand bath modes) are built once per
+module and shared across tests.  The oracle's eigensolver and resolvent
+are checked against a dense np.linalg.eigh of the full Hamiltonian on
+baths of a few hundred modes, where eigh is cheap.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from ioxsim import SystemParams, eigen_branches, effective_hamiltonian
 from ioxsim.bath import (
     BathOracle,
     BathSpec,
+    DiscretizedBath,
     MemoryKernel,
     bath_for_rates,
     discretize_bath,
@@ -22,10 +25,9 @@ from ioxsim.bath import (
     kernel_freq,
     kernel_time,
     markov_rates,
-    oracle_dynamics,
-    oracle_spectrum,
     sample_kernel,
 )
+from ioxsim.core import bic_condition, kinetic_energies
 from ioxsim.dynamics import bic_amplitudes
 from ioxsim.errors import (
     EvanescentRegionError,
@@ -340,6 +342,27 @@ class TestDiscretizedBath:
         with pytest.raises(ValueError):
             BathOracle(discretize_bath(b, 200), p)
 
+    @pytest.mark.parametrize("bad", ["delta", "k", "coupling"])
+    def test_oracle_rejects_non_finite_input(self, bad):
+        d = discretize_bath(bath_for_rates(1.0, 0.5, EPS0, WINDOW), 2000)
+        p = SystemParams(delta=np.nan if bad == "delta" else 1.0,
+                         gamma_c=1.0, gamma_x=0.5)
+        k = np.inf if bad == "k" else 0.0
+        if bad == "coupling":
+            gc = d.coupling_c.copy()
+            gc[7] = np.nan
+            d = DiscretizedBath(d.mode_freqs, gc, d.coupling_x)
+        with pytest.raises(ValueError):
+            BathOracle(d, p, k=k)
+
+    def test_oracle_rejects_unshared_couplings(self):
+        # couplings that are not proportional cannot share one bright mode
+        d = discretize_bath(bath_for_rates(1.0, 0.5, EPS0, WINDOW), 2000)
+        twisted = d.coupling_x * np.linspace(0.5, 1.5, d.n_modes)
+        with pytest.raises(ValueError):
+            BathOracle(DiscretizedBath(d.mode_freqs, d.coupling_c, twisted),
+                       SystemParams(gamma_c=1.0, gamma_x=0.5))
+
     def test_oracle_rejects_narrow_window(self):
         b = bath_for_rates(1.0, 0.0, EPS0, (990.0, 1010.0))
         p = SystemParams(gamma_c=1.0)
@@ -425,22 +448,134 @@ class TestOracleBic:
         assert peak == pytest.approx(omega_beat, rel=0.05)
 
 
-class TestOracleWrappers:
-    def test_spectrum_wrapper_normalizes(self):
+class TestOracleSpectrum:
+    def test_spectrum_normalizes(self):
         b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
         p = SystemParams(gamma_c=1.0)
         d = discretize_bath(b, 2000)
         w = np.linspace(900.0, 1100.0, 2001)
-        ldos = oracle_spectrum(d, p, w)
+        ldos = BathOracle(d, p).spectrum(w)
         # two system levels' worth of weight, most of it inside the window
         assert np.trapezoid(ldos, w) == pytest.approx(2.0, rel=0.05)
 
-    def test_dynamics_wrapper_matches_class(self):
-        b = bath_for_rates(1.0, 0.5, EPS0, WINDOW)
-        p = SystemParams(gamma_c=1.0, gamma_x=0.5)
-        d = discretize_bath(b, 2000)
-        t = np.linspace(0.0, 2.0, 21)
-        c1, x1 = oracle_dynamics(d, p, (1.0, 0.0), t)
-        orc = BathOracle(d, p)
-        c2, x2 = orc.dynamics((1.0, 0.0), t)
-        assert np.array_equal(c1, c2) and np.array_equal(x1, x2)
+
+SMALL_N = 300
+
+
+def _small_oracle(case):
+    """Oracle on a SMALL_N-mode bath for one named parameter regime."""
+    k = 0.0
+    if case == "attraction":
+        p = SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8)
+        b = bath_for_rates(1.0, 1.8, EPS0, WINDOW)
+    elif case == "dark-exciton":
+        # kappa_x = 0 and g_R = 0: the emitter's border entry is zero
+        p = SystemParams(delta=0.0, gamma_c=1.0, gamma_x=0.0)
+        b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
+    elif case == "uncoupled":
+        p = SystemParams(delta=1.0, g_rabi=2.0, gamma_c=0.0, gamma_x=0.0)
+        b = BathSpec(0.0, 0.0, WINDOW)
+    elif case == "dark-mode-point":
+        delta = bic_condition(SystemParams(g_rabi=3.0, gamma_x=0.3)).d_eps_bic
+        p = SystemParams(delta=delta, g_rabi=3.0, gamma_c=1.0, gamma_x=0.3)
+        b = bath_for_rates(1.0, 0.3, EPS0, (800.0, 1200.0))
+    elif case == "emitter-on-mode":
+        # kappa_x = 0 makes the emitter the dark mode; put its energy
+        # exactly on a bath frequency
+        b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
+        freqs = discretize_bath(b, SMALL_N).mode_freqs
+        on = float(freqs[np.argmin(np.abs(freqs - 1001.0))])
+        p = SystemParams(eps0=on, delta=EPS0 + 0.7 - on, g_rabi=0.8,
+                         gamma_c=1.0, gamma_x=0.0)
+    elif case == "finite-k":
+        k = 3.0
+        p = SystemParams(delta=2.0, g_rabi=0.5, mass_ratio=0.3,
+                         gamma_c=1.0, gamma_x=0.7)
+        b = bath_for_rates(1.0, 0.7, EPS0, WINDOW)
+    return BathOracle(discretize_bath(b, SMALL_N, k=k), p, k=k,
+                      min_modes=SMALL_N)
+
+
+SMALL_CASES = ("attraction", "dark-exciton", "uncoupled", "dark-mode-point",
+               "emitter-on-mode", "finite-k")
+
+
+def _bare(orc):
+    eps_c, eps_x = kinetic_energies(orc.params, orc.k)
+    return np.array([[eps_c, orc.params.g_rabi], [orc.params.g_rabi, eps_x]])
+
+
+def _dense_eigh(orc):
+    """Reference: dense eigh of the full (N+2) Hamiltonian (cavity,
+    emitter, bath modes); returns energies and the two system rows."""
+    d = orc.bath
+    n = d.n_modes
+    h = np.zeros((n + 2, n + 2))
+    h[:2, :2] = _bare(orc)
+    h[0, 2:] = h[2:, 0] = d.coupling_c
+    h[1, 2:] = h[2:, 1] = d.coupling_x
+    h[2:, 2:][np.diag_indices(n)] = d.mode_freqs
+    energies, states = np.linalg.eigh(h)
+    return energies, states[:2]
+
+
+def _green_from_eigenpairs(energies, rows, omega, eta):
+    denom = 1.0 / (omega[:, None] - energies[None, :] + 1j * eta)
+    g = np.empty((omega.size, 2, 2), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            g[:, a, b] = denom @ (rows[a] * rows[b])
+    return g
+
+
+def _assert_rel(value, ref, rel):
+    # relative to the largest reference entry, floored at the unit rate
+    scale = max(np.max(np.abs(ref)), 1.0)
+    assert np.max(np.abs(value - ref)) <= rel * scale
+
+
+@pytest.mark.parametrize("case", SMALL_CASES)
+class TestOracleAgainstDenseEigh:
+    def test_energies_and_system_weights(self, case):
+        orc = _small_oracle(case)
+        energies, rows = _dense_eigh(orc)
+        assert np.max(np.abs(orc.energies - energies)) <= 1e-10
+        # products of one eigenvector's components do not depend on its sign
+        for a, b in ((0, 0), (0, 1), (1, 1)):
+            got = orc.system_rows[a] * orc.system_rows[b]
+            assert np.max(np.abs(got - rows[a] * rows[b])) <= 1e-10
+
+    def test_dynamics(self, case):
+        orc = _small_oracle(case)
+        energies, rows = _dense_eigh(orc)
+        t = np.linspace(0.0, 0.45 * orc.recurrence_time, 101)
+        for init in ((1.0, 0.0), (0.0, 1.0), (0.6, -0.8j)):
+            c, x = orc.dynamics(init, t)
+            phases = np.exp(-1j * np.outer(t, energies)) * (
+                rows[0] * init[0] + rows[1] * init[1])
+            assert np.max(np.abs(c - phases @ rows[0])) <= 1e-10
+            assert np.max(np.abs(x - phases @ rows[1])) <= 1e-10
+
+    def test_resolvent_quantities(self, case):
+        orc = _small_oracle(case)
+        energies, rows = _dense_eigh(orc)
+        eta = 2.0 * orc.bath.spacing
+        omega = np.linspace(orc.params.eps0 - 40.0, orc.params.eps0 + 40.0, 81)
+        g_ref = _green_from_eigenpairs(energies, rows, omega, eta)
+        _assert_rel(orc.green_system(omega, eta), g_ref, 1e-11)
+        ldos_ref = -(g_ref[:, 0, 0] + g_ref[:, 1, 1]).imag / np.pi
+        _assert_rel(orc.spectrum(omega, eta), ldos_ref, 1e-11)
+        # damping from inverting the eigen-sum Green's matrix to M-form
+        gam_ref = -1j * (np.linalg.inv(g_ref) - omega[:, None, None] * np.eye(2)
+                         + _bare(orc)) - eta * np.eye(2)
+        _assert_rel(orc.effective_damping(omega, eta), gam_ref, 1e-11)
+
+
+def test_emitter_on_bath_mode_keeps_its_weight():
+    # the deflated eigenvalue sits exactly on the bath frequency and still
+    # carries emitter weight; the secular roots strictly avoid it
+    orc = _small_oracle("emitter-on-mode")
+    on = orc.params.eps0
+    at = np.flatnonzero(orc.energies == on)
+    assert at.size == 1
+    assert orc.system_rows[1, at[0]] ** 2 > 1e-3

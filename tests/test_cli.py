@@ -2,12 +2,15 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ioxsim
 from ioxsim import cli
 from ioxsim.acceptance import CheckResult
 from ioxsim.core import SystemParams, eigen_branches
@@ -384,6 +387,28 @@ class TestConsoleScript:
         proc = subprocess.run(
             [exe, "ep-bic", "--config", write_cfg(tmp_path, doc)],
             capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "ep_bic.csv" in proc.stdout
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_cli(self, tmp_path):
+        # run this checkout's package, installed or not
+        src = os.path.dirname(os.path.dirname(ioxsim.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        doc = {
+            "system": {"eps0": 1000.0, "delta": DELTA_BIC, "g_rabi": 3.0,
+                       "gamma_c": 1.0, "gamma_x": 0.3},
+            "scan": {"kind": "ep-bic"},
+            "output": {"directory": str(tmp_path / "out"),
+                       "formats": ["csv"]},
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "ioxsim", "ep-bic",
+             "--config", write_cfg(tmp_path, doc)],
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert "ep_bic.csv" in proc.stdout
 
