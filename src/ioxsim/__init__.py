@@ -27,7 +27,6 @@ from .spectra import (
     reflection,
     absorption,
     absorption_components,
-    reflection_grid,
     absorption_grid,
     power_absorption_relation_check,
     default_omega_window,

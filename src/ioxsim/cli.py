@@ -46,9 +46,11 @@ from .errors import (
 from .spectra import (
     InputOccupation,
     absorption,
+    absorption_grid,
     lorentzian_pair_fit,
     power_absorption_relation_check,
     power_spectrum,
+    power_spectrum_grid,
     reflection,
 )
 
@@ -340,6 +342,15 @@ def _pool_map(fn, items, threads):
         return list(pool.map(fn, items))
 
 
+def _spectrum_grid(fn, *args):
+    """A spectra grid; values outside the grid's own range check are a
+    numerical-check failure, not a crash."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise NumericalCheckError(str(exc))
+
+
 def _det_residual(p, k, omega):
     """|det(omega*1 - H_k)| relative to its natural scale; ~0 on a branch."""
     pole = complex_poles(p, k)
@@ -391,9 +402,13 @@ def run_dispersion(cfg, threads=1):
                     "branch determinant residual %.2e at k = %g"
                     % (resid, branch.k))
 
-    columns = _pool_map(
-        lambda k: power_spectrum(p, k, cfg.omega_grid, cfg.occupation),
-        cfg.k_grid, threads)
+    grid = _spectrum_grid(power_spectrum_grid, p, cfg.k_grid, cfg.omega_grid,
+                          cfg.occupation)
+    if np.any(grid.divergent):
+        i, j = np.argwhere(grid.divergent)[0]
+        raise DivergentPointError(
+            "power spectrum diverges on an undamped pole at k = %g, "
+            "omega = %r" % (cfg.k_grid[i], float(cfg.omega_grid[j])))
 
     os.makedirs(cfg.directory, exist_ok=True)
     files = [_write_csv(
@@ -404,7 +419,7 @@ def run_dispersion(cfg, threads=1):
     files.append(_write_csv(
         os.path.join(cfg.directory, "power_map.csv"),
         ("k", "omega", "intensity"),
-        ((k, w, v) for k, col in zip(cfg.k_grid, columns)
+        ((k, w, v) for k, col in zip(cfg.k_grid, grid.intensity)
          for w, v in zip(cfg.omega_grid, col))))
     if "gnuplot" in cfg.formats:
         files.append(_write_text(
@@ -557,9 +572,8 @@ def run_ep_bic(cfg, threads=1):
 def run_absorption(cfg, threads=1):
     """Absorption map (fraction of input lost to the private baths)."""
     p = cfg.systems[0]
-    columns = _pool_map(lambda k: absorption(p, k, cfg.omega_grid),
-                        cfg.k_grid, threads)
-    amap = np.array(columns)
+    amap = _spectrum_grid(absorption_grid, p, cfg.k_grid,
+                          cfg.omega_grid).intensity
     if np.any(amap < -1e-9) or np.any(amap > 1.0 + 1e-9):
         raise NumericalCheckError("absorption left [0, 1]")
     mid_w = cfg.omega_grid[cfg.omega_grid.size // 2]
@@ -574,7 +588,7 @@ def run_absorption(cfg, threads=1):
     files = [_write_csv(
         os.path.join(cfg.directory, "absorption_map.csv"),
         ("k", "omega", "absorption"),
-        ((k, w, v) for k, col in zip(cfg.k_grid, columns)
+        ((k, w, v) for k, col in zip(cfg.k_grid, amap)
          for w, v in zip(cfg.omega_grid, col)))]
     files.append(_write_csv(
         os.path.join(cfg.directory, "branches.csv"),

@@ -14,14 +14,20 @@ exceptional points and bound states in the continuum.
 Units: hbar = 1 and the reference photon decay rate sets the energy scale.
 Momenta are quoted in the dimensionless convention k = (true momentum) /
 sqrt(2 m_C * reference rate), so the photon kinetic term is exactly k**2.
+
+The closed forms are array-native over k: complex_poles, kinetic_energies,
+detunings and discriminant accept a 1-d k array, and one private kernel
+(_modes) gives the eigenvalues and degeneracy flags for a whole k array.
+eigen_branches (one k) and track_branches (a k grid) both evaluate it, so
+they agree bit for bit, and so do the spectra built on it.
 """
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import bisect
-
-from .errors import DegenerateModesError
 
 # Relative tolerance used when matching the EP/BiC closed-form conditions.
 CONDITION_RTOL = 1e-9
@@ -56,6 +62,9 @@ class SystemParams:
     gamma_nr_x: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError("%s must be finite" % name)
         if self.eps0 <= 0:
             raise ValueError("eps0 must be positive")
         if min(self.gamma_c, self.gamma_x, self.gamma_nr_c, self.gamma_nr_x) < 0:
@@ -153,7 +162,10 @@ def kinetic_energies(p, k):
 
 
 def complex_poles(p, k):
-    """ComplexPole at momentum k; nonradiative rates enter the diagonals."""
+    """ComplexPole at momentum k; nonradiative rates enter the diagonals.
+
+    For a k array, z_c and z_x are complex arrays over k.
+    """
     eps_c, eps_x = kinetic_energies(p, k)
     z_c = eps_c - 1j * (p.gamma_c + p.gamma_nr_c)
     z_x = eps_x - 1j * (p.gamma_x + p.gamma_nr_x)
@@ -170,76 +182,158 @@ def effective_hamiltonian(p, k):
 
 def principal_sqrt(d):
     """Principal square root: Re >= 0, and Im >= 0 on the Re = 0 cut."""
-    d = np.asarray(d, dtype=complex)
-    # strip negative-zero imaginary parts so negative reals map to +i side
-    d = np.where(d.imag == 0.0, d.real + 0.0j, d)
-    return np.sqrt(d)
+    # adding 0.0 turns a negative-zero imaginary part positive, so negative
+    # reals map to the +i side
+    return np.sqrt(np.asarray(d, dtype=complex) + 0.0)
+
+
+def _k_axis(k):
+    """k as a 1-d float array; a scalar becomes a single point."""
+    k = np.asarray(k, dtype=float)
+    if k.ndim > 1:
+        raise ValueError("k must be a scalar or a 1-d array")
+    return k.reshape(-1)
+
+
+# CPython multiplies a real x into a complex a + ib as the complex product
+# (x a - 0.0 b, x b + 0.0 a) = (x a + (-0.0) b, x b + 0.0 a); the zero
+# terms only ever set the sign of a zero result
+_ZERO_TERMS = np.array([-0.0, 0.0])
+
+
+def _real_times(x, z):
+    """x * z for a real x and a C-contiguous complex array z, bit for bit
+    as CPython computes it for each element."""
+    v = z.view(float).reshape(z.shape + (2,))
+    return (x * v + _ZERO_TERMS * v[..., ::-1]).view(complex)[..., 0]
+
+
+class _Modes(NamedTuple):
+    """H_k over a 1-d k array of n points.
+
+    levels has shape (4, n): the "L" and "U" eigenvalues, then the poles
+    z_x and z_c.  The eigenvalues lie at center -/+ sqrt(D) / 2; disc is D.
+    """
+
+    levels: np.ndarray
+    g_tilde: complex
+    disc: np.ndarray
+    center: np.ndarray
+    degenerate: np.ndarray
+
+    @property
+    def omega(self):
+        return self.levels[:2]
+
+    @property
+    def z_x(self):
+        return self.levels[2]
+
+    @property
+    def z_c(self):
+        return self.levels[3]
+
+
+def _modes(p, k):
+    """The closed-form kernel over a 1-d float k array.
+
+    omega = (z_c + z_x -/+ sqrt(D)) / 2 on the principal square-root
+    branch, with D = (z_c - z_x)**2 + 4 g~**2 formed from the detunings, in
+    which eps0 cancels algebraically; forming z_c - z_x from the full poles
+    would lose ~7 digits to cancellation at eps0 = 1000 and blur exact
+    EP/BiC points.  A point is degenerate when |sqrt(D)| falls below
+    DEGENERACY_TOL times the local energy scale.
+    """
+    pole = complex_poles(p, k)
+    det = detunings(p, k)
+    # dz = d_eps - 1j d_gamma and D = dz * dz + 4 g~**2 written out as
+    # CPython evaluates them on scalars: numpy's complex multiply fuses
+    # multiply-adds and can differ in the last bit, while these float64
+    # steps reproduce the scalar formula exactly (dz_r dz_i + dz_i dz_r is
+    # cross + cross)
+    j_gamma = 1j * det.d_gamma
+    dz_r, dz_i = det.d_eps - j_gamma.real, 0.0 - j_gamma.imag
+    cross = dz_r * dz_i
+    disc = np.empty(k.shape, dtype=complex)
+    disc.real = dz_r * dz_r - dz_i * dz_i
+    disc.imag = cross + cross
+    disc += 4.0 * pole.g_tilde * pole.g_tilde
+    # (z_c + z_x) / 2 and sqrt(D) / 2 as one product
+    pair = np.empty((2, k.size), dtype=complex)
+    np.add(pole.z_c, pole.z_x, out=pair[0])
+    pair[1] = principal_sqrt(disc)
+    mid, half = _real_times(0.5, pair)
+    levels = np.empty((4, k.size), dtype=complex)
+    np.subtract(mid, half, out=levels[0])
+    np.add(mid, half, out=levels[1])
+    levels[2] = pole.z_x
+    levels[3] = pole.z_c
+    scale = np.maximum(np.hypot(dz_r, dz_i),
+                       max(1.0, 2.0 * abs(pole.g_tilde)))
+    return _Modes(levels, pole.g_tilde, disc, mid,
+                  np.abs(pair[1]) <= DEGENERACY_TOL * scale)
 
 
 def discriminant(p, k):
     """D = (z_c - z_x)**2 + 4 g~**2; branches coalesce where D = 0.
 
-    Computed from the detunings, in which eps0 cancels algebraically;
-    forming z_c - z_x from the full poles would lose ~7 digits to
-    cancellation at eps0 = 1000 and blur exact EP/BiC points.
+    Computed from the detunings, in which eps0 cancels (see _modes).
     """
-    det = detunings(p, k)
-    dz = det.d_eps - 1j * det.d_gamma
-    g_tilde = p.g_rabi - 1j * np.sqrt(p.gamma_c * p.gamma_x)
-    return dz * dz + 4.0 * g_tilde * g_tilde
+    disc = _modes(p, _k_axis(k)).disc
+    return complex(disc[0]) if np.ndim(k) == 0 else disc
 
 
-def _branch_eigvec(pole, omega):
-    """Normalized kernel vector of (omega*1 - H) with a fixed phase."""
-    # Two algebraically equivalent kernel constructions; keep the one with
-    # the larger norm for stability near decoupled limits.
-    v1 = np.array([pole.g_tilde, omega - pole.z_c])
-    v2 = np.array([omega - pole.z_x, pole.g_tilde])
-    v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-14 * max(1.0, abs(pole.z_c), abs(pole.z_x)):
-        # fully degenerate (proportional to identity): any direction works
-        v = np.array([1.0 + 0.0j, 0.0 + 0.0j])
-        nrm = 1.0
-    v = v / nrm
-    return _fix_phase(v)
-
-
-def _fix_phase(v):
-    """Rotate the overall phase so the first nonzero component is real > 0."""
-    for comp in v:
-        if abs(comp) > 1e-12:
-            return v * (comp.conjugate() / abs(comp))
-    return v
+def _eigvecs(m):
+    """(vec_l, vec_u), each (n, 2): normalized kernel vectors of
+    (omega*1 - H) at both eigenvalues, with a fixed phase.  At a
+    coalescence both branches carry the single shared eigenvector, taken
+    at the mean eigenvalue."""
+    omega = np.where(m.degenerate, m.center, m.omega)
+    # Two algebraically equivalent kernel vectors, (omega - z_x, g~) and
+    # (g~, omega - z_c); keep the one with the larger norm for stability
+    # near decoupled limits.
+    g = m.g_tilde
+    to_pole = omega[:, None] - m.levels[2:]
+    norm = np.hypot(abs(g), np.abs(to_pole))
+    first = norm[:, 1] >= norm[:, 0]
+    v = np.empty(omega.shape + (2,), dtype=complex)
+    v[..., 0] = np.where(first, g, to_pole[:, 0])
+    v[..., 1] = np.where(first, to_pole[:, 1], g)
+    norm = np.maximum(norm[:, 0], norm[:, 1])
+    # fully degenerate (proportional to identity): any direction works
+    flat = norm < 1e-14 * np.maximum(np.maximum(1.0, np.abs(m.z_c)),
+                                     np.abs(m.z_x))
+    if flat.any():
+        v[flat] = (1.0, 0.0)
+        norm[flat] = 1.0
+    # normalize, rotating the overall phase so that the first nonzero
+    # component is real > 0
+    lead = np.where(np.abs(v[..., 0]) > 1e-12 * norm, v[..., 0], v[..., 1])
+    v *= (lead.conj() / (np.abs(lead) * norm))[..., None]
+    return v[0], v[1]
 
 
 def eigen_branches(p, k):
-    """Both complex eigenvalue branches at momentum k.
+    """Both complex eigenvalue branches at a scalar momentum k.
 
     Returns (lower, upper) ComplexBranch with
     omega = (z_c + z_x -/+ sqrt(D)) / 2 on the principal square-root branch;
     "U" carries the plus sign.  At a coalescence (|sqrt(D)| below tolerance)
     both branches carry the single shared eigenvector and degenerate=True.
+    For a k array use track_branches, which evaluates the same kernel.
     """
-    pole = complex_poles(p, k)
-    det = detunings(p, k)
-    dz = det.d_eps - 1j * det.d_gamma
-    d = dz * dz + 4.0 * pole.g_tilde * pole.g_tilde
-    sq = complex(principal_sqrt(d))
-    half_sum = 0.5 * (pole.z_c + pole.z_x)
-    omega_l = half_sum - 0.5 * sq
-    omega_u = half_sum + 0.5 * sq
-    scale = max(1.0, abs(dz), 2.0 * abs(pole.g_tilde))
-    degenerate = abs(sq) <= DEGENERACY_TOL * scale
-    if degenerate:
-        vec = _branch_eigvec(pole, half_sum)
-        vec_l = vec_u = vec
-    else:
-        vec_l = _branch_eigvec(pole, omega_l)
-        vec_u = _branch_eigvec(pole, omega_u)
     kf = float(k)
-    return (ComplexBranch(omega_l, "L", vec_l, kf, degenerate),
-            ComplexBranch(omega_u, "U", vec_u, kf, degenerate))
+    m = _modes(p, np.array([kf]))
+    vec_l, vec_u = _eigvecs(m)
+    degenerate = bool(m.degenerate[0])
+    omega_l, omega_u = m.omega[:, 0].tolist()
+    return (ComplexBranch(omega_l, "L", vec_l[0], kf, degenerate),
+            ComplexBranch(omega_u, "U", vec_u[0], kf, degenerate))
+
+
+def _overlap(prev, new):
+    """|<prev_i, new_i+1>|^2 between neighbouring grid points."""
+    return np.abs(np.sum(prev[:-1].conj() * new[1:], axis=1)) ** 2
 
 
 def track_branches(p, kgrid):
@@ -249,7 +343,8 @@ def track_branches(p, kgrid):
     branch of the first grid point.  At each step the assignment maximizes
     eigenvector overlap with the previous point and falls back to
     closest-eigenvalue matching when the overlaps tie or the point is
-    degenerate.  Output is deterministic.
+    degenerate.  Output is deterministic, and every branch equals
+    eigen_branches(p, k) at its k.
     """
     kgrid = np.asarray(kgrid, dtype=float)
     if kgrid.ndim != 1 or kgrid.size == 0:
@@ -257,26 +352,32 @@ def track_branches(p, kgrid):
     if kgrid.size > 1 and np.any(np.diff(kgrid) <= 0):
         raise ValueError("kgrid must be strictly increasing")
 
-    first = eigen_branches(p, kgrid[0])
-    tracks = ([first[0]], [first[1]])
-    for k in kgrid[1:]:
-        new = eigen_branches(p, k)
-        prev = (tracks[0][-1], tracks[1][-1])
-        keep = (abs(np.vdot(prev[0].eigvec, new[0].eigvec)) ** 2
-                + abs(np.vdot(prev[1].eigvec, new[1].eigvec)) ** 2)
-        swap = (abs(np.vdot(prev[0].eigvec, new[1].eigvec)) ** 2
-                + abs(np.vdot(prev[1].eigvec, new[0].eigvec)) ** 2)
-        if new[0].degenerate or prev[0].degenerate or abs(keep - swap) < 1e-12:
-            keep = -(abs(prev[0].omega - new[0].omega)
-                     + abs(prev[1].omega - new[1].omega))
-            swap = -(abs(prev[0].omega - new[1].omega)
-                     + abs(prev[1].omega - new[0].omega))
-        if keep >= swap:
-            tracks[0].append(new[0])
-            tracks[1].append(new[1])
-        else:
-            tracks[0].append(new[1])
-            tracks[1].append(new[0])
+    m = _modes(p, kgrid)
+    vec_l, vec_u = _eigvecs(m)
+    # scores of keeping or swapping the labels of step i-1 -> i, for the
+    # unswapped labels at i-1; a swap at i-1 exchanges the two scores
+    keep = _overlap(vec_l, vec_l) + _overlap(vec_u, vec_u)
+    swap = _overlap(vec_l, vec_u) + _overlap(vec_u, vec_l)
+    fallback = (m.degenerate[1:] | m.degenerate[:-1]
+                | (np.abs(keep - swap) < 1e-12))
+    om_l, om_u = m.omega
+    keep = np.where(fallback, -(np.abs(om_l[:-1] - om_l[1:])
+                                + np.abs(om_u[:-1] - om_u[1:])), keep)
+    swap = np.where(fallback, -(np.abs(om_l[:-1] - om_u[1:])
+                                + np.abs(om_u[:-1] - om_l[1:])), swap)
+    # a tie keeps the labels as they come ("L" on the first track)
+    swapped = [False]
+    for tie, flip in zip((keep == swap).tolist(), (keep < swap).tolist()):
+        swapped.append(not tie and swapped[-1] != flip)
+
+    tracks = ([], [])
+    for kf, w_l, w_u, v_l, v_u, deg, swp in zip(
+            kgrid.tolist(), om_l.tolist(), om_u.tolist(), vec_l, vec_u,
+            m.degenerate.tolist(), swapped):
+        low = ComplexBranch(w_l, "L", v_l, kf, deg)
+        up = ComplexBranch(w_u, "U", v_u, kf, deg)
+        tracks[0].append(up if swp else low)
+        tracks[1].append(low if swp else up)
     return tracks
 
 
@@ -284,11 +385,12 @@ def detunings(p, k):
     """Detunings at momentum k; nonradiative rates are included in d_gamma.
 
     d_eps is formed without eps0 (it cancels exactly), keeping EP/BiC
-    condition checks at full precision.
+    condition checks at full precision.  For a k array, d_eps is an array.
     """
-    d_eps = p.delta + (1.0 - p.mass_ratio) * float(k) ** 2
+    # float_power is C pow(), as Python's k ** 2 on a float
+    d_eps = p.delta + (1.0 - p.mass_ratio) * np.float_power(k, 2.0)
     d_gamma = (p.gamma_c + p.gamma_nr_c) - (p.gamma_x + p.gamma_nr_x)
-    return Detunings(d_eps, d_gamma)
+    return Detunings(float(d_eps) if np.ndim(k) == 0 else d_eps, d_gamma)
 
 
 def _solve_ring_radius(p, target):

@@ -7,18 +7,31 @@ with two extra nonradiative baths, and reflection/absorption spectra.
 Density-of-states ratios of the auxiliary baths are absorbed into the rate
 parameters, so only decay rates appear in this API; with that convention
 the single-bath amplitude is exactly unimodular and R + A = 1.
+
+power_spectrum, absorption and absorption_components take k as a scalar
+or a 1-d array and return one row per k; the grid functions are the same
+call wrapped in a SpectrumGrid.  All of them evaluate the core kernel in
+blocks of k rows, so a grid row equals the scalar call at its k exactly.
+The scattering functions and reflection take a scalar k.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import complex_poles, eigen_branches
+from .core import _k_axis, _modes, complex_poles
 from .errors import DivergentPointError, SingularMatrixError
 
 # an omega closer than this (times local scale) to an undamped pole is
 # reported as divergent rather than as a huge float
 POLE_TOL = 1e-12
+
+# momenta evaluated together on a (k, omega) grid.  Each row carries four
+# complex distance planes (two eigenvalues, two poles), so at 801 omega a
+# block's temporaries stay near 0.4 MB.  Whole grids spill out of cache;
+# 16-row blocks ran about 10% faster but raised the peak RSS of a dense
+# sweep above that of the per-k loop they replace
+_BLOCK_ROWS = 8
 
 _KINDS = ("power", "reflection", "absorption")
 
@@ -110,42 +123,66 @@ def _resolvent(p, k, omega):
     return b / det, a / det, pole.g_tilde / det, det, pole
 
 
-def _branch_distances(p, k, omega):
-    low, up = eigen_branches(p, k)
-    omega = np.asarray(omega, dtype=float)
-    return omega - low.omega, omega - up.omega, low, up
+def _on_grid(rows, p, k, omega, *args):
+    """Evaluate rows(p, modes, omega, *args) over k in blocks of
+    _BLOCK_ROWS momenta.
+
+    k is a scalar or a 1-d array and omega any shape; each returned array
+    has shape np.shape(k) + np.shape(omega).  Scalar calls and grids share
+    this one path, so a grid row equals the scalar call at its k.
+    """
+    ks = _k_axis(k)
+    om = np.asarray(omega, dtype=float)
+    flat = om.reshape(-1)
+    outs = None
+    for start in range(0, max(ks.size, 1), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        parts = rows(p, _modes(p, ks[block]), flat, *args)
+        if outs is None:
+            outs = [np.empty((ks.size, flat.size), part.dtype)
+                    for part in parts]
+        for out, part in zip(outs, parts):
+            out[block] = part
+    shape = np.shape(k) + om.shape
+    return [out.reshape(shape)[()] for out in outs]
 
 
-def _divergence_mask(p, dl, du, low, up):
+def _divergence_mask(p, m, dist):
     # Imaginary parts of the eigenmodes live on the rate scale, not the
     # carrier-frequency scale, so the on-pole ball must use the former;
     # tying it to |omega| ~ eps0 would swallow genuinely resolvable
     # near-pole points.
     scale = POLE_TOL * max(1.0, p.total_rate + abs(p.g_rabi))
-    mask = np.zeros(np.shape(dl), dtype=bool)
-    for dist, branch in ((dl, low), (du, up)):
-        if abs(branch.omega.imag) < scale:
-            mask |= np.abs(dist) < scale
-    return mask
+    undamped = np.abs(m.omega.imag) < scale
+    if not undamped.any():
+        return np.zeros(dist.shape[1:], dtype=bool)
+    near = undamped[:, :, None] & (dist < scale)
+    return near[0] | near[1]
+
+
+def _power_rows(p, m, om, occupation):
+    """Power spectrum rows plus a mask of on-pole (divergent) points."""
+    gt = m.g_tilde
+    # |omega - omega_L|, |omega - omega_U|, |omega - z_x|, |omega - z_c|
+    dist = np.abs(om - m.levels[:, :, None])
+    a_b = 4.0 * (abs(gt) ** 2 + dist[2:] ** 2)
+    z_c, z_x = m.z_c[:, None], m.z_x[:, None]
+    d_term = 8.0 * ((2.0 * om - z_c - z_x) * np.conj(gt)).real
+    num = (a_b[0] * p.gamma_c + a_b[1] * p.gamma_x
+           + d_term * np.sqrt(p.gamma_c * p.gamma_x))
+    mask = _divergence_mask(p, m, dist[:2])
+    den = dist[:2] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(mask, np.nan, num * occupation / (den[0] * den[1]))
+    return out, mask
 
 
 def _power_with_mask(p, k, omega, n):
     """Power spectrum values plus a mask of on-pole (divergent) points."""
-    occupation = as_occupation(n)
-    dl, du, low, up = _branch_distances(p, k, omega)
-    pole = complex_poles(p, k)
-    om = np.asarray(omega, dtype=float)
-    gt = pole.g_tilde
-    a_term = 4.0 * (abs(gt) ** 2 + np.abs(om - pole.z_x) ** 2)
-    b_term = 4.0 * (abs(gt) ** 2 + np.abs(om - pole.z_c) ** 2)
-    d_term = 8.0 * ((2.0 * om - pole.z_c - pole.z_x) * np.conj(gt)).real
-    num = (a_term * p.gamma_c + b_term * p.gamma_x
-           + d_term * np.sqrt(p.gamma_c * p.gamma_x))
-    mask = _divergence_mask(p, dl, du, low, up)
-    den = np.abs(dl) ** 2 * np.abs(du) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(mask, np.nan, num * occupation(om) / den)
-    return out, mask
+    # n = 1 multiplies exactly; skip evaluating it
+    occupation = (1.0 if n is None
+                  else as_occupation(n)(np.asarray(omega, float).reshape(-1)))
+    return _on_grid(_power_rows, p, k, omega, occupation)
 
 
 def power_spectrum(p, k, omega, n=None):
@@ -155,25 +192,22 @@ def power_spectrum(p, k, omega, n=None):
     (|omega - omega_L|^2 |omega - omega_U|^2) with
     A = 4(|g~|^2 + |omega - z_x|^2), B = 4(|g~|^2 + |omega - z_c|^2),
     D = 8 Re[(2 omega - z_c - z_x) conj(g~)].  Nonradiative rates enter
-    only through z_c, z_x.  Raises DivergentPointError exactly on an
-    undamped pole; use power_spectrum_grid to get flagged grids instead.
+    only through z_c, z_x.  k may be a 1-d array, giving one row per k.
+    Raises DivergentPointError exactly on an undamped pole; use
+    power_spectrum_grid to get flagged grids instead.
     """
     out, mask = _power_with_mask(p, k, omega, n)
     if np.any(mask):
+        where = np.broadcast_to(np.asarray(omega, dtype=float), np.shape(mask))
         raise DivergentPointError(
             "power spectrum diverges on an undamped pole at omega = %s"
-            % np.asarray(omega)[mask if np.ndim(omega) else ...])
-    return out if np.ndim(omega) else float(out)
+            % (where[mask] if np.ndim(mask) else omega))
+    return out if np.ndim(out) else float(out)
 
 
 def power_spectrum_grid(p, k_values, omega_values, n=None):
     """Power spectrum on a (k, omega) grid; on-pole points are flagged."""
-    k_values = np.asarray(k_values, dtype=float)
-    omega_values = np.asarray(omega_values, dtype=float)
-    intensity = np.empty((k_values.size, omega_values.size))
-    mask = np.zeros_like(intensity, dtype=bool)
-    for i, k in enumerate(k_values):
-        intensity[i], mask[i] = _power_with_mask(p, k, omega_values, n)
+    intensity, mask = _power_with_mask(p, k_values, omega_values, n)
     return SpectrumGrid(k_values, omega_values, intensity, "power", mask)
 
 
@@ -238,49 +272,48 @@ def reflection(p, k, omega):
     return out if np.ndim(omega) else float(out)
 
 
+def _absorption_rows(p, m, om):
+    """(A_gamma, A_m) rows for the momenta of m, as one (2, ...) array."""
+    gt = m.g_tilde
+    g2 = abs(gt) ** 2
+    # omega - omega_L, omega - omega_U, omega - z_x, omega - z_c
+    to = om - m.levels[:, :, None]
+    dist = np.abs(to)
+    dist **= 2
+    # A_gamma = [4 (gamma_c |omega - z_x|^2 + gamma_x |g~|^2)
+    #            + 8 s Re(conj(g~) (omega - z_x))] / den, and A_m the same
+    # with z_c and the rates swapped
+    weight = np.array([p.gamma_c, p.gamma_x])[:, None, None]
+    offset = np.array([p.gamma_x * g2, p.gamma_c * g2])[:, None, None]
+    s = np.sqrt(p.gamma_c * p.gamma_x)
+    return ((4.0 * (weight * dist[2:] + offset)
+             + 8.0 * s * (np.conj(gt) * to[2:]).real)
+            / (dist[0] * dist[1]))
+
+
+def _total_absorption_rows(p, m, om):
+    a_gamma, a_m = _absorption_rows(p, m, om)
+    return (p.gamma_nr_c * a_gamma + p.gamma_nr_x * a_m,)
+
+
 def absorption_components(p, k, omega):
     """(A_gamma, A_m): absorption lineshapes of the photon and matter loss
-    channels, vectorized over omega."""
-    pole = complex_poles(p, k)
-    om = np.asarray(omega, dtype=float)
-    dl, du, _, _ = _branch_distances(p, k, omega)
-    den = np.abs(dl) ** 2 * np.abs(du) ** 2
-    gt = pole.g_tilde
-    s = np.sqrt(p.gamma_c * p.gamma_x)
-    a_gamma = (4.0 * (p.gamma_c * np.abs(om - pole.z_x) ** 2
-                      + p.gamma_x * abs(gt) ** 2)
-               + 8.0 * s * (np.conj(gt) * (om - pole.z_x)).real) / den
-    a_m = (4.0 * (p.gamma_c * abs(gt) ** 2
-                  + p.gamma_x * np.abs(om - pole.z_c) ** 2)
-           + 8.0 * s * (np.conj(gt) * (om - pole.z_c)).real) / den
+    channels, vectorized over omega; k may be a 1-d array."""
+    a_gamma, a_m = _on_grid(_absorption_rows, p, k, omega)
     return a_gamma, a_m
 
 
 def absorption(p, k, omega):
-    """A = gamma_nr_c * A_gamma + gamma_nr_x * A_m, vectorized over omega."""
-    a_gamma, a_m = absorption_components(p, k, omega)
-    out = p.gamma_nr_c * a_gamma + p.gamma_nr_x * a_m
-    return out if np.ndim(omega) else float(out)
-
-
-def reflection_grid(p, k_values, omega_values):
-    """Reflection on a (k, omega) grid."""
-    k_values = np.asarray(k_values, dtype=float)
-    omega_values = np.asarray(omega_values, dtype=float)
-    vals = np.empty((k_values.size, omega_values.size))
-    for i, k in enumerate(k_values):
-        vals[i] = reflection(p, k, omega_values)
-    return SpectrumGrid(k_values, omega_values, vals, "reflection")
+    """A = gamma_nr_c * A_gamma + gamma_nr_x * A_m, vectorized over omega;
+    k may be a 1-d array."""
+    (out,) = _on_grid(_total_absorption_rows, p, k, omega)
+    return out if np.ndim(out) else float(out)
 
 
 def absorption_grid(p, k_values, omega_values):
     """Absorption on a (k, omega) grid."""
-    k_values = np.asarray(k_values, dtype=float)
-    omega_values = np.asarray(omega_values, dtype=float)
-    vals = np.empty((k_values.size, omega_values.size))
-    for i, k in enumerate(k_values):
-        vals[i] = absorption(p, k, omega_values)
-    return SpectrumGrid(k_values, omega_values, vals, "absorption")
+    return SpectrumGrid(k_values, omega_values,
+                        absorption(p, k_values, omega_values), "absorption")
 
 
 def power_absorption_relation_check(p, k, omega, n=None):
@@ -289,7 +322,7 @@ def power_absorption_relation_check(p, k, omega, n=None):
     intensity = power_spectrum(p, k, omega, occupation)
     a_gamma, a_m = absorption_components(p, k, omega)
     resid = np.abs(intensity - (a_gamma + a_m) * occupation(omega))
-    return resid if np.ndim(omega) else float(resid)
+    return resid if np.ndim(resid) else float(resid)
 
 
 def default_omega_window(p):

@@ -356,6 +356,22 @@ class TestExitCodes:
         rc = cli.main(["dispersion", "--config", write_cfg(tmp_path, doc)])
         assert rc == 3
 
+    def test_on_pole_point_inside_a_grid_is_numerical_failure(self, tmp_path):
+        p = SystemParams(delta=DELTA_BIC, g_rabi=3.0, gamma_x=0.3)
+        pole = eigen_branches(p, 0.0)[0].omega.real
+        k_grid = sorted(set(np.linspace(-1.0, 1.0, 40).tolist()) | {0.0})
+        doc = {
+            "system": {"eps0": 1000.0, "delta": DELTA_BIC, "g_rabi": 3.0,
+                       "gamma_c": 1.0, "gamma_x": 0.3},
+            "scan": {"kind": "dispersion", "k_grid": k_grid,
+                     "omega_grid": [pole - 1.0, pole, pole + 1.0]},
+            "output": {"directory": str(tmp_path / "out"),
+                       "formats": ["csv"]},
+        }
+        rc = cli.main(["dispersion", "--config", write_cfg(tmp_path, doc)])
+        assert rc == 3
+        assert not (tmp_path / "out" / "power_map.csv").exists()
+
     def test_acceptance_subcommand_maps_results(self, monkeypatch):
         calls = {}
 

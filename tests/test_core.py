@@ -1,5 +1,7 @@
 """Tests for the effective two-mode model: poles, branches, EP/BiC loci."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,12 @@ class TestSystemParams:
             SystemParams(eps0=0.0)
         with pytest.raises(ValueError):
             SystemParams(mass_ratio=1.5)
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(SystemParams)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, bad):
+        with pytest.raises(ValueError, match=field + " must be finite"):
+            SystemParams(**{field: bad})
 
     def test_markov_advisory(self):
         assert not SystemParams(eps0=1000.0, gamma_c=1.0).markov_advisory
