@@ -34,22 +34,18 @@ from .spectra import (
 )
 from .dynamics import (
     AmplitudeState,
-    evolve_analytic,
     analytic_trajectory,
     bic_amplitudes,
     evolve_ode,
 )
 from .bath import (
     BathSpec,
-    MemoryKernel,
     DiscretizedBath,
     BathOracle,
     env_density_of_states,
     kernel_time,
     kernel_freq,
-    sample_kernel,
     full_matrix,
-    full_matrix_lossy,
     green_matrix,
     markov_rates,
     bath_for_rates,

@@ -375,18 +375,9 @@ def run_all(seed=None, stream=None):
     return results
 
 
-def main(argv=None):
-    import argparse
-
-    ap = argparse.ArgumentParser(
-        prog="ioxsim-acceptance",
-        description="run the quantitative acceptance checks")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="RNG seed (default: IOXSIM_SEED or %d)" % DEFAULT_SEED)
-    args = ap.parse_args(argv)
-    results = run_all(seed=args.seed)
-    return 0 if all(r.passed for r in results) else 3
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    # python -m ioxsim.acceptance is `ioxsim acceptance`: one parser, one
+    # exit-code mapping
+    from .cli import main
+
+    sys.exit(main(["acceptance", *sys.argv[1:]]))

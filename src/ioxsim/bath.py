@@ -193,31 +193,6 @@ def kernel_freq(b, k, omega, npoints=PV_GRID_POINTS):
     return out if omega_arr.ndim else out.reshape(2, 2)
 
 
-@dataclass(frozen=True)
-class MemoryKernel:
-    """Frequency-sampled memory kernel: gamma_tilde[i] is the 2x2 matrix
-    Gamma~(omega_grid[i])."""
-
-    omega_grid: np.ndarray
-    gamma_tilde: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.omega_grid, dtype=float)
-        gam = np.asarray(self.gamma_tilde)
-        if grid.ndim != 1 or gam.shape != grid.shape + (2, 2):
-            raise ValueError("gamma_tilde must hold one 2x2 matrix per frequency")
-        if np.any(gam[:, 0, 0].real < -1e-12) or np.any(gam[:, 1, 1].real < -1e-12):
-            raise ValueError("diagonal damping must be non-negative")
-        if not np.allclose(gam[:, 0, 1], gam[:, 1, 0], rtol=0.0, atol=1e-12):
-            raise ValueError("kernel must be symmetric for real couplings")
-
-
-def sample_kernel(b, k, omega_grid, npoints=PV_GRID_POINTS):
-    """Evaluate kernel_freq on a grid and wrap it as a MemoryKernel."""
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    return MemoryKernel(omega_grid, kernel_freq(b, k, omega_grid, npoints))
-
-
 def markov_rates(b, omega0, k=0.0):
     """Golden-rule rates (gamma_c, gamma_x, cross) at carrier omega0.
 
@@ -268,35 +243,24 @@ def full_matrix(b, p, k, omega, npoints=PV_GRID_POINTS, memoryless=False):
     return omega * ident - _bare_hamiltonian(p, k) + 1j * gam
 
 
-def full_matrix_lossy(b, p, k, omega, loss_c=None, loss_x=None,
-                      npoints=PV_GRID_POINTS, memoryless=False):
-    """M'(k, omega): adds private loss baths on the diagonal of M.
-
-    loss_c and loss_x are BathSpec instances whose kappa_c quantifies
-    the nonradiative coupling of the cavity mode and the emitter to
-    their own independent environments; each contributes i*Gamma~ to
-    its diagonal entry only.
-    """
-    m = full_matrix(b, p, k, omega, npoints, memoryless)
-    for slot, loss in ((0, loss_c), (1, loss_x)):
-        if loss is None:
-            continue
-        if memoryless:
-            extra = markov_rates(loss, p.eps0, k=k)[0]
-        else:
-            extra = kernel_freq(loss, k, omega, npoints)[0, 0]
-        m[slot, slot] += 1j * extra
-    return m
+def _cofactor_inverse(m):
+    """Inverses of a stack of 2x2 matrices, shape (..., 2, 2), by cofactors,
+    and their determinants; a zero determinant gives inf/nan entries."""
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    adj = np.stack((m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]),
+                   axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return adj.reshape(m.shape) / det[..., None, None], det
 
 
 def green_matrix(b, p, k, omega, npoints=PV_GRID_POINTS, memoryless=False):
     """System Green's matrix G = M^{-1} at real frequency omega."""
     m = full_matrix(b, p, k, omega, npoints, memoryless)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    g, det = _cofactor_inverse(m)
     scale = max(1.0, abs(m[0, 0]) + abs(m[1, 1])) ** 2
     if abs(det) < 1e-14 * scale:
         raise SingularMatrixError("response matrix singular at omega = %g" % omega)
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+    return g
 
 
 @dataclass(frozen=True)
@@ -624,9 +588,7 @@ class BathOracle:
         eta = self.default_eta() if eta is None else float(eta)
         z = np.asarray(omega_grid, dtype=float) + 1j * eta
         m = z[:, None, None] * np.eye(2) - self._h_sys - self._self_energy(z)
-        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-        g = np.stack((m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]), axis=1)
-        return g.reshape(-1, 2, 2) / det[:, None, None]
+        return _cofactor_inverse(m)[0]
 
     def effective_damping(self, omega_grid, eta=None):
         """Damping matrix Gamma~(omega) the bath induces on the system.

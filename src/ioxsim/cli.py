@@ -1,22 +1,21 @@
 """Command-line front end: JSON run configs, scan orchestration, CSV and
 gnuplot-script emission, and the acceptance-suite runner.
 
-    ioxsim <subcommand> --config <path> [--out <dir>] [--threads N]
+    ioxsim <subcommand> --config <path> [--out <dir>]
 
 Subcommands: dispersion, spectrum, dynamics, ep-bic, absorption,
 oracle-compare, acceptance.  A config is a single JSON object with blocks
 system / bath (optional) / scan / output; unknown keys are rejected with
 JSON-path messages, decode errors carry line and column.  CSV output uses
 17 significant digits, so identical configs give byte-identical files
-regardless of --threads.  Exit codes: 0 all outputs written and internal
-residual checks passed, 2 config error, 3 numerical-check failure.
+across runs.  Exit codes: 0 all outputs written and internal residual
+checks passed, 2 config error, 3 numerical-check failure.
 """
 
 import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -333,22 +332,19 @@ def _write_text(path, text):
     return path
 
 
-def _pool_map(fn, items, threads):
-    """Order-preserving map over a worker pool; assembly stays serial."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
-def _spectrum_grid(fn, *args):
-    """A spectra grid; values outside the grid's own range check are a
-    numerical-check failure, not a crash."""
+def _spectrum_grid(fn, what, *args):
+    """A spectra grid; values outside the grid's own range check and
+    on-pole points are numerical-check failures, not a crash."""
     try:
-        return fn(*args)
+        grid = fn(*args)
     except ValueError as exc:
         raise NumericalCheckError(str(exc))
+    if np.any(grid.divergent):
+        i, j = np.argwhere(grid.divergent)[0]
+        raise DivergentPointError(
+            "%s on an undamped pole at k = %g, omega = %r"
+            % (what, grid.k_values[i], float(grid.omega_values[j])))
+    return grid
 
 
 def _det_residual(p, k, omega):
@@ -358,6 +354,14 @@ def _det_residual(p, k, omega):
     scale = max(1.0, abs(omega - pole.z_c), abs(omega - pole.z_x),
                 abs(pole.g_tilde)) ** 2
     return abs(det) / scale
+
+
+def _write_branches(directory, tracks):
+    return _write_csv(
+        os.path.join(directory, "branches.csv"),
+        ("k", "re_omega_l", "im_omega_l", "re_omega_u", "im_omega_u"),
+        ((lo.k, lo.omega.real, lo.omega.imag, up.omega.real, up.omega.imag)
+         for lo, up in zip(*tracks)))
 
 
 def _plot_prelude(title):
@@ -386,10 +390,26 @@ def _heatmap_script(title, map_csv, p, k_grid, omega_grid):
     return "\n".join(lines)
 
 
+def _family_script(title, xlabel, ylabel, csv_name, column, k0, deltas):
+    """One curve per detuning at k = k0, from a (k, delta, x, ...) CSV."""
+    lines = [_plot_prelude(title),
+             "set xlabel \"%s\"" % xlabel,
+             "set ylabel \"%s\"" % ylabel,
+             "k0 = %s" % _fmt(k0),
+             "plot \\"]
+    for i, d in enumerate(deltas):
+        tail = "," if i + 1 < len(deltas) else ""
+        lines.append(
+            "  \"%s\" skip 1 using 3:($1 == k0 && $2 == %s"
+            " ? $%d : 1/0) with lines title \"delta = %.6g\"%s \\"
+            % (csv_name, _fmt(d), column, d, tail))
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # scan operations
 
-def run_dispersion(cfg, threads=1):
+def run_dispersion(cfg):
     """branches.csv + power_map.csv + optional heatmap plot script."""
     p = cfg.systems[0]
     tracks = track_branches(p, cfg.k_grid)
@@ -402,20 +422,11 @@ def run_dispersion(cfg, threads=1):
                     "branch determinant residual %.2e at k = %g"
                     % (resid, branch.k))
 
-    grid = _spectrum_grid(power_spectrum_grid, p, cfg.k_grid, cfg.omega_grid,
-                          cfg.occupation)
-    if np.any(grid.divergent):
-        i, j = np.argwhere(grid.divergent)[0]
-        raise DivergentPointError(
-            "power spectrum diverges on an undamped pole at k = %g, "
-            "omega = %r" % (cfg.k_grid[i], float(cfg.omega_grid[j])))
+    grid = _spectrum_grid(power_spectrum_grid, "power spectrum diverges",
+                          p, cfg.k_grid, cfg.omega_grid, cfg.occupation)
 
     os.makedirs(cfg.directory, exist_ok=True)
-    files = [_write_csv(
-        os.path.join(cfg.directory, "branches.csv"),
-        ("k", "re_omega_l", "im_omega_l", "re_omega_u", "im_omega_u"),
-        ((lo.k, lo.omega.real, lo.omega.imag, up.omega.real, up.omega.imag)
-         for lo, up in zip(*tracks)))]
+    files = [_write_branches(cfg.directory, tracks)]
     files.append(_write_csv(
         os.path.join(cfg.directory, "power_map.csv"),
         ("k", "omega", "intensity"),
@@ -429,14 +440,12 @@ def run_dispersion(cfg, threads=1):
     return files
 
 
-def run_spectrum(cfg, threads=1):
+def run_spectrum(cfg):
     """Emission spectra over (detuning family) x k_grid x omega_grid."""
     k_grid = cfg.k_grid if cfg.k_grid is not None else np.array([0.0])
-    jobs = [(d, p, k) for d, p in zip(cfg.deltas, cfg.systems) for k in k_grid]
-    columns = _pool_map(
-        lambda job: power_spectrum(job[1], job[2], cfg.omega_grid,
-                                   cfg.occupation),
-        jobs, threads)
+    # one row per k, bit for bit the scalar call at that k
+    maps = [power_spectrum(p, k_grid, cfg.omega_grid, cfg.occupation)
+            for p in cfg.systems]
     for p in cfg.systems:
         mid = cfg.omega_grid[cfg.omega_grid.size // 2]
         resid = power_absorption_relation_check(p, k_grid[0], mid,
@@ -449,22 +458,14 @@ def run_spectrum(cfg, threads=1):
     files = [_write_csv(
         os.path.join(cfg.directory, "spectrum.csv"),
         ("k", "delta", "omega", "intensity"),
-        ((k, d, w, v) for (d, _, k), col in zip(jobs, columns)
+        ((k, d, w, v) for d, rows in zip(cfg.deltas, maps)
+         for k, col in zip(k_grid, rows)
          for w, v in zip(cfg.omega_grid, col)))]
     if "gnuplot" in cfg.formats:
-        lines = [_plot_prelude("emission spectra"),
-                 "set xlabel \"omega\"",
-                 "set ylabel \"intensity\"",
-                 "k0 = %s" % _fmt(k_grid[0]),
-                 "plot \\"]
-        for i, d in enumerate(cfg.deltas):
-            tail = "," if i + 1 < len(cfg.deltas) else ""
-            lines.append(
-                "  \"spectrum.csv\" skip 1 using 3:($1 == k0 && $2 == %s"
-                " ? $4 : 1/0) with lines title \"delta = %.6g\"%s \\"
-                % (_fmt(d), d, tail))
-        files.append(_write_text(os.path.join(cfg.directory, "plot.gp"),
-                                 "\n".join(lines) + "\n"))
+        files.append(_write_text(
+            os.path.join(cfg.directory, "plot.gp"),
+            _family_script("emission spectra", "omega", "intensity",
+                           "spectrum.csv", 4, k_grid[0], cfg.deltas)))
     return files
 
 
@@ -487,13 +488,11 @@ def _trajectory_with_check(p, k, t_grid):
     return c, x
 
 
-def run_dynamics(cfg, threads=1):
+def run_dynamics(cfg):
     """Amplitude dynamics from x(0) = 1, c(0) = 0 (vacuum environment)."""
     k_grid = cfg.k_grid if cfg.k_grid is not None else np.array([0.0])
     jobs = [(d, p, k) for d, p in zip(cfg.deltas, cfg.systems) for k in k_grid]
-    results = _pool_map(
-        lambda job: _trajectory_with_check(job[1], job[2], cfg.t_grid),
-        jobs, threads)
+    results = [_trajectory_with_check(p, k, cfg.t_grid) for _, p, k in jobs]
 
     os.makedirs(cfg.directory, exist_ok=True)
     files = [_write_csv(
@@ -505,23 +504,14 @@ def run_dynamics(cfg, threads=1):
          for (d, _, k), (cs, xs) in zip(jobs, results)
          for t, c, x in zip(cfg.t_grid, cs, xs)))]
     if "gnuplot" in cfg.formats:
-        lines = [_plot_prelude("amplitude dynamics from x(0) = 1"),
-                 "set xlabel \"t\"",
-                 "set ylabel \"|x|^2\"",
-                 "k0 = %s" % _fmt(k_grid[0]),
-                 "plot \\"]
-        for i, d in enumerate(cfg.deltas):
-            tail = "," if i + 1 < len(cfg.deltas) else ""
-            lines.append(
-                "  \"dynamics.csv\" skip 1 using 3:($1 == k0 && $2 == %s"
-                " ? $9 : 1/0) with lines title \"delta = %.6g\"%s \\"
-                % (_fmt(d), d, tail))
-        files.append(_write_text(os.path.join(cfg.directory, "plot.gp"),
-                                 "\n".join(lines) + "\n"))
+        files.append(_write_text(
+            os.path.join(cfg.directory, "plot.gp"),
+            _family_script("amplitude dynamics from x(0) = 1", "t", "|x|^2",
+                           "dynamics.csv", 9, k_grid[0], cfg.deltas)))
     return files
 
 
-def run_ep_bic(cfg, threads=1):
+def run_ep_bic(cfg):
     """Locate coalescence and undamped-pole conditions; emit targets,
     ring radii and on-condition residuals."""
     p = cfg.systems[0]
@@ -569,12 +559,13 @@ def run_ep_bic(cfg, threads=1):
         rows)]
 
 
-def run_absorption(cfg, threads=1):
+def run_absorption(cfg):
     """Absorption map (fraction of input lost to the private baths)."""
     p = cfg.systems[0]
-    amap = _spectrum_grid(absorption_grid, p, cfg.k_grid,
-                          cfg.omega_grid).intensity
-    if np.any(amap < -1e-9) or np.any(amap > 1.0 + 1e-9):
+    amap = _spectrum_grid(absorption_grid, "absorption is undefined",
+                          p, cfg.k_grid, cfg.omega_grid).intensity
+    # written so that a NaN fails it too
+    if not np.all((amap >= -1e-9) & (amap <= 1.0 + 1e-9)):
         raise NumericalCheckError("absorption left [0, 1]")
     mid_w = cfg.omega_grid[cfg.omega_grid.size // 2]
     for k in (cfg.k_grid[0], cfg.k_grid[-1]):
@@ -590,11 +581,7 @@ def run_absorption(cfg, threads=1):
         ("k", "omega", "absorption"),
         ((k, w, v) for k, col in zip(cfg.k_grid, amap)
          for w, v in zip(cfg.omega_grid, col)))]
-    files.append(_write_csv(
-        os.path.join(cfg.directory, "branches.csv"),
-        ("k", "re_omega_l", "im_omega_l", "re_omega_u", "im_omega_u"),
-        ((lo.k, lo.omega.real, lo.omega.imag, up.omega.real, up.omega.imag)
-         for lo, up in zip(*tracks))))
+    files.append(_write_branches(cfg.directory, tracks))
     if "gnuplot" in cfg.formats:
         files.append(_write_text(
             os.path.join(cfg.directory, "plot.gp"),
@@ -603,7 +590,7 @@ def run_absorption(cfg, threads=1):
     return files
 
 
-def run_oracle_compare(cfg, threads=1):
+def run_oracle_compare(cfg):
     """Discretized-bath oracle vs memoryless closed forms, side by side.
 
     Emits per-comparison CSVs plus summary.csv with metric/value/bound
@@ -702,8 +689,6 @@ def _build_parser():
         sp.add_argument("--config", required=True, help="JSON run config")
         sp.add_argument("--out", default=None,
                         help="override output.directory")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker pool size (default: hardware)")
     sp = sub.add_parser("acceptance", help="run the acceptance checks")
     sp.add_argument("--seed", type=int, default=None,
                     help="RNG seed (default: IOXSIM_SEED or %d)"
@@ -717,10 +702,6 @@ def main(argv=None):
         results = acceptance.run_all(seed=args.seed)
         return 0 if all(r.passed for r in results) else 3
 
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
-    if threads < 1:
-        print("config error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         cfg = load_config(args.config)
         if cfg.kind != args.command:
@@ -729,7 +710,7 @@ def main(argv=None):
                 % (cfg.kind, args.command))
         if args.out:
             cfg = replace(cfg, directory=args.out)
-        files = _OPS[cfg.kind](cfg, threads)
+        files = _OPS[cfg.kind](cfg)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

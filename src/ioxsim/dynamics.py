@@ -52,18 +52,6 @@ def _branch_projection(p, k, initial):
     return low.omega, up.omega, (cl, cu), (xl, xu)
 
 
-def evolve_analytic(p, k, initial, t):
-    """Closed-form amplitudes at a single time t >= initial.t."""
-    wl, wu, (cl, cu), (xl, xu) = _branch_projection(p, k, initial)
-    dt = float(t) - initial.t
-    if dt < 0:
-        raise ValueError("t must not precede the initial time")
-    el = np.exp(-1j * wl * dt)
-    eu = np.exp(-1j * wu * dt)
-    return AmplitudeState(complex(cl * el + cu * eu),
-                          complex(xl * el + xu * eu), float(t))
-
-
 def analytic_trajectory(p, k, initial, t_grid):
     """Closed-form (c, x) arrays over a time grid (measured from initial.t)."""
     wl, wu, (cl, cu), (xl, xu) = _branch_projection(p, k, initial)

@@ -12,7 +12,9 @@ power_spectrum, absorption and absorption_components take k as a scalar
 or a 1-d array and return one row per k; the grid functions are the same
 call wrapped in a SpectrumGrid.  All of them evaluate the core kernel in
 blocks of k rows, so a grid row equals the scalar call at its k exactly.
-The scattering functions and reflection take a scalar k.
+Exactly on an undamped pole the scalar calls raise DivergentPointError
+and the grids flag the point in SpectrumGrid.divergent.  The scattering
+functions and reflection take a scalar k.
 """
 
 from dataclasses import dataclass
@@ -77,7 +79,8 @@ class SpectrumGrid:
     """A spectrum sampled on a (k, omega) grid.
 
     kind is one of "power", "reflection", "absorption".  divergent marks
-    grid points sitting exactly on an undamped pole (intensity NaN there).
+    grid points sitting exactly on an undamped pole (intensity NaN there);
+    the power and absorption grids fill it.
     """
 
     k_values: np.ndarray
@@ -100,13 +103,15 @@ class SpectrumGrid:
                 raise ValueError("grid axes must be strictly increasing")
         if self.intensity.shape != (self.k_values.size, self.omega_values.size):
             raise ValueError("intensity shape does not match the axes")
-        finite = self.intensity[np.isfinite(self.intensity)]
+        # range-check the finite values in place: masks, not a copy
+        values = self.intensity
+        finite = np.isfinite(values)
         if self.kind == "power":
-            if np.any(finite < -1e-12):
+            if np.any(values < -1e-12, where=finite):
                 raise ValueError("power spectrum must be non-negative")
-        else:
-            if np.any(finite < -1e-9) or np.any(finite > 1 + 1e-9):
-                raise ValueError("%s values must lie in [0, 1]" % self.kind)
+        elif (np.any(values < -1e-9, where=finite)
+              or np.any(values > 1 + 1e-9, where=finite)):
+            raise ValueError("%s values must lie in [0, 1]" % self.kind)
 
 
 def _resolvent(p, k, omega):
@@ -185,6 +190,15 @@ def _power_with_mask(p, k, omega, n):
     return _on_grid(_power_rows, p, k, omega, occupation)
 
 
+def _reject_on_pole(what, omega, mask):
+    """Raise DivergentPointError naming the omega values that mask flags."""
+    if np.any(mask):
+        where = np.broadcast_to(np.asarray(omega, dtype=float), np.shape(mask))
+        raise DivergentPointError(
+            "%s on an undamped pole at omega = %s"
+            % (what, where[mask] if np.ndim(mask) else omega))
+
+
 def power_spectrum(p, k, omega, n=None):
     """Emission intensity I(k, omega) for input occupation n (default 1).
 
@@ -197,11 +211,7 @@ def power_spectrum(p, k, omega, n=None):
     power_spectrum_grid to get flagged grids instead.
     """
     out, mask = _power_with_mask(p, k, omega, n)
-    if np.any(mask):
-        where = np.broadcast_to(np.asarray(omega, dtype=float), np.shape(mask))
-        raise DivergentPointError(
-            "power spectrum diverges on an undamped pole at omega = %s"
-            % (where[mask] if np.ndim(mask) else omega))
+    _reject_on_pole("power spectrum diverges", omega, mask)
     return out if np.ndim(out) else float(out)
 
 
@@ -273,12 +283,14 @@ def reflection(p, k, omega):
 
 
 def _absorption_rows(p, m, om):
-    """(A_gamma, A_m) rows for the momenta of m, as one (2, ...) array."""
+    """A_gamma and A_m rows for the momenta of m, plus a mask of on-pole
+    (divergent) points, where both are NaN."""
     gt = m.g_tilde
     g2 = abs(gt) ** 2
     # omega - omega_L, omega - omega_U, omega - z_x, omega - z_c
     to = om - m.levels[:, :, None]
     dist = np.abs(to)
+    mask = _divergence_mask(p, m, dist[:2])
     dist **= 2
     # A_gamma = [4 (gamma_c |omega - z_x|^2 + gamma_x |g~|^2)
     #            + 8 s Re(conj(g~) (omega - z_x))] / den, and A_m the same
@@ -286,34 +298,42 @@ def _absorption_rows(p, m, om):
     weight = np.array([p.gamma_c, p.gamma_x])[:, None, None]
     offset = np.array([p.gamma_x * g2, p.gamma_c * g2])[:, None, None]
     s = np.sqrt(p.gamma_c * p.gamma_x)
-    return ((4.0 * (weight * dist[2:] + offset)
-             + 8.0 * s * (np.conj(gt) * to[2:]).real)
-            / (dist[0] * dist[1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = ((4.0 * (weight * dist[2:] + offset)
+                 + 8.0 * s * (np.conj(gt) * to[2:]).real)
+                / (dist[0] * dist[1]))
+    rows[:, mask] = np.nan
+    return rows[0], rows[1], mask
 
 
 def _total_absorption_rows(p, m, om):
-    a_gamma, a_m = _absorption_rows(p, m, om)
-    return (p.gamma_nr_c * a_gamma + p.gamma_nr_x * a_m,)
+    a_gamma, a_m, mask = _absorption_rows(p, m, om)
+    return p.gamma_nr_c * a_gamma + p.gamma_nr_x * a_m, mask
 
 
 def absorption_components(p, k, omega):
     """(A_gamma, A_m): absorption lineshapes of the photon and matter loss
-    channels, vectorized over omega; k may be a 1-d array."""
-    a_gamma, a_m = _on_grid(_absorption_rows, p, k, omega)
+    channels, vectorized over omega; k may be a 1-d array.  Raises
+    DivergentPointError exactly on an undamped pole."""
+    a_gamma, a_m, mask = _on_grid(_absorption_rows, p, k, omega)
+    _reject_on_pole("absorption lineshapes diverge", omega, mask)
     return a_gamma, a_m
 
 
 def absorption(p, k, omega):
     """A = gamma_nr_c * A_gamma + gamma_nr_x * A_m, vectorized over omega;
-    k may be a 1-d array."""
-    (out,) = _on_grid(_total_absorption_rows, p, k, omega)
+    k may be a 1-d array.  Raises DivergentPointError exactly on an
+    undamped pole; use absorption_grid to get flagged grids instead."""
+    out, mask = _on_grid(_total_absorption_rows, p, k, omega)
+    _reject_on_pole("absorption is undefined", omega, mask)
     return out if np.ndim(out) else float(out)
 
 
 def absorption_grid(p, k_values, omega_values):
-    """Absorption on a (k, omega) grid."""
-    return SpectrumGrid(k_values, omega_values,
-                        absorption(p, k_values, omega_values), "absorption")
+    """Absorption on a (k, omega) grid; on-pole points are flagged."""
+    intensity, mask = _on_grid(_total_absorption_rows, p, k_values,
+                               omega_values)
+    return SpectrumGrid(k_values, omega_values, intensity, "absorption", mask)
 
 
 def power_absorption_relation_check(p, k, omega, n=None):

@@ -5,8 +5,15 @@ prints its PASS/FAIL line (visible with pytest -s or on failure), and
 asserts the aggregate pass flag, which includes the runtime budget.
 """
 
+import os
+import runpy
+import subprocess
+import sys
+import warnings
+
 import pytest
 
+import ioxsim
 from ioxsim import acceptance, cli
 
 
@@ -53,5 +60,25 @@ def test_exit_codes_match_cli(monkeypatch, passed, code):
     monkeypatch.setattr(acceptance, "CHECKS", (
         ("stub", lambda: acceptance.CheckResult("stub", passed, "", 0.0, 1.0),
          False),))
-    assert acceptance.main([]) == code
+    monkeypatch.setattr(sys, "argv", ["ioxsim.acceptance"])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+        # the module is already imported; runpy warns that it runs it again
+        warnings.filterwarnings("ignore", "'ioxsim.acceptance' found",
+                                RuntimeWarning)
+        runpy.run_module("ioxsim.acceptance", run_name="__main__")
+    assert exc.value.code == code
     assert cli.main(["acceptance"]) == code
+
+
+def test_module_entry_point_forwards_to_cli():
+    # a bad --seed is rejected by the CLI's parser before any check runs
+    src = os.path.dirname(os.path.dirname(ioxsim.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ioxsim.acceptance", "--seed", "notanint"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "invalid int value" in proc.stderr
+    assert proc.stdout == ""

@@ -15,17 +15,14 @@ from ioxsim.bath import (
     BathOracle,
     BathSpec,
     DiscretizedBath,
-    MemoryKernel,
     bath_for_rates,
     discretize_bath,
     env_density_of_states,
     full_matrix,
-    full_matrix_lossy,
     green_matrix,
     kernel_freq,
     kernel_time,
     markov_rates,
-    sample_kernel,
 )
 from ioxsim.core import bic_condition, kinetic_energies
 from ioxsim.dynamics import bic_amplitudes
@@ -33,6 +30,7 @@ from ioxsim.errors import (
     EvanescentRegionError,
     KernelAccuracyError,
     RecurrenceLimitError,
+    SingularMatrixError,
 )
 from ioxsim.spectra import lorentzian_pair_fit
 
@@ -205,28 +203,14 @@ class TestKernelFreq:
             im = kernel_freq(b, 0.0, float(w))[0, 0].imag
             assert im == pytest.approx(hil, abs=2e-3 * np.pi)
 
-    def test_sampled_kernel_wrapper(self):
+    def test_array_omega_matches_scalar(self):
         b = bath_for_rates(1.0, 0.7, EPS0, WINDOW)
         grid = np.linspace(995.0, 1005.0, 11)
-        kern = sample_kernel(b, 0.0, grid, npoints=801)
-        assert kern.gamma_tilde.shape == (11, 2, 2)
-        assert np.allclose(kern.gamma_tilde[:, 0, 1], kern.gamma_tilde[:, 1, 0])
+        kern = kernel_freq(b, 0.0, grid, npoints=801)
+        assert kern.shape == (11, 2, 2)
+        assert np.allclose(kern[:, 0, 1], kern[:, 1, 0])
         direct = kernel_freq(b, 0.0, 1000.0, npoints=801)
-        assert np.allclose(kern.gamma_tilde[5], direct)
-
-    def test_sampled_kernel_validation(self):
-        grid = np.linspace(0.0, 1.0, 3)
-        gam = np.zeros((3, 2, 2), dtype=complex)
-        bad = gam.copy()
-        bad[:, 0, 0] = -1.0
-        with pytest.raises(ValueError):
-            MemoryKernel(grid, bad)
-        askew = gam.copy()
-        askew[:, 0, 1] = 1.0
-        with pytest.raises(ValueError):
-            MemoryKernel(grid, askew)
-        with pytest.raises(ValueError):
-            MemoryKernel(grid, np.zeros((2, 2, 2), dtype=complex))
+        assert np.allclose(kern[5], direct)
 
     def test_memoryless_limit_wide_window(self):
         # kernel flattens to the rate matrix near the carrier as the
@@ -298,27 +282,18 @@ class TestFullMatrixAndGreen:
             assert g[0, 0].imag <= 0.0
             assert g[1, 1].imag <= 0.0
 
+    def test_singular_response_raises(self):
+        # no bath, no Rabi coupling: M is diagonal and vanishes at eps_x
+        p = SystemParams(delta=1.0, g_rabi=0.0, gamma_c=0.0, gamma_x=0.0)
+        b = BathSpec(0.0, 0.0, WINDOW)
+        with pytest.raises(SingularMatrixError):
+            green_matrix(b, p, 0.0, p.eps0)
+
     def test_decoupled_green_diagonal(self):
         p = SystemParams(delta=2.0, g_rabi=0.0, gamma_c=1.0, gamma_x=0.0)
         b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
         g = green_matrix(b, p, 0.0, 998.5)
         assert g[0, 1] == 0.0 and g[1, 0] == 0.0
-
-    def test_lossy_adds_diagonal_kernels(self):
-        p = SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8)
-        b = bath_for_rates(1.0, 1.8, EPS0, WINDOW)
-        loss_c = bath_for_rates(0.15, 0.0, EPS0, WINDOW)
-        loss_x = bath_for_rates(0.15, 0.0, EPS0, WINDOW)
-        w = 1002.0
-        m = full_matrix(b, p, 0.0, w)
-        mp = full_matrix_lossy(b, p, 0.0, w, loss_c=loss_c, loss_x=loss_x)
-        diff = mp - m
-        assert diff[0, 1] == 0.0 and diff[1, 0] == 0.0
-        gkern = kernel_freq(loss_c, 0.0, w)[0, 0]
-        assert diff[0, 0] == pytest.approx(1j * gkern, rel=1e-12)
-        mp2 = full_matrix_lossy(b, p, 0.0, w, loss_c=loss_c, memoryless=True)
-        assert mp2[0, 0] - full_matrix(b, p, 0.0, w, memoryless=True)[0, 0] \
-            == pytest.approx(0.15j, rel=1e-12)
 
 
 class TestDiscretizedBath:

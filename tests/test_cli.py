@@ -1,6 +1,8 @@
 """CLI front end: config validation, scan outputs, determinism, exit codes."""
 
 import csv
+import glob
+import hashlib
 import json
 import os
 import shutil
@@ -17,6 +19,7 @@ from ioxsim.core import SystemParams, eigen_branches
 from ioxsim.errors import ConfigError
 
 DELTA_BIC = 3.834057902536163
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def base_doc(**scan):
@@ -147,8 +150,7 @@ class TestDispersionRun:
     def test_outputs_and_branch_values(self, tmp_path):
         doc = base_doc(**dispersion_scan())
         doc["output"]["directory"] = str(tmp_path / "out")
-        rc = cli.main(["dispersion", "--config", write_cfg(tmp_path, doc),
-                       "--threads", "2"])
+        rc = cli.main(["dispersion", "--config", write_cfg(tmp_path, doc)])
         assert rc == 0
         header, rows = read_csv(tmp_path / "out" / "branches.csv")
         assert header == ["k", "re_omega_l", "im_omega_l",
@@ -164,17 +166,12 @@ class TestDispersionRun:
         plot = (tmp_path / "out" / "plot.gp").read_text()
         assert "power_map.csv" in plot and "branches.csv" in plot
 
-    def test_byte_identical_across_threads(self, tmp_path):
+    def test_threads_option_is_gone(self, tmp_path):
         doc = base_doc(**dispersion_scan())
-        out = {}
-        for threads in ("1", "4"):
-            doc["output"]["directory"] = str(tmp_path / ("out" + threads))
-            cfg = write_cfg(tmp_path, doc, "cfg%s.json" % threads)
-            assert cli.main(["dispersion", "--config", cfg,
-                             "--threads", threads]) == 0
-            out[threads] = (tmp_path / ("out" + threads)
-                            / "power_map.csv").read_bytes()
-        assert out["1"] == out["4"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dispersion", "--config", write_cfg(tmp_path, doc),
+                      "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_out_flag_overrides_directory(self, tmp_path):
         doc = base_doc(**dispersion_scan())
@@ -227,6 +224,30 @@ class TestSpectrumAndDynamicsRuns:
         assert float(rows[0][7]) == pytest.approx(0.0)  # c(0) = 0
         # undamped-pole family: |x|^2 stays above the trapped fraction
         assert min(float(r[8]) for r in rows) > 0.3
+
+    def test_byte_identical_across_runs(self, tmp_path):
+        # the two scans that loop over (detuning, k) jobs, each run twice
+        system = {"eps0": 1000.0, "g_rabi": 3.0, "gamma_c": 1.0,
+                  "gamma_x": 0.3, "delta": [2.300434741521698, DELTA_BIC]}
+        k_grid = [-0.4, 0.0, 0.3]
+        scans = {"spectrum": {"kind": "spectrum", "k_grid": k_grid,
+                              "omega_grid": {"start": 994.0, "stop": 1010.0,
+                                             "num": 81}},
+                 "dynamics": {"kind": "dynamics", "k_grid": k_grid,
+                              "t_grid": {"start": 0.0, "stop": 5.0,
+                                         "num": 51}}}
+        for kind, scan in scans.items():
+            outputs = []
+            for run in ("a", "b"):
+                out = tmp_path / (kind + run)
+                doc = {"system": system, "scan": scan,
+                       "output": {"directory": str(out)}}
+                cfg = write_cfg(tmp_path, doc, kind + run + ".json")
+                assert cli.main([kind, "--config", cfg]) == 0
+                outputs.append({name: (out / name).read_bytes()
+                                for name in sorted(os.listdir(out))})
+            assert outputs[0] == outputs[1]
+            assert len(outputs[0]) == 2  # the CSV and plot.gp
 
     def test_dynamics_at_coalescence_uses_ode(self, tmp_path):
         doc = {
@@ -296,6 +317,22 @@ class TestAbsorptionRun:
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         assert (tmp_path / "out" / "branches.csv").exists()
         assert (tmp_path / "out" / "plot.gp").exists()
+
+    def test_on_pole_point_is_numerical_failure(self, tmp_path):
+        # purely radiative losses: absorption is 0 * inf on the dark pole
+        p = SystemParams(delta=DELTA_BIC, g_rabi=3.0, gamma_x=0.3)
+        pole = eigen_branches(p, 0.0)[0].omega.real
+        doc = {
+            "system": {"eps0": 1000.0, "delta": DELTA_BIC, "g_rabi": 3.0,
+                       "gamma_c": 1.0, "gamma_x": 0.3},
+            "scan": {"kind": "absorption", "k_grid": [-0.5, 0.0, 0.5],
+                     "omega_grid": [pole - 1.0, pole, pole + 1.0]},
+            "output": {"directory": str(tmp_path / "out"),
+                       "formats": ["csv"]},
+        }
+        rc = cli.main(["absorption", "--config", write_cfg(tmp_path, doc)])
+        assert rc == 3
+        assert not (tmp_path / "out" / "absorption_map.csv").exists()
 
 
 class TestOracleCompareRun:
@@ -431,9 +468,31 @@ class TestModuleEntryPoint:
 
 class TestBundledConfigs:
     def test_all_bundled_configs_parse(self):
-        import glob
         paths = sorted(glob.glob("configs/*.json"))
         assert len(paths) >= 7
         for path in paths:
             cfg = cli.load_config(path)
             assert cfg.kind in cli.SCAN_KINDS
+
+    def test_closed_form_csvs_match_reference(self, tmp_path):
+        # every bundled config but the bath oracle, against the CSV hashes
+        # recorded in perfbench/maps_sha256.json
+        with open(os.path.join(ROOT, "perfbench", "maps_sha256.json")) as fh:
+            reference = json.load(fh)
+        configs = {}
+        for path in sorted(glob.glob(os.path.join(ROOT, "configs", "*.json"))):
+            kind = cli.load_config(path).kind
+            if kind != "oracle-compare":
+                configs[os.path.basename(path)[:-5]] = (kind, path)
+        assert len(configs) == 7
+        assert sorted(configs) == sorted({key.split("/")[0]
+                                          for key in reference})
+        got = {}
+        for name, (kind, path) in configs.items():
+            out = tmp_path / name
+            assert cli.main([kind, "--config", path, "--out", str(out)]) == 0
+            for fname in os.listdir(out):
+                if fname.endswith(".csv"):
+                    got[name + "/" + fname] = hashlib.sha256(
+                        (out / fname).read_bytes()).hexdigest()
+        assert got == reference

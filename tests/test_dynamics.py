@@ -8,7 +8,6 @@ from ioxsim.dynamics import (
     AmplitudeState,
     analytic_trajectory,
     bic_amplitudes,
-    evolve_analytic,
     evolve_ode,
 )
 from ioxsim.errors import DegenerateModesError
@@ -43,9 +42,10 @@ class TestAnalytic:
         for _ in range(50):
             p = random_passive(rng)
             state = random_state(rng)
-            out = evolve_analytic(p, rng.uniform(-2, 2), state, 0.0)
-            assert out.c == pytest.approx(state.c, abs=1e-12)
-            assert out.x == pytest.approx(state.x, abs=1e-12)
+            c, x = analytic_trajectory(p, rng.uniform(-2, 2), state,
+                                       [state.t])
+            assert c[0] == pytest.approx(state.c, abs=1e-12)
+            assert x[0] == pytest.approx(state.x, abs=1e-12)
 
     def test_undamped_rabi_oscillations(self):
         p = SystemParams(delta=0.0, g_rabi=1.3, gamma_c=0.0, gamma_x=0.0)
@@ -64,7 +64,7 @@ class TestAnalytic:
 
     def test_rejects_exceptional_point(self):
         with pytest.raises(DegenerateModesError):
-            evolve_analytic(EP, 0.0, X_START, 1.0)
+            analytic_trajectory(EP, 0.0, X_START, [1.0])
 
     def test_passivity_along_trajectories(self):
         rng = np.random.default_rng(43)
@@ -79,15 +79,16 @@ class TestAnalytic:
 
     def test_time_offset_initial_state(self):
         p = SystemParams(delta=1.0, g_rabi=0.5, gamma_c=0.3, gamma_x=0.2)
-        mid = evolve_analytic(p, 0.0, X_START, 2.0)
-        end_direct = evolve_analytic(p, 0.0, X_START, 5.0)
-        end_relayed = evolve_analytic(p, 0.0, mid, 5.0)
-        assert end_relayed.c == pytest.approx(end_direct.c, abs=1e-12)
-        assert end_relayed.x == pytest.approx(end_direct.x, abs=1e-12)
+        c, x = analytic_trajectory(p, 0.0, X_START, [2.0, 5.0])
+        mid = AmplitudeState(c[0], x[0], t=2.0)
+        c_relayed, x_relayed = analytic_trajectory(p, 0.0, mid, [5.0])
+        assert c_relayed[0] == pytest.approx(c[1], abs=1e-12)
+        assert x_relayed[0] == pytest.approx(x[1], abs=1e-12)
 
     def test_rejects_past_times(self):
         with pytest.raises(ValueError):
-            evolve_analytic(BIC, 0.0, AmplitudeState(0.0, 1.0, t=1.0), 0.5)
+            analytic_trajectory(BIC, 0.0, AmplitudeState(0.0, 1.0, t=1.0),
+                                [0.5])
 
 
 class TestBicAmplitudes:

@@ -151,6 +151,7 @@ def test_grids_equal_per_k_formulas(case):
     for i, k in enumerate(k_values):
         ref_power, ref_absorbed = _scalar_rows(p, k, omega)
         ref_power[power.divergent[i]] = np.nan
+        ref_absorbed[absorbed.divergent[i]] = np.nan
         assert _same(power.intensity[i], ref_power)
         assert _same(absorbed.intensity[i], ref_absorbed)
 
@@ -223,23 +224,32 @@ def test_power_k_array_equals_grid(case):
                  grid.intensity[:, keep])
 
 
-# absorption divides by zero exactly on an undamped pole, in both paths
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_absorption_rows_equal_scalar_calls(case):
     p, k_values, omega = case
     grid = absorption_grid(p, k_values, omega)
-    a_gamma, a_m = absorption_components(p, k_values, omega)
+    keep = ~grid.divergent.any(axis=0)
+    a_gamma, a_m = absorption_components(p, k_values, omega[keep])
     for i, k in enumerate(k_values):
-        assert _same(absorption(p, k, omega), grid.intensity[i])
-        row_gamma, row_m = absorption_components(p, k, omega)
+        row, mask = grid.intensity[i], grid.divergent[i]
+        assert np.array_equal(np.isnan(row), mask)
+        if mask.any():
+            with pytest.raises(DivergentPointError):
+                absorption(p, k, omega)
+        else:
+            assert _same(absorption(p, k, omega), row)
+        assert _same(absorption(p, k, omega[~mask]), row[~mask])
+        row_gamma, row_m = absorption_components(p, k, omega[keep])
         assert _same(row_gamma, a_gamma[i])
         assert _same(row_m, a_m[i])
     for j in range(0, omega.size, 7):
-        assert _same(absorption(p, k_values[-1], omega[j]),
-                     grid.intensity[-1, j])
+        if grid.divergent[-1, j]:
+            with pytest.raises(DivergentPointError):
+                absorption(p, k_values[-1], omega[j])
+        else:
+            assert _same(absorption(p, k_values[-1], omega[j]),
+                         grid.intensity[-1, j])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("rows", [slice(3, 4), slice(1, _BLOCK_ROWS + 2),
                                   slice(None)])
 @pytest.mark.parametrize("cols", [slice(40, 41), slice(None)])
@@ -252,3 +262,4 @@ def test_sub_grids_equal_full_grid(case, rows, cols):
     assert _same(sub_p.intensity, full_p.intensity[rows, cols])
     assert np.array_equal(sub_p.divergent, full_p.divergent[rows, cols])
     assert _same(sub_a.intensity, full_a.intensity[rows, cols])
+    assert np.array_equal(sub_a.divergent, full_a.divergent[rows, cols])

@@ -1,5 +1,8 @@
 """Tests for spectra: power spectrum, scattering amplitudes, R and A."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -257,6 +260,30 @@ class TestReflectionAbsorption:
         ridge_p = np.argmax(pmap.intensity, axis=1)
         assert np.array_equal(ridge_a, ridge_p)
 
+    def test_undamped_pole_flagged(self):
+        # radiative losses only: A = 0 * inf on the dark pole, masked and
+        # rejected as the power spectrum is, with no warnings
+        k = np.array([-0.5, 0.0, 0.5])
+        w0 = eigen_branches(BIC, 0.0)[0].omega.real
+        w = np.array([w0 - 1.0, w0, w0 + 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = absorption_grid(BIC, k, w)
+        assert grid.divergent.tolist() == [[False] * 3, [False, True, False],
+                                           [False] * 3]
+        assert np.isnan(grid.intensity[1, 1])
+        assert np.array_equal(np.isnan(grid.intensity), grid.divergent)
+        for (i, j), value in np.ndenumerate(grid.intensity):
+            if grid.divergent[i, j]:
+                with pytest.raises(DivergentPointError):
+                    absorption(BIC, k[i], w[j])
+                with pytest.raises(DivergentPointError):
+                    absorption_components(BIC, k[i], w[j])
+            else:
+                assert absorption(BIC, k[i], w[j]) == value
+        with pytest.raises(DivergentPointError):
+            absorption(BIC, k, w)
+
 
 class TestPowerAbsorptionRelation:
     def test_identity_at_point(self):
@@ -292,3 +319,30 @@ class TestSpectrumGrid:
             SpectrumGrid([0.0], [0.0, 1.0], 2 * np.ones((1, 2)), "reflection")
         with pytest.raises(ValueError):
             SpectrumGrid([0.0], [0.0, 1.0], -np.ones((1, 2)), "power")
+
+    def test_range_check_ignores_only_non_finite_values(self):
+        axes = ([0.0], [0.0, 1.0, 2.0, 3.0])
+        odd = [[np.nan, np.inf, -np.inf, 0.5]]
+        for kind in ("power", "absorption"):
+            SpectrumGrid(*axes, np.array(odd), kind)
+        SpectrumGrid(*axes, np.array([[-1e-12, 0.0, 5.0, np.nan]]), "power")
+        SpectrumGrid(*axes, np.array([[-1e-9, 1.0 + 1e-9, 1.0, np.inf]]),
+                     "absorption")
+        for kind, bad in (("power", -2e-12), ("absorption", -2e-9),
+                          ("absorption", 1.0 + 2e-9)):
+            with pytest.raises(ValueError):
+                SpectrumGrid(*axes, np.array([[np.nan, np.inf, -np.inf, bad]]),
+                             kind)
+
+    def test_range_check_copies_nothing(self):
+        k = np.linspace(-3.0, 3.0, 241)
+        w = np.linspace(990.0, 1010.0, 801)
+        intensity = np.full((k.size, w.size), 0.5)
+        intensity[0, 0] = np.nan
+        tracemalloc.start()
+        try:
+            SpectrumGrid(k, w, intensity, "absorption")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * intensity.nbytes
