@@ -42,7 +42,7 @@ print("coalesced eigenvalue: %.6f %+.6fi" % (lo.omega.real, lo.omega.imag))
 overlap = abs(np.vdot(lo.eigvec, up.eigvec))
 print("eigenvector overlap |<v_L|v_U>| = %.12f" % overlap)
 
-# drive the amplitudes numerically from a photon-only initial state;
+# propagate a photon-only initial state with the exact matrix exponential;
 # at the coalescence x(t) = -i * g_tilde * t * exp(-i omega t) exactly
 t = np.linspace(0.5, 15.0, 291)
 c_t, x_t = evolve_ode(p, 0.0, AmplitudeState(1.0, 0.0), t)
@@ -66,7 +66,7 @@ except ImportError:
 
 if plt is not None:
     fig, ax = plt.subplots(figsize=(6, 4))
-    ax.semilogy(t, np.abs(x_t), label="|x(t)| from ODE")
+    ax.semilogy(t, np.abs(x_t), label="|x(t)| from exp(-iHt)")
     ax.semilogy(t, abs(g_tilde) * t * np.exp(slope * t), "k--",
                 label="t exp(-Gamma t) envelope")
     ax.set_xlabel("t")

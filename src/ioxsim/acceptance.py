@@ -6,7 +6,7 @@ anomalous dispersion with level attraction, the undamped-pole (dark state)
 spectra and trapped-population plateau, an exceptional-point certificate,
 scattering conservation laws, the Green's-matrix identity, emergence of the
 Markov rates from a discretized bath, the absorption/power ridge match, and
-analytic-vs-ODE dynamics agreement.
+closed-form dynamics against the exact matrix-exponential reference.
 
 Every check returns a CheckResult with a pass flag, a one-line detail
 string and its runtime; each also carries a wall-clock budget that is part
@@ -156,7 +156,8 @@ def check_undamped_pole():
 
 def check_exceptional_point():
     """Coalescence certificate: vanishing discriminant, unit eigenvector
-    overlap, and an ODE envelope growing as t before the common decay."""
+    overlap, and an exact matrix-exponential envelope growing as t before
+    the common decay."""
     t0 = time.perf_counter()
     p = SystemParams(delta=2.0 * np.sqrt(2.0), g_rabi=0.5,
                      gamma_c=1.0, gamma_x=2.0)
@@ -311,9 +312,9 @@ def check_absorption_ridge():
 
 
 def check_dynamics_agreement(seed=None):
-    """Closed-form two-exponential dynamics and the independent ODE
-    integration agree to 1e-8 sup-norm over t in [0, 20] for 100 random
-    passive non-coalescing draws."""
+    """Closed-form two-exponential dynamics and the independent exact
+    matrix-exponential reference agree to 1e-8 sup-norm over t in [0, 20]
+    for 100 random passive non-coalescing draws."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(resolve_seed(seed))
     t_grid = np.linspace(0.0, 20.0, 201)
@@ -335,11 +336,12 @@ def check_dynamics_agreement(seed=None):
         v /= np.linalg.norm(v)
         init = AmplitudeState(complex(v[0], v[1]), complex(v[2], v[3]))
         ca, xa = analytic_trajectory(p, k, init, t_grid)
-        co, xo = evolve_ode(p, k, init, t_grid, rtol=1e-12, atol=1e-14)
+        co, xo = evolve_ode(p, k, init, t_grid)
         worst = max(worst, float(np.max(np.abs(ca - co))),
                     float(np.max(np.abs(xa - xo))))
     ok = worst < 1e-8
-    details = "sup-norm %.1e over 100 draws, t in [0, 20]" % worst
+    details = ("closed form vs exact matrix exponential: sup-norm %.1e "
+               "over 100 draws, t in [0, 20]" % worst)
     return _finish("dynamics-agreement", 10.0, t0, ok, details)
 
 

@@ -470,8 +470,9 @@ def run_spectrum(cfg):
 
 
 def _trajectory_with_check(p, k, t_grid):
-    """Closed-form amplitudes when branches are split, ODE at a coalescence;
-    the two paths cross-check each other on a coarse subset."""
+    """Closed-form amplitudes when branches are split, the exact
+    matrix-exponential reference at a coalescence; the two paths
+    cross-check each other on a coarse subset."""
     initial = AmplitudeState(0.0 + 0.0j, 1.0 + 0.0j)
     try:
         c, x = analytic_trajectory(p, k, initial, t_grid)
@@ -479,12 +480,13 @@ def _trajectory_with_check(p, k, t_grid):
         return evolve_ode(p, k, initial, t_grid)
     stride = max(1, t_grid.size // 8)
     probe = t_grid[::stride]
-    c_ode, x_ode = evolve_ode(p, k, initial, probe)
-    sup = max(np.max(np.abs(c[::stride] - c_ode)),
-              np.max(np.abs(x[::stride] - x_ode)))
+    c_ref, x_ref = evolve_ode(p, k, initial, probe)
+    sup = max(np.max(np.abs(c[::stride] - c_ref)),
+              np.max(np.abs(x[::stride] - x_ref)))
     if sup > 1e-6:
         raise NumericalCheckError(
-            "closed-form/ODE trajectory mismatch %.2e at k = %g" % (sup, k))
+            "closed-form/matrix-exponential trajectory mismatch %.2e "
+            "at k = %g" % (sup, k))
     return c, x
 
 

@@ -3,15 +3,16 @@
 The mean amplitudes obey the linear system i d/dt (c, x) = H_k (c, x), so
 away from an exceptional point they are sums of two complex exponentials
 on the eigenvalue branches.  The undamped-pole (BiC) case has its own
-closed form.  evolve_ode integrates the same equation numerically and is
-deliberately independent of the branch algebra, so the two paths check
-each other.
+closed form.  evolve_ode is the exact matrix-exponential reference: it
+applies the propagator exp(-i H_k t), computed by Pade scaling and
+squaring without diagonalising H_k, so it is independent of the branch
+algebra and the two paths check each other.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .core import CONDITION_RTOL, bic_condition, complex_poles, detunings, eigen_branches
 from .errors import DegenerateModesError
@@ -52,12 +53,23 @@ def _branch_projection(p, k, initial):
     return low.omega, up.omega, (cl, cu), (xl, xu)
 
 
-def analytic_trajectory(p, k, initial, t_grid):
-    """Closed-form (c, x) arrays over a time grid (measured from initial.t)."""
-    wl, wu, (cl, cu), (xl, xu) = _branch_projection(p, k, initial)
-    dt = np.asarray(t_grid, dtype=float) - initial.t
+def _time_offsets(initial, t_grid):
+    """Offsets t_grid - initial.t; rejects non-finite input and past times."""
+    if not np.all(np.isfinite([initial.c, initial.x, initial.t])):
+        raise ValueError("initial state must be finite")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must be finite")
+    dt = t_grid - initial.t
     if np.any(dt < 0):
         raise ValueError("t_grid must not precede the initial time")
+    return dt
+
+
+def analytic_trajectory(p, k, initial, t_grid):
+    """Closed-form (c, x) arrays over a time grid (measured from initial.t)."""
+    dt = _time_offsets(initial, t_grid)
+    wl, wu, (cl, cu), (xl, xu) = _branch_projection(p, k, initial)
     el = np.exp(-1j * wl * dt)
     eu = np.exp(-1j * wu * dt)
     return cl * el + cu * eu, xl * el + xu * eu
@@ -98,34 +110,29 @@ def bic_amplitudes(p, t):
     return abs2_c, abs2_x
 
 
-def evolve_ode(p, k, initial, t_grid, rtol=1e-10, atol=1e-12):
-    """Numerically integrated (c, x) arrays over a time grid.
+def evolve_ode(p, k, initial, t_grid):
+    """Exact matrix-exponential (c, x) arrays over a time grid.
 
-    Integrates i d/dt (c, x) = H_k (c, x) with an adaptive high-order
-    Runge-Kutta scheme, independent of the closed-form branch algebra;
-    valid at exceptional points.  Internally the fast common phase
-    exp(-i eps0 t) is factored out (an exact change of variables) so step
-    sizes track the physical linewidths rather than eps0.
+    Applies the propagator exp(-i H_k (t - initial.t)) of
+    i d/dt (c, x) = H_k (c, x) to the initial state, with one
+    scipy.linalg.expm call over the whole grid.  Pade scaling and squaring
+    does not diagonalise H_k, so this is independent of the closed-form
+    branch algebra and valid at exceptional points.  The fast common phase
+    exp(-i eps0 t) is factored out (an exact change of variables) so the
+    exponentiated matrices scale with the physical linewidths rather than
+    eps0.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a nonempty 1-d array")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    if t_grid[0] < initial.t:
-        raise ValueError("t_grid must not precede the initial time")
+    dt = _time_offsets(initial, t_grid)
     pole = complex_poles(p, k)
     shift = p.eps0
     h_rot = np.array([[pole.z_c - shift, pole.g_tilde],
                       [pole.g_tilde, pole.z_x - shift]])
-
-    def rhs(_, y):
-        return -1j * (h_rot @ y)
-
     y0 = np.array([initial.c, initial.x], dtype=complex)
-    sol = solve_ivp(rhs, (initial.t, t_grid[-1]), y0, t_eval=t_grid,
-                    method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError("integration failed: %s" % sol.message)
-    phase = np.exp(-1j * shift * (t_grid - initial.t))
-    return sol.y[0] * phase, sol.y[1] * phase
+    y = expm(-1j * dt[:, None, None] * h_rot) @ y0
+    phase = np.exp(-1j * shift * dt)
+    return y[:, 0] * phase, y[:, 1] * phase

@@ -1,4 +1,5 @@
-"""Tests for amplitude dynamics: closed forms, BiC plateau, ODE oracle."""
+"""Tests for amplitude dynamics: closed forms, BiC plateau and the exact
+matrix-exponential reference."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ioxsim.dynamics import (
 from ioxsim.errors import DegenerateModesError
 
 SQRT2 = np.sqrt(2.0)
+NAN, INF = float("nan"), float("inf")
 BIC = SystemParams(delta=2.1 / np.sqrt(0.3), g_rabi=3.0, gamma_c=1.0, gamma_x=0.3)
 EP = SystemParams(delta=2.0 * SQRT2, g_rabi=0.5, gamma_c=1.0, gamma_x=2.0)
 X_START = AmplitudeState(c=0.0, x=1.0)
@@ -167,6 +169,49 @@ class TestEvolveOde:
         with pytest.raises(ValueError):
             evolve_ode(BIC, 0.0, AmplitudeState(0.0, 1.0, t=2.0), [0.0, 1.0])
 
+    def test_exact_at_exceptional_point(self):
+        # the exceptional-point acceptance check's parameters and grid:
+        # |x(t)| = |g~| t exp(-Gamma t) from (c, x)(0) = (1, 0)
+        t = np.linspace(0.5, 15.0, 291)
+        _, x = evolve_ode(EP, 0.0, AmplitudeState(1.0, 0.0), t)
+        g_tilde = abs(EP.g_rabi - 1j * np.sqrt(EP.gamma_c * EP.gamma_x))
+        envelope = g_tilde * t * np.exp(-1.5 * t)
+        assert np.max(np.abs(np.abs(x) / envelope - 1.0)) <= 1e-10
+
+    def test_returns_initial_state_exactly(self):
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            p = random_passive(rng)
+            amp = random_state(rng)
+            state = AmplitudeState(amp.c, amp.x, t=rng.uniform(0, 5))
+            c, x = evolve_ode(p, rng.uniform(-2, 2), state,
+                              [state.t, state.t + 1.0])
+            assert c[0] == state.c and x[0] == state.x
+
+    def test_relayed_evolution_composes(self):
+        rng = np.random.default_rng(59)
+        for _ in range(10):
+            p = random_passive(rng)
+            k = rng.uniform(-2, 2)
+            amp = random_state(rng)
+            start = AmplitudeState(amp.c, amp.x, t=0.3)
+            c, x = evolve_ode(p, k, start, [4.0, 9.0])
+            mid = AmplitudeState(c[0], x[0], t=4.0)
+            c_relayed, x_relayed = evolve_ode(p, k, mid, [9.0])
+            assert abs(c_relayed[0] - c[1]) < 1e-12
+            assert abs(x_relayed[0] - x[1]) < 1e-12
+
+    def test_nonuniform_grid_matches_uniform(self):
+        p = SystemParams(delta=1.0, g_rabi=0.5, gamma_c=0.3, gamma_x=0.2)
+        start = AmplitudeState(0.6 - 0.2j, 0.3 + 0.7j, t=1.5)
+        uniform = np.linspace(1.5, 13.5, 49)
+        nonuniform = np.union1d(uniform[::4], [1.55, 2.2, 7.123, 13.4])
+        shared = np.isin(nonuniform, uniform)
+        c_u, x_u = evolve_ode(p, 0.3, start, uniform)
+        c_n, x_n = evolve_ode(p, 0.3, start, nonuniform)
+        assert np.allclose(c_n[shared], c_u[::4], rtol=0, atol=1e-14)
+        assert np.allclose(x_n[shared], x_u[::4], rtol=0, atol=1e-14)
+
     def test_agreement_random_draws(self):
         rng = np.random.default_rng(47)
         t = np.linspace(0, 20, 101)
@@ -178,3 +223,16 @@ class TestEvolveOde:
             c_an, x_an = analytic_trajectory(p, k, state, t)
             assert np.max(np.abs(c_ode - c_an)) < 1e-8
             assert np.max(np.abs(x_ode - x_an)) < 1e-8
+
+
+@pytest.mark.parametrize("trajectory", [evolve_ode, analytic_trajectory])
+@pytest.mark.parametrize("state, t_grid", [
+    (X_START, [0.0, NAN, 1.0]),
+    (X_START, [0.0, 1.0, INF]),
+    (AmplitudeState(NAN, 1.0), [0.0, 1.0]),
+    (AmplitudeState(0.0, complex(INF, 0.0)), [0.0, 1.0]),
+    (AmplitudeState(0.0, 1.0, t=NAN), [0.0, 1.0]),
+], ids=["nan-time", "inf-time", "nan-c", "inf-x", "nan-start-time"])
+def test_rejects_non_finite_input(trajectory, state, t_grid):
+    with pytest.raises(ValueError):
+        trajectory(BIC, 0.0, state, t_grid)
