@@ -3,17 +3,16 @@
 The emitter and cavity mode exchange excitations with a continuum of
 out-of-plane photon modes dispersing as omega = c*sqrt(k^2 + q^2) with
 q >= 0 (one emitting mirror).  This module computes the environment
-density of states, the time- and frequency-domain memory kernels
-(including Cauchy principal values), the frequency-dependent response
-matrix M(k, omega) and its Green's inverse, the Markov rates that the
-memoryless theory uses, and an exact oracle built from a discretized
-realization of the same bath: its resolvent comes from the discrete
-self-energy, its eigenpairs from a secular-equation solver for the
-arrowhead Hamiltonian that a shared bath produces.  The oracle is the ground
-truth against which the closed-form memoryless results are validated:
-in particular it demonstrates that a common environment generates an
-off-diagonal dissipative coupling sqrt(gamma_c*gamma_x) between the two
-modes, which independent baths cannot produce.
+density of states, the memory kernels (including Cauchy principal values)
+and every system response on one path, G(z) = [z*1 - H_bare - Sigma(z)]^-1,
+in which only the self-energy varies (input-output elimination: Gardiner &
+Collett, Phys. Rev. A 31, 3761 (1985)): the golden rule frozen at the
+carrier (Markov), the continuum kernel -i*Gamma~(omega), or the mode sum
+Sigma(z) = sum_j g_j g_j^T/(z - omega_j) of a discretized bath.  Each
+carries the dissipative coupling sqrt(gamma_c*gamma_x) that a common
+environment generates and independent baths cannot.  The discretized bath
+is the exact oracle for the closed forms; its dynamics comes from a
+secular-equation solver for the arrowhead Hamiltonian of a shared bath.
 
 Work in units hbar = 1; energies are measured in units of a reference
 rate, the same convention as the rest of the package.
@@ -138,13 +137,11 @@ def kernel_time(b, k, tau, npoints=PV_GRID_POINTS):
     """
     grid = _window_grid(b, k, npoints)
     weight = _spectral_weight(b, k, grid)
-    kmat = _coupling_matrix(b)
     tau = np.asarray(tau, dtype=float)
     phases = np.exp(-1j * np.outer(tau.ravel(), grid))
     vals = np.trapezoid(phases * weight, grid, axis=-1)
     vals = np.where(tau.ravel() >= 0.0, vals, 0.0)
-    out = vals.reshape(tau.shape + (1, 1)) * kmat
-    return out if tau.ndim else out.reshape(2, 2)
+    return vals.reshape(tau.shape + (1, 1)) * _coupling_matrix(b)
 
 
 def _pv_integral(grid, f, omega):
@@ -171,6 +168,12 @@ def _pv_integral(grid, f, omega):
     return float(np.trapezoid(regular, grid) + f_at * np.log((omega - a) / (b_end - omega)))
 
 
+def _golden_rule(b, k, omega):
+    """pi * rho(omega) * taper(omega)^2 * kappa kappa^T, shape omega.shape + (2, 2)."""
+    weight = np.pi * _spectral_weight(b, k, omega)
+    return weight[..., None, None] * _coupling_matrix(b)
+
+
 def kernel_freq(b, k, omega, npoints=PV_GRID_POINTS):
     """Frequency-domain kernel Gamma~(omega), a 2x2 complex matrix per omega.
 
@@ -183,14 +186,10 @@ def kernel_freq(b, k, omega, npoints=PV_GRID_POINTS):
     """
     grid = _window_grid(b, k, npoints)
     weight = _spectral_weight(b, k, grid)
-    kmat = _coupling_matrix(b)
-    omega_arr = np.asarray(omega, dtype=float)
-    out = np.empty(omega_arr.shape + (2, 2), dtype=complex)
-    for idx, w in np.ndenumerate(omega_arr):
-        re = np.pi * _spectral_weight(b, k, np.array([w]))[0]
-        im = _pv_integral(grid, weight, float(w))
-        out[idx] = (re + 1j * im) * kmat
-    return out if omega_arr.ndim else out.reshape(2, 2)
+    omega = np.asarray(omega, dtype=float)
+    pv = np.array([_pv_integral(grid, weight, w) for w in omega.ravel().tolist()])
+    return (_golden_rule(b, k, omega)
+            + 1j * pv.reshape(omega.shape + (1, 1)) * _coupling_matrix(b))
 
 
 def markov_rates(b, omega0, k=0.0):
@@ -200,10 +199,8 @@ def markov_rates(b, omega0, k=0.0):
     rate equals sqrt(gamma_c * gamma_x) exactly for real couplings to a
     single shared environment.
     """
-    w = np.pi * _spectral_weight(b, k, np.array([omega0]))[0]
-    gc = w * b.kappa_c ** 2
-    gx = w * b.kappa_x ** 2
-    return gc, gx, w * b.kappa_c * b.kappa_x
+    gam = _golden_rule(b, k, omega0)
+    return gam[0, 0], gam[1, 1], gam[0, 1]
 
 
 def bath_for_rates(gamma_c, gamma_x, omega0, omega_window,
@@ -211,11 +208,10 @@ def bath_for_rates(gamma_c, gamma_x, omega0, omega_window,
     """Invert the golden rule: couplings that realize target rates at omega0."""
     if gamma_c < 0.0 or gamma_x < 0.0:
         raise ValueError("rates must be non-negative")
-    probe = BathSpec(0.0, 0.0, omega_window, c_light, taper_frac)
-    rho_t2 = _spectral_weight(probe, 0.0, np.array([omega0]))[0]
-    if rho_t2 <= 0.0:
+    unit = BathSpec(1.0, 1.0, omega_window, c_light, taper_frac)
+    scale = _golden_rule(unit, 0.0, omega0)[0, 0]
+    if scale <= 0.0:
         raise ValueError("omega0 must sit inside the untapered window interior")
-    scale = np.pi * rho_t2
     return BathSpec(np.sqrt(gamma_c / scale), np.sqrt(gamma_x / scale),
                     omega_window, c_light, taper_frac)
 
@@ -225,42 +221,47 @@ def _bare_hamiltonian(p, k):
     return np.array([[eps_c, p.g_rabi], [p.g_rabi, eps_x]])
 
 
-def full_matrix(b, p, k, omega, npoints=PV_GRID_POINTS, memoryless=False):
-    """Response matrix M(k, omega) = omega*1 - H_bare + i*Gamma~(omega).
-
-    Damping comes entirely from the bath b; the rates stored in p are
-    ignored here (p supplies the kinetic energies and Rabi coupling
-    only).  With memoryless=True the kernel is frozen at its value on
-    the carrier p.eps0 and the principal-value part is dropped, which
-    reproduces the closed-form theory exactly.
-    """
-    if memoryless:
-        gc, gx, cross = markov_rates(b, p.eps0, k=k)
-        gam = np.array([[gc, cross], [cross, gx]], dtype=complex)
-    else:
-        gam = kernel_freq(b, k, omega, npoints)
-    ident = np.eye(2)
-    return omega * ident - _bare_hamiltonian(p, k) + 1j * gam
+def _response(h, z, sigma):
+    """M(z) = z*1 - h - Sigma(z) over a stack of frequencies z, shape z.shape + (2, 2)."""
+    return z[..., None, None] * np.eye(2) - h - sigma
 
 
-def _cofactor_inverse(m):
-    """Inverses of a stack of 2x2 matrices, shape (..., 2, 2), by cofactors,
-    and their determinants; a zero determinant gives inf/nan entries."""
+def _green(m, z):
+    """Cofactor inverses of a stack of 2x2 response matrices m; singular
+    where |det| < 1e-14 * max(1, |m00| + |m11|)^2, reported at Re z."""
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    scale = np.maximum(1.0, np.abs(m[..., 0, 0]) + np.abs(m[..., 1, 1])) ** 2
+    bad = np.abs(det) < 1e-14 * scale
+    if np.any(bad):
+        raise SingularMatrixError("response matrix singular at omega = %g"
+                                  % np.asarray(z).real[bad][0])
     adj = np.stack((m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]),
                    axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return adj.reshape(m.shape) / det[..., None, None], det
+    return adj.reshape(m.shape) / det[..., None, None]
+
+
+def full_matrix(b, p, k, omega, npoints=PV_GRID_POINTS, memoryless=False):
+    """Response matrix M(k, omega) = omega*1 - H_bare - Sigma, one 2x2 per
+    entry of omega, with the continuum self-energy Sigma = -i*Gamma~(omega).
+
+    Damping comes entirely from the bath b; p supplies only the kinetic
+    energies and Rabi coupling.  memoryless=True freezes the kernel at the
+    carrier p.eps0 and drops its principal-value part, which reproduces
+    the closed-form theory exactly.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("omega must be finite")
+    if memoryless:
+        gam = _golden_rule(b, k, p.eps0)
+    else:
+        gam = kernel_freq(b, k, omega, npoints)
+    return _response(_bare_hamiltonian(p, k), omega, -1j * gam)
 
 
 def green_matrix(b, p, k, omega, npoints=PV_GRID_POINTS, memoryless=False):
-    """System Green's matrix G = M^{-1} at real frequency omega."""
-    m = full_matrix(b, p, k, omega, npoints, memoryless)
-    g, det = _cofactor_inverse(m)
-    scale = max(1.0, abs(m[0, 0]) + abs(m[1, 1])) ** 2
-    if abs(det) < 1e-14 * scale:
-        raise SingularMatrixError("response matrix singular at omega = %g" % omega)
-    return g
+    """System Green's matrix G = M^{-1}, one per entry of real omega."""
+    return _green(full_matrix(b, p, k, omega, npoints, memoryless), omega)
 
 
 @dataclass(frozen=True)
@@ -552,12 +553,19 @@ class BathOracle:
             sig[start:start + SOLVER_CHUNK] = (1.0 / (block - d.mode_freqs)) @ gg
         return sig[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
+    def _frequencies(self, omega_grid, eta):
+        """z = omega + i*eta, eta wide enough to hide the discrete mode comb."""
+        eta = self.default_eta() if eta is None else float(eta)
+        if not 2.0 * self.bath.spacing <= eta < np.inf:
+            raise KernelAccuracyError(
+                "broadening must be finite and at least twice the level spacing")
+        omega = np.asarray(omega_grid, dtype=float)
+        if omega.ndim != 1 or not np.all(np.isfinite(omega)):
+            raise ValueError("omega_grid must be a finite 1-d array")
+        return omega + 1j * eta
+
     def spectrum(self, omega_grid, eta=None):
         """System-projected local density of states on omega_grid."""
-        eta = self.default_eta() if eta is None else float(eta)
-        if eta < 2.0 * self.bath.spacing:
-            raise KernelAccuracyError(
-                "broadening below twice the level spacing exposes the mode comb")
         g = self.green_system(omega_grid, eta)
         return -(g[:, 0, 0] + g[:, 1, 1]).imag / np.pi
 
@@ -585,10 +593,8 @@ class BathOracle:
     def green_system(self, omega_grid, eta=None):
         """Retarded 2x2 Green's matrix of the system block, eta-broadened:
         G(z) = [z - H_bare - Sigma(z)]^-1 at z = omega + i*eta."""
-        eta = self.default_eta() if eta is None else float(eta)
-        z = np.asarray(omega_grid, dtype=float) + 1j * eta
-        m = z[:, None, None] * np.eye(2) - self._h_sys - self._self_energy(z)
-        return _cofactor_inverse(m)[0]
+        z = self._frequencies(omega_grid, eta)
+        return _green(_response(self._h_sys, z, self._self_energy(z)), z)
 
     def effective_damping(self, omega_grid, eta=None):
         """Damping matrix Gamma~(omega) the bath induces on the system.
@@ -599,5 +605,4 @@ class BathOracle:
         off-diagonal entry is the dissipative coupling generated by the
         common environment.
         """
-        eta = self.default_eta() if eta is None else float(eta)
-        return 1j * self._self_energy(np.asarray(omega_grid, dtype=float) + 1j * eta)
+        return 1j * self._self_energy(self._frequencies(omega_grid, eta))

@@ -222,6 +222,12 @@ def power_spectrum_grid(p, k_values, omega_values, n=None):
 
 
 def _check_nonsingular(det, pole, omega):
+    # The ball scales with the carrier |omega| + |z|, not with the rate scale
+    # |M00| + |M11| of bath._green: omega - z_c and omega - z_x carry rounding
+    # of order eps*|omega|, which the rate scale ignores.  With it, one ulp
+    # from the undamped-pole check's dark pole ||S| - 1| = 7e-4 would pass.
+    # Even this ball (radius ~1e-8 there) misses the 1e-12 conservation
+    # bound: ||S| - 1| is 1.2e-9 at 1e-8 from the pole, 1.2e-11 at 1e-6.
     scale = np.maximum(1.0, np.abs(np.asarray(omega, dtype=complex))
                        + max(abs(pole.z_c), abs(pole.z_x))) ** 2
     bad = np.abs(det) < 1e-14 * scale

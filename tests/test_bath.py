@@ -288,12 +288,40 @@ class TestFullMatrixAndGreen:
         b = BathSpec(0.0, 0.0, WINDOW)
         with pytest.raises(SingularMatrixError):
             green_matrix(b, p, 0.0, p.eps0)
+        # on a frequency stack the error names the first singular entry
+        with pytest.raises(SingularMatrixError, match="omega = %g" % p.eps0):
+            green_matrix(b, p, 0.0, [p.eps0 - 0.5, p.eps0, p.eps0 + 0.5])
 
     def test_decoupled_green_diagonal(self):
         p = SystemParams(delta=2.0, g_rabi=0.0, gamma_c=1.0, gamma_x=0.0)
         b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
         g = green_matrix(b, p, 0.0, 998.5)
         assert g[0, 1] == 0.0 and g[1, 0] == 0.0
+
+    @pytest.mark.parametrize("memoryless", [True, False])
+    @pytest.mark.parametrize("omega", [[999.0], [999.0, 1001.0],
+                                       [999.0, 1001.0, 1003.5]])
+    def test_omega_array_matches_scalar(self, omega, memoryless):
+        p = SystemParams(delta=2.0, g_rabi=1.0, gamma_c=1.0, gamma_x=0.8)
+        b = bath_for_rates(1.0, 0.8, EPS0, WINDOW)
+        for fn in (full_matrix, green_matrix):
+            out = fn(b, p, 0.0, np.array(omega), npoints=801,
+                     memoryless=memoryless)
+            assert out.shape == (len(omega), 2, 2)
+            for w, got in zip(omega, out):
+                ref = fn(b, p, 0.0, w, npoints=801, memoryless=memoryless)
+                assert ref.shape == (2, 2)
+                assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("memoryless", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_omega_rejected(self, bad, memoryless):
+        p = SystemParams(delta=2.0, g_rabi=1.0, gamma_c=1.0, gamma_x=0.8)
+        b = bath_for_rates(1.0, 0.8, EPS0, WINDOW)
+        for fn in (full_matrix, green_matrix):
+            for omega in (bad, np.array([1000.0, bad])):
+                with pytest.raises(ValueError):
+                    fn(b, p, 0.0, omega, npoints=801, memoryless=memoryless)
 
 
 class TestDiscretizedBath:
@@ -395,6 +423,23 @@ class TestOracleLevelAttraction:
         orc, _ = attract_oracle
         with pytest.raises(KernelAccuracyError):
             orc.spectrum(np.array([1000.0]), eta=0.1 * orc.bath.spacing)
+
+    @pytest.mark.parametrize("method", ["spectrum", "green_system",
+                                        "effective_damping"])
+    def test_eta_and_omega_validated(self, attract_oracle, method):
+        # N = 4000 modes on (500, 1500): twice the level spacing is 0.5
+        orc, _ = attract_oracle
+        call = getattr(orc, method)
+        w = np.array([999.0, 1001.0])
+        for eta in (-0.5, np.nan, 0.01, np.inf):
+            with pytest.raises(KernelAccuracyError):
+                call(w, eta=eta)
+        for bad in (np.array([1000.0, np.nan]), np.array([1000.0, np.inf]),
+                    1000.0, np.full((2, 2), 1000.0)):
+            with pytest.raises(ValueError):
+                call(bad)
+        # the bound itself is allowed
+        assert np.all(np.isfinite(call(w, eta=2.0 * orc.bath.spacing)))
 
     def test_recurrence_guard(self, attract_oracle):
         orc, _ = attract_oracle

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from ioxsim import SystemParams, eigen_branches
-from ioxsim.errors import DivergentPointError
+from ioxsim.core import bic_condition
+from ioxsim.errors import DivergentPointError, SingularMatrixError
 from ioxsim.spectra import (
     InputOccupation,
     SpectrumGrid,
@@ -283,6 +284,31 @@ class TestReflectionAbsorption:
                 assert absorption(BIC, k[i], w[j]) == value
         with pytest.raises(DivergentPointError):
             absorption(BIC, k, w)
+
+
+class TestScatteringSingularPath:
+    # the undamped-pole acceptance check's parameters: the lower branch is
+    # a real pole, where M is singular and S is undefined
+    DARK = SystemParams(
+        delta=bic_condition(SystemParams(g_rabi=3.0, gamma_x=0.3)).d_eps_bic,
+        g_rabi=3.0, gamma_x=0.3)
+
+    @pytest.mark.parametrize("fn", [reflection, scattering_amplitude_single_bath,
+                                    scattering_matrix_three_bath],
+                             ids=lambda fn: fn.__name__)
+    def test_raises_on_undamped_pole(self, fn):
+        low, _ = eigen_branches(self.DARK, 0.0)
+        assert low.omega.imag == 0.0
+        with pytest.raises(SingularMatrixError):
+            fn(self.DARK, 0.0, low.omega.real)
+
+    @pytest.mark.parametrize("fn", [reflection, scattering_amplitude_single_bath],
+                             ids=lambda fn: fn.__name__)
+    def test_array_with_pole_raises(self, fn):
+        w0 = eigen_branches(self.DARK, 0.0)[0].omega.real
+        fn(self.DARK, 0.0, np.array([w0 - 1.0, w0 + 1.0]))
+        with pytest.raises(SingularMatrixError):
+            fn(self.DARK, 0.0, np.array([w0 - 1.0, w0, w0 + 1.0]))
 
 
 class TestPowerAbsorptionRelation:
