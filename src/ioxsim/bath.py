@@ -118,6 +118,14 @@ def _spectral_weight(b, k, omega):
     return out
 
 
+def _finite(value, name):
+    """value as a float array; ValueError if any entry is NaN or inf."""
+    value = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(value)):
+        raise ValueError("%s must be finite" % name)
+    return value
+
+
 def _window_grid(b, k, npoints):
     lo, hi = b.omega_window
     ck = b.c_light * abs(k)
@@ -133,11 +141,12 @@ def kernel_time(b, k, tau, npoints=PV_GRID_POINTS):
     Gamma^{AB}(tau) = theta(tau) * integral over the window of
     kappa^A kappa^B rho(omega) taper(omega)^2 exp(-i omega tau).
     Returns shape (2, 2) for scalar tau, (n, 2, 2) for an array; zero
-    for tau < 0 by definition of the retarded kernel.
+    for tau < 0 by definition of the retarded kernel.  NaN or inf tau
+    raises ValueError.
     """
+    tau = _finite(tau, "tau")
     grid = _window_grid(b, k, npoints)
     weight = _spectral_weight(b, k, grid)
-    tau = np.asarray(tau, dtype=float)
     phases = np.exp(-1j * np.outer(tau.ravel(), grid))
     vals = np.trapezoid(phases * weight, grid, axis=-1)
     vals = np.where(tau.ravel() >= 0.0, vals, 0.0)
@@ -182,11 +191,12 @@ def kernel_freq(b, k, omega, npoints=PV_GRID_POINTS):
     into).  Imaginary part: principal-value integral of the spectral
     weight against 1/(omega - omega'), evaluated by pole subtraction.
     Raises KernelAccuracyError when the pole sits within one grid cell
-    of a window endpoint, where the subtraction loses accuracy.
+    of a window endpoint, where the subtraction loses accuracy, and
+    ValueError for NaN or inf omega.
     """
+    omega = _finite(omega, "omega")
     grid = _window_grid(b, k, npoints)
     weight = _spectral_weight(b, k, grid)
-    omega = np.asarray(omega, dtype=float)
     pv = np.array([_pv_integral(grid, weight, w) for w in omega.ravel().tolist()])
     return (_golden_rule(b, k, omega)
             + 1j * pv.reshape(omega.shape + (1, 1)) * _coupling_matrix(b))
@@ -197,8 +207,10 @@ def markov_rates(b, omega0, k=0.0):
 
     gamma^A = pi * rho(omega0) * (kappa^A * taper(omega0))^2; the cross
     rate equals sqrt(gamma_c * gamma_x) exactly for real couplings to a
-    single shared environment.
+    single shared environment.  NaN or inf omega0 or k raises ValueError.
     """
+    _finite(omega0, "omega0")
+    _finite(k, "k")
     gam = _golden_rule(b, k, omega0)
     return gam[0, 0], gam[1, 1], gam[0, 1]
 
@@ -249,9 +261,7 @@ def full_matrix(b, p, k, omega, npoints=PV_GRID_POINTS, memoryless=False):
     carrier p.eps0 and drops its principal-value part, which reproduces
     the closed-form theory exactly.
     """
-    omega = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(omega)):
-        raise ValueError("omega must be finite")
+    omega = _finite(omega, "omega")
     if memoryless:
         gam = _golden_rule(b, k, p.eps0)
     else:

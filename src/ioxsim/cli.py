@@ -9,7 +9,9 @@ system / bath (optional) / scan / output; unknown keys are rejected with
 JSON-path messages, decode errors carry line and column.  CSV output uses
 17 significant digits, so identical configs give byte-identical files
 across runs.  Exit codes: 0 all outputs written and internal residual
-checks passed, 2 config error, 3 numerical-check failure.
+checks passed, 2 config error, 3 numerical-check failure.  A failed gate
+or a raised error writes nothing; only oracle-compare writes all its
+files, summary.csv included, before its bounds decide the exit code.
 """
 
 import argparse
@@ -162,7 +164,6 @@ class RunConfig:
 
     kind: str
     systems: tuple
-    deltas: tuple
     bath: BathSpec | None
     n_modes: int
     k_grid: np.ndarray | None
@@ -290,7 +291,7 @@ def parse_config(doc):
     if "csv" not in formats:
         _fail("output.formats", "must include 'csv'")
 
-    return RunConfig(kind, systems, deltas, bath, n_modes,
+    return RunConfig(kind, systems, bath, n_modes,
                      grids["k_grid"], grids["omega_grid"], grids["t_grid"],
                      occupation, max_deviation, directory,
                      tuple(dict.fromkeys(formats)))
@@ -318,18 +319,23 @@ def _fmt(value):
     return FLOAT_FMT % float(value)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return path
-
-
-def _write_text(path, text):
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-    return path
+def _emit(cfg, tables, plot=None):
+    """The one write stage: each (name, header, rows) table as a CSV in
+    cfg.directory, then plot.gp if gnuplot output is asked for.  Returns
+    the paths in the order written."""
+    os.makedirs(cfg.directory, exist_ok=True)
+    files = []
+    for name, header, rows in tables:
+        files.append(os.path.join(cfg.directory, name))
+        with open(files[-1], "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+    if plot is not None and "gnuplot" in cfg.formats:
+        files.append(os.path.join(cfg.directory, "plot.gp"))
+        with open(files[-1], "w", newline="") as fh:
+            fh.write(plot)
+    return files
 
 
 def _spectrum_grid(fn, what, *args):
@@ -356,12 +362,11 @@ def _det_residual(p, k, omega):
     return abs(det) / scale
 
 
-def _write_branches(directory, tracks):
-    return _write_csv(
-        os.path.join(directory, "branches.csv"),
-        ("k", "re_omega_l", "im_omega_l", "re_omega_u", "im_omega_u"),
-        ((lo.k, lo.omega.real, lo.omega.imag, up.omega.real, up.omega.imag)
-         for lo, up in zip(*tracks)))
+def _branch_table(tracks):
+    return ("branches.csv",
+            ("k", "re_omega_l", "im_omega_l", "re_omega_u", "im_omega_u"),
+            ((lo.k, lo.omega.real, lo.omega.imag, up.omega.real, up.omega.imag)
+             for lo, up in zip(*tracks)))
 
 
 def _plot_prelude(title):
@@ -390,19 +395,19 @@ def _heatmap_script(title, map_csv, p, k_grid, omega_grid):
     return "\n".join(lines)
 
 
-def _family_script(title, xlabel, ylabel, csv_name, column, k0, deltas):
+def _family_script(title, xlabel, ylabel, csv_name, column, k0, systems):
     """One curve per detuning at k = k0, from a (k, delta, x, ...) CSV."""
     lines = [_plot_prelude(title),
              "set xlabel \"%s\"" % xlabel,
              "set ylabel \"%s\"" % ylabel,
              "k0 = %s" % _fmt(k0),
              "plot \\"]
-    for i, d in enumerate(deltas):
-        tail = "," if i + 1 < len(deltas) else ""
+    for i, p in enumerate(systems):
+        tail = "," if i + 1 < len(systems) else ""
         lines.append(
             "  \"%s\" skip 1 using 3:($1 == k0 && $2 == %s"
             " ? $%d : 1/0) with lines title \"delta = %.6g\"%s \\"
-            % (csv_name, _fmt(d), column, d, tail))
+            % (csv_name, _fmt(p.delta), column, p.delta, tail))
     return "\n".join(lines) + "\n"
 
 
@@ -425,19 +430,13 @@ def run_dispersion(cfg):
     grid = _spectrum_grid(power_spectrum_grid, "power spectrum diverges",
                           p, cfg.k_grid, cfg.omega_grid, cfg.occupation)
 
-    os.makedirs(cfg.directory, exist_ok=True)
-    files = [_write_branches(cfg.directory, tracks)]
-    files.append(_write_csv(
-        os.path.join(cfg.directory, "power_map.csv"),
-        ("k", "omega", "intensity"),
-        ((k, w, v) for k, col in zip(cfg.k_grid, grid.intensity)
-         for w, v in zip(cfg.omega_grid, col))))
-    if "gnuplot" in cfg.formats:
-        files.append(_write_text(
-            os.path.join(cfg.directory, "plot.gp"),
-            _heatmap_script("emission intensity", "power_map.csv",
-                            p, cfg.k_grid, cfg.omega_grid)))
-    return files
+    return _emit(cfg, [
+        _branch_table(tracks),
+        ("power_map.csv", ("k", "omega", "intensity"),
+         ((k, w, v) for k, col in zip(cfg.k_grid, grid.intensity)
+          for w, v in zip(cfg.omega_grid, col)))],
+        _heatmap_script("emission intensity", "power_map.csv",
+                        p, cfg.k_grid, cfg.omega_grid))
 
 
 def run_spectrum(cfg):
@@ -454,19 +453,13 @@ def run_spectrum(cfg):
             raise NumericalCheckError(
                 "emission/absorption identity residual %.2e" % resid)
 
-    os.makedirs(cfg.directory, exist_ok=True)
-    files = [_write_csv(
-        os.path.join(cfg.directory, "spectrum.csv"),
-        ("k", "delta", "omega", "intensity"),
-        ((k, d, w, v) for d, rows in zip(cfg.deltas, maps)
-         for k, col in zip(k_grid, rows)
-         for w, v in zip(cfg.omega_grid, col)))]
-    if "gnuplot" in cfg.formats:
-        files.append(_write_text(
-            os.path.join(cfg.directory, "plot.gp"),
-            _family_script("emission spectra", "omega", "intensity",
-                           "spectrum.csv", 4, k_grid[0], cfg.deltas)))
-    return files
+    return _emit(cfg, [
+        ("spectrum.csv", ("k", "delta", "omega", "intensity"),
+         ((k, p.delta, w, v) for p, rows in zip(cfg.systems, maps)
+          for k, col in zip(k_grid, rows)
+          for w, v in zip(cfg.omega_grid, col)))],
+        _family_script("emission spectra", "omega", "intensity",
+                       "spectrum.csv", 4, k_grid[0], cfg.systems))
 
 
 def _trajectory_with_check(p, k, t_grid):
@@ -493,24 +486,19 @@ def _trajectory_with_check(p, k, t_grid):
 def run_dynamics(cfg):
     """Amplitude dynamics from x(0) = 1, c(0) = 0 (vacuum environment)."""
     k_grid = cfg.k_grid if cfg.k_grid is not None else np.array([0.0])
-    jobs = [(d, p, k) for d, p in zip(cfg.deltas, cfg.systems) for k in k_grid]
-    results = [_trajectory_with_check(p, k, cfg.t_grid) for _, p, k in jobs]
+    jobs = [(p, k) for p in cfg.systems for k in k_grid]
+    results = [_trajectory_with_check(p, k, cfg.t_grid) for p, k in jobs]
 
-    os.makedirs(cfg.directory, exist_ok=True)
-    files = [_write_csv(
-        os.path.join(cfg.directory, "dynamics.csv"),
-        ("k", "delta", "t", "re_c", "im_c", "re_x", "im_x",
-         "abs2_c", "abs2_x"),
-        ((k, d, t, c.real, c.imag, x.real, x.imag,
-          abs(c) ** 2, abs(x) ** 2)
-         for (d, _, k), (cs, xs) in zip(jobs, results)
-         for t, c, x in zip(cfg.t_grid, cs, xs)))]
-    if "gnuplot" in cfg.formats:
-        files.append(_write_text(
-            os.path.join(cfg.directory, "plot.gp"),
-            _family_script("amplitude dynamics from x(0) = 1", "t", "|x|^2",
-                           "dynamics.csv", 9, k_grid[0], cfg.deltas)))
-    return files
+    return _emit(cfg, [
+        ("dynamics.csv",
+         ("k", "delta", "t", "re_c", "im_c", "re_x", "im_x",
+          "abs2_c", "abs2_x"),
+         ((k, p.delta, t, c.real, c.imag, x.real, x.imag,
+           abs(c) ** 2, abs(x) ** 2)
+          for (p, k), (cs, xs) in zip(jobs, results)
+          for t, c, x in zip(cfg.t_grid, cs, xs)))],
+        _family_script("amplitude dynamics from x(0) = 1", "t", "|x|^2",
+                       "dynamics.csv", 9, k_grid[0], cfg.systems))
 
 
 def run_ep_bic(cfg):
@@ -553,12 +541,11 @@ def run_ep_bic(cfg):
         rows.append(("bic", "", "", det0.d_gamma, cond.d_eps_bic,
                      k_loc, resid, note))
 
-    os.makedirs(cfg.directory, exist_ok=True)
-    return [_write_csv(
-        os.path.join(cfg.directory, "ep_bic.csv"),
-        ("condition", "sign", "d_gamma_required", "d_gamma_actual",
-         "d_eps_target", "k_located", "residual", "note"),
-        rows)]
+    return _emit(cfg, [
+        ("ep_bic.csv",
+         ("condition", "sign", "d_gamma_required", "d_gamma_actual",
+          "d_eps_target", "k_located", "residual", "note"),
+         rows)])
 
 
 def run_absorption(cfg):
@@ -576,20 +563,13 @@ def run_absorption(cfg):
             raise NumericalCheckError(
                 "R + A = 1 residual %.2e at k = %g" % (resid, k))
 
-    tracks = track_branches(p, cfg.k_grid)
-    os.makedirs(cfg.directory, exist_ok=True)
-    files = [_write_csv(
-        os.path.join(cfg.directory, "absorption_map.csv"),
-        ("k", "omega", "absorption"),
-        ((k, w, v) for k, col in zip(cfg.k_grid, amap)
-         for w, v in zip(cfg.omega_grid, col)))]
-    files.append(_write_branches(cfg.directory, tracks))
-    if "gnuplot" in cfg.formats:
-        files.append(_write_text(
-            os.path.join(cfg.directory, "plot.gp"),
-            _heatmap_script("absorption", "absorption_map.csv",
-                            p, cfg.k_grid, cfg.omega_grid)))
-    return files
+    return _emit(cfg, [
+        ("absorption_map.csv", ("k", "omega", "absorption"),
+         ((k, w, v) for k, col in zip(cfg.k_grid, amap)
+          for w, v in zip(cfg.omega_grid, col))),
+        _branch_table(track_branches(p, cfg.k_grid))],
+        _heatmap_script("absorption", "absorption_map.csv",
+                        p, cfg.k_grid, cfg.omega_grid))
 
 
 def run_oracle_compare(cfg):
@@ -606,8 +586,7 @@ def run_oracle_compare(cfg):
     except ValueError as exc:
         raise NumericalCheckError(str(exc))
 
-    os.makedirs(cfg.directory, exist_ok=True)
-    files = []
+    tables = []
     metrics = []
 
     span = 5.0 * max(p.total_rate, 1.0)
@@ -618,9 +597,8 @@ def run_oracle_compare(cfg):
     rel = np.abs(gam.real - targets) / max(p.total_rate, 1e-12)
     metrics.append(("damping_rel_err", float(np.max(rel)),
                     cfg.max_deviation))
-    files.append(_write_csv(
-        os.path.join(cfg.directory, "oracle_damping.csv"),
-        ("omega", "gamma_cc", "gamma_xx", "gamma_cx"),
+    tables.append((
+        "oracle_damping.csv", ("omega", "gamma_cc", "gamma_xx", "gamma_cx"),
         ((w, g[0, 0].real, g[1, 1].real, g[0, 1].real)
          for w, g in zip(probe, gam))))
 
@@ -635,8 +613,8 @@ def run_oracle_compare(cfg):
         c_ana, _, _ = lorentzian_pair_fit(cfg.omega_grid, intensity, guesses)
         metrics.append(("peak_center_offset",
                         float(np.max(np.abs(c_orc - c_ana))), step))
-        files.append(_write_csv(
-            os.path.join(cfg.directory, "oracle_spectrum.csv"),
+        tables.append((
+            "oracle_spectrum.csv",
             ("omega", "ldos_oracle", "intensity_analytic"),
             zip(cfg.omega_grid, ldos, intensity)))
 
@@ -646,25 +624,22 @@ def run_oracle_compare(cfg):
         sup = max(np.max(np.abs(np.abs(c_orc) ** 2 - np.abs(c_ana) ** 2)),
                   np.max(np.abs(np.abs(x_orc) ** 2 - np.abs(x_ana) ** 2)))
         metrics.append(("dynamics_sup_err", float(sup), cfg.max_deviation))
-        files.append(_write_csv(
-            os.path.join(cfg.directory, "oracle_dynamics.csv"),
+        tables.append((
+            "oracle_dynamics.csv",
             ("t", "abs2_c_oracle", "abs2_x_oracle",
              "abs2_c_analytic", "abs2_x_analytic"),
             ((t, abs(co) ** 2, abs(xo) ** 2, abs(ca) ** 2, abs(xa) ** 2)
              for t, co, xo, ca, xa
              in zip(cfg.t_grid, c_orc, x_orc, c_ana, x_ana))))
 
-    files.append(_write_csv(
-        os.path.join(cfg.directory, "summary.csv"),
-        ("metric", "value", "bound", "passed"),
-        ((name, value, bound, "yes" if value <= bound else "no")
-         for name, value, bound in metrics)))
-    bad = [(name, value, bound) for name, value, bound in metrics
-           if value > bound]
+    tables.append(("summary.csv", ("metric", "value", "bound", "passed"),
+                   ((name, value, bound, "yes" if value <= bound else "no")
+                    for name, value, bound in metrics)))
+    files = _emit(cfg, tables)
+    bad = ["%s = %.3e exceeds bound %.3e" % metric for metric in metrics
+           if metric[1] > metric[2]]
     if bad:
-        raise NumericalCheckError(
-            "; ".join("%s = %.3e exceeds bound %.3e" % entry
-                      for entry in bad))
+        raise NumericalCheckError("; ".join(bad))
     return files
 
 

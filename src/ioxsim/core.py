@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import bisect
 
 # Relative tolerance used when matching the EP/BiC closed-form conditions.
 CONDITION_RTOL = 1e-9
@@ -396,28 +395,16 @@ def detunings(p, k):
 def _solve_ring_radius(p, target):
     """Momentum at which d_eps(k) = target, or None if unreachable.
 
-    d_eps(k) = delta + (1 - mass_ratio) k**2 is monotone in k, so for
-    mass_ratio = 0 the radius is sqrt(target - delta); otherwise the root is
-    found by bisection.
+    d_eps(k) = delta + (1 - mass_ratio) k**2 is monotone in k, so the
+    radius is sqrt((target - delta) / (1 - mass_ratio)) in closed form.
     """
     d0 = detunings(p, 0.0).d_eps
     tol = CONDITION_RTOL * max(1.0, abs(target), abs(d0))
     if abs(d0 - target) <= tol:
         return 0.0
-    if p.mass_ratio == 0.0:
-        radicand = target - p.delta
-        return float(np.sqrt(radicand)) if radicand >= 0 else None
-    if p.mass_ratio == 1.0:
-        return None  # d_eps is k-independent and did not match at k = 0
-    if target < d0:
-        return None
-    f = lambda k: detunings(p, k).d_eps - target
-    k_hi = 1.0
-    while f(k_hi) < 0:
-        k_hi *= 2.0
-        if k_hi > 1e8:
-            return None
-    return float(bisect(f, 0.0, k_hi, xtol=1e-12))
+    if p.mass_ratio == 1.0 or target < d0:
+        return None  # d_eps is k-independent, or already above target at k = 0
+    return float(np.sqrt((target - p.delta) / (1.0 - p.mass_ratio)))
 
 
 def ep_conditions(p):

@@ -227,6 +227,27 @@ class TestKernelFreq:
 PV_POINTS_DEFAULT = 4001
 
 
+class TestKernelInputs:
+    """NaN or inf frequencies, times and momenta are rejected, not turned
+    into zero kernels or zero rates that look like a valid answer."""
+
+    @pytest.mark.parametrize("fn, args", [
+        pytest.param(kernel_freq, (0.0, np.inf), id="freq-inf"),
+        pytest.param(kernel_freq, (0.0, np.nan), id="freq-nan"),
+        pytest.param(kernel_freq, (0.0, np.array([EPS0, -np.inf])),
+                     id="freq-array"),
+        pytest.param(kernel_time, (0.0, np.nan), id="time-nan"),
+        pytest.param(kernel_time, (0.0, np.array([0.0, np.inf])),
+                     id="time-array"),
+        pytest.param(markov_rates, (np.nan,), id="rates-nan"),
+        pytest.param(markov_rates, (np.inf,), id="rates-inf"),
+        pytest.param(markov_rates, (EPS0, np.nan), id="rates-k-nan"),
+    ])
+    def test_non_finite_rejected(self, fn, args):
+        with pytest.raises(ValueError, match="must be finite"):
+            fn(bath_for_rates(1.0, 0.8, EPS0, WINDOW), *args)
+
+
 class TestFullMatrixAndGreen:
     def test_memoryless_equals_core(self):
         p = SystemParams(delta=3.0, g_rabi=0.4, gamma_c=1.0, gamma_x=1.8)

@@ -378,6 +378,17 @@ class TestOracleCompareRun:
         assert any(r[3] == "no" for r in rows)
 
 
+    def test_raised_error_writes_nothing(self, tmp_path):
+        # the recurrence guard of this bath sits at t = 15.7
+        doc = self.oracle_doc(tmp_path)
+        doc["scan"].pop("omega_grid")
+        doc["scan"]["t_grid"] = {"start": 0.0, "stop": 20.0, "num": 21}
+        rc = cli.main(["oracle-compare", "--config",
+                       write_cfg(tmp_path, doc)])
+        assert rc == 3
+        assert not (tmp_path / "out").exists()
+
+
 class TestExitCodes:
     def test_on_pole_evaluation_is_numerical_failure(self, tmp_path):
         p = SystemParams(delta=DELTA_BIC, g_rabi=3.0, gamma_x=0.3)
@@ -464,6 +475,22 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert "ep_bic.csv" in proc.stdout
+
+
+class TestImportCost:
+    def test_import_does_not_load_optimizers(self):
+        # scipy.optimize is loaded only by the fit that needs it
+        src = os.path.dirname(os.path.dirname(ioxsim.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ioxsim, ioxsim.cli; "
+             "print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestBundledConfigs:

@@ -16,6 +16,7 @@ from ioxsim import (
     ep_conditions,
     bic_condition,
 )
+from ioxsim.core import discriminant
 
 SQRT2 = np.sqrt(2.0)
 
@@ -287,6 +288,30 @@ class TestEpConditions:
         assert cond.k_ep == pytest.approx(1.0 / 0.8, abs=1e-9)
         d = detunings(p, cond.k_ep)
         assert d.d_eps == pytest.approx(cond.d_eps_ep, abs=1e-9)
+
+    def test_mass_ratio_radius_in_closed_form(self):
+        # k_ep = sqrt((d_eps_ep - delta) / (1 - mass_ratio)); a root
+        # bracketed to xtol = 1e-12 left |D| = 2e-12 at this point
+        p = SystemParams(delta=-1.0, g_rabi=0.25, gamma_c=1.0, gamma_x=1.5,
+                         mass_ratio=0.3)
+        (cond,) = ep_conditions(p)
+        assert cond.k_ep == pytest.approx(
+            np.sqrt((cond.d_eps_ep + 1.0) / 0.7), rel=1e-15)
+        assert abs(complex(discriminant(p, cond.k_ep))) < 1e-14
+
+    def test_mass_ratio_radius_sampled(self):
+        rng = np.random.default_rng(2024)
+        located = 0
+        for _ in range(200):
+            gc, gx = rng.uniform(0.1, 3.0, 2)
+            p = SystemParams(delta=rng.uniform(-5.0, 1.0),
+                             g_rabi=abs(gc - gx) / 2, gamma_c=gc, gamma_x=gx,
+                             mass_ratio=rng.uniform(0.05, 0.95))
+            for cond in ep_conditions(p):
+                if cond.k_ep:
+                    located += 1
+                    assert abs(complex(discriminant(p, cond.k_ep))) < 1e-12
+        assert located > 100
 
     def test_ep_coalescence_at_located_point(self):
         p = SystemParams(delta=2 * SQRT2 - 1.0, g_rabi=0.5,
