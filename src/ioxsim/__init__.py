@@ -43,11 +43,9 @@ from .bath import (
     DiscretizedBath,
     BathOracle,
     env_density_of_states,
-    kernel_time,
     kernel_freq,
     full_matrix,
     green_matrix,
-    markov_rates,
     bath_for_rates,
     discretize_bath,
 )

@@ -11,11 +11,10 @@ closed-form dynamics against the exact matrix-exponential reference.
 Every check returns a CheckResult with a pass flag, a one-line detail
 string and its runtime; each also carries a wall-clock budget that is part
 of the pass condition.  run_all prints one PASS/FAIL line per check.
-Stochastic checks draw from numpy's Generator seeded by the IOXSIM_SEED
-environment variable (default 1234), so reruns are reproducible.
+Stochastic checks draw from numpy's Generator seeded by the seed argument
+(--seed, default 1234).  The bath kernels are in frequency only.
 """
 
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -47,10 +46,8 @@ DEFAULT_SEED = 1234
 
 
 def resolve_seed(seed=None):
-    """Explicit seed, else IOXSIM_SEED from the environment, else default."""
-    if seed is not None:
-        return int(seed)
-    return int(os.environ.get("IOXSIM_SEED", DEFAULT_SEED))
+    """Explicit seed, else DEFAULT_SEED."""
+    return DEFAULT_SEED if seed is None else int(seed)
 
 
 @dataclass(frozen=True)

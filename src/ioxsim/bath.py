@@ -3,7 +3,7 @@
 The emitter and cavity mode exchange excitations with a continuum of
 out-of-plane photon modes dispersing as omega = c*sqrt(k^2 + q^2) with
 q >= 0 (one emitting mirror).  This module computes the environment
-density of states, the memory kernels (including Cauchy principal values)
+density of states, the kernel in frequency only (principal value included)
 and every system response on one path, G(z) = [z*1 - H_bare - Sigma(z)]^-1,
 in which only the self-energy varies (input-output elimination: Gardiner &
 Collett, Phys. Rev. A 31, 3761 (1985)): the golden rule frozen at the
@@ -18,6 +18,7 @@ Work in units hbar = 1; energies are measured in units of a reference
 rate, the same convention as the rest of the package.
 """
 
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ from .errors import (
 
 PV_GRID_POINTS = 4001
 RECURRENCE_SAFETY = 0.5
+WINDOW_MARGIN = 50.0      # total rates the system lines keep from the window ends
+DYNAMICS_CHUNK = 256      # times per block of the oracle dynamics
 SOLVER_CHUNK = 128        # roots or frequencies per block of the oracle
 SOLVER_STEP_TOL = 1e-12   # relative step that ends a secular iteration
 SOLVER_MAXIT = 100
@@ -58,6 +61,9 @@ class BathSpec:
     taper_frac: float = 0.05
 
     def __post_init__(self):
+        for name in ("kappa_c", "kappa_x", "c_light"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % name)
         lo, hi = self.omega_window
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError("omega_window must be a finite increasing pair")
@@ -127,30 +133,14 @@ def _finite(value, name):
 
 
 def _window_grid(b, k, npoints):
+    if not math.isfinite(k):
+        raise ValueError("k must be finite")
     lo, hi = b.omega_window
     ck = b.c_light * abs(k)
     if lo <= ck:
         raise EvanescentRegionError(
             "omega_window starts inside the evanescent zone (omega_min <= c|k|)")
     return np.linspace(lo, hi, npoints)
-
-
-def kernel_time(b, k, tau, npoints=PV_GRID_POINTS):
-    """Time-domain memory kernel Gamma(tau), a 2x2 matrix per time.
-
-    Gamma^{AB}(tau) = theta(tau) * integral over the window of
-    kappa^A kappa^B rho(omega) taper(omega)^2 exp(-i omega tau).
-    Returns shape (2, 2) for scalar tau, (n, 2, 2) for an array; zero
-    for tau < 0 by definition of the retarded kernel.  NaN or inf tau
-    raises ValueError.
-    """
-    tau = _finite(tau, "tau")
-    grid = _window_grid(b, k, npoints)
-    weight = _spectral_weight(b, k, grid)
-    phases = np.exp(-1j * np.outer(tau.ravel(), grid))
-    vals = np.trapezoid(phases * weight, grid, axis=-1)
-    vals = np.where(tau.ravel() >= 0.0, vals, 0.0)
-    return vals.reshape(tau.shape + (1, 1)) * _coupling_matrix(b)
 
 
 def _pv_integral(grid, f, omega):
@@ -192,7 +182,7 @@ def kernel_freq(b, k, omega, npoints=PV_GRID_POINTS):
     weight against 1/(omega - omega'), evaluated by pole subtraction.
     Raises KernelAccuracyError when the pole sits within one grid cell
     of a window endpoint, where the subtraction loses accuracy, and
-    ValueError for NaN or inf omega.
+    ValueError for NaN or inf omega or k.
     """
     omega = _finite(omega, "omega")
     grid = _window_grid(b, k, npoints)
@@ -200,19 +190,6 @@ def kernel_freq(b, k, omega, npoints=PV_GRID_POINTS):
     pv = np.array([_pv_integral(grid, weight, w) for w in omega.ravel().tolist()])
     return (_golden_rule(b, k, omega)
             + 1j * pv.reshape(omega.shape + (1, 1)) * _coupling_matrix(b))
-
-
-def markov_rates(b, omega0, k=0.0):
-    """Golden-rule rates (gamma_c, gamma_x, cross) at carrier omega0.
-
-    gamma^A = pi * rho(omega0) * (kappa^A * taper(omega0))^2; the cross
-    rate equals sqrt(gamma_c * gamma_x) exactly for real couplings to a
-    single shared environment.  NaN or inf omega0 or k raises ValueError.
-    """
-    _finite(omega0, "omega0")
-    _finite(k, "k")
-    gam = _golden_rule(b, k, omega0)
-    return gam[0, 0], gam[1, 1], gam[0, 1]
 
 
 def bath_for_rates(gamma_c, gamma_x, omega0, omega_window,
@@ -259,9 +236,11 @@ def full_matrix(b, p, k, omega, npoints=PV_GRID_POINTS, memoryless=False):
     Damping comes entirely from the bath b; p supplies only the kinetic
     energies and Rabi coupling.  memoryless=True freezes the kernel at the
     carrier p.eps0 and drops its principal-value part, which reproduces
-    the closed-form theory exactly.
+    the closed-form theory exactly; NaN or inf omega or k raises ValueError.
     """
     omega = _finite(omega, "omega")
+    if not math.isfinite(k):
+        raise ValueError("k must be finite")
     if memoryless:
         gam = _golden_rule(b, k, p.eps0)
     else:
@@ -300,6 +279,8 @@ def discretize_bath(b, n_modes, k=0.0):
     """Midpoint discretization of the window into n_modes bath modes."""
     if n_modes < 2:
         raise ValueError("need at least two bath modes")
+    if not math.isfinite(k):
+        raise ValueError("k must be finite")
     lo, hi = b.omega_window
     dw = (hi - lo) / n_modes
     freqs = lo + (np.arange(n_modes) + 0.5) * dw
@@ -509,7 +490,7 @@ class BathOracle:
     the discretization itself.
     """
 
-    def __init__(self, d, p, k=0.0, min_modes=2000, window_margin=50.0):
+    def __init__(self, d, p, k=0.0, min_modes=2000):
         if d.n_modes < min_modes:
             raise ValueError(
                 "oracle needs >= %d bath modes for converged rates" % min_modes)
@@ -518,7 +499,7 @@ class BathOracle:
             raise ValueError("oracle parameters and bath must be finite")
         eps_c, eps_x = kinetic_energies(p, k)
         lo, hi = d.mode_freqs[0], d.mode_freqs[-1]
-        margin = window_margin * max(p.total_rate, 1e-12)
+        margin = WINDOW_MARGIN * max(p.total_rate, 1e-12)
         if min(eps_c, eps_x) - margin < lo or max(eps_c, eps_x) + margin > hi:
             raise ValueError("bath window too narrow around the system lines")
         self.params = p
@@ -548,10 +529,6 @@ class BathOracle:
     def recurrence_time(self):
         return 2.0 * np.pi / self.bath.spacing
 
-    def default_eta(self):
-        """Lorentzian broadening that washes out the discrete level comb."""
-        return 10.0 * self.bath.spacing
-
     def _self_energy(self, z):
         """Sigma(z) = sum_j g_j g_j^T/(z - omega_j), shape (M, 2, 2)."""
         d = self.bath
@@ -564,8 +541,9 @@ class BathOracle:
         return sig[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
     def _frequencies(self, omega_grid, eta):
-        """z = omega + i*eta, eta wide enough to hide the discrete mode comb."""
-        eta = self.default_eta() if eta is None else float(eta)
+        """z = omega + i*eta, eta wide enough to hide the discrete mode comb;
+        the default, ten level spacings, washes it out."""
+        eta = 10.0 * self.bath.spacing if eta is None else float(eta)
         if not 2.0 * self.bath.spacing <= eta < np.inf:
             raise KernelAccuracyError(
                 "broadening must be finite and at least twice the level spacing")
@@ -579,9 +557,11 @@ class BathOracle:
         g = self.green_system(omega_grid, eta)
         return -(g[:, 0, 0] + g[:, 1, 1]).imag / np.pi
 
-    def dynamics(self, initial, t_grid, chunk=256):
-        """Exact amplitudes (c(t), x(t)) from an initial system excitation."""
-        t_grid = np.asarray(t_grid, dtype=float)
+    def dynamics(self, initial, t_grid):
+        """Exact amplitudes (c(t), x(t)) from an initial system excitation;
+        NaN or inf times or amplitudes raise ValueError."""
+        t_grid = _finite(t_grid, "times")
+        _finite(np.abs(initial), "initial amplitudes")
         if np.any(t_grid < 0.0):
             raise ValueError("times must be non-negative")
         if np.max(t_grid, initial=0.0) > RECURRENCE_SAFETY * self.recurrence_time:
@@ -593,11 +573,11 @@ class BathOracle:
         coeff = rows[0] * c0 + rows[1] * x0  # V^T psi0, bath empty
         c_out = np.empty(t_grid.size, dtype=complex)
         x_out = np.empty(t_grid.size, dtype=complex)
-        for start in range(0, t_grid.size, chunk):
-            ts = t_grid[start:start + chunk]
+        for start in range(0, t_grid.size, DYNAMICS_CHUNK):
+            ts = t_grid[start:start + DYNAMICS_CHUNK]
             phases = np.exp(-1j * np.outer(ts, energies)) * coeff
-            c_out[start:start + chunk] = phases @ rows[0]
-            x_out[start:start + chunk] = phases @ rows[1]
+            c_out[start:start + DYNAMICS_CHUNK] = phases @ rows[0]
+            x_out[start:start + DYNAMICS_CHUNK] = phases @ rows[1]
         return c_out, x_out
 
     def green_system(self, omega_grid, eta=None):

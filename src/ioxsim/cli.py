@@ -9,9 +9,10 @@ system / bath (optional) / scan / output; unknown keys are rejected with
 JSON-path messages, decode errors carry line and column.  CSV output uses
 17 significant digits, so identical configs give byte-identical files
 across runs.  Exit codes: 0 all outputs written and internal residual
-checks passed, 2 config error, 3 numerical-check failure.  A failed gate
-or a raised error writes nothing; only oracle-compare writes all its
-files, summary.csv included, before its bounds decide the exit code.
+checks passed, 2 config error or unwritable output directory, 3
+numerical-check failure.  A failed gate or a raised error writes nothing;
+only oracle-compare writes all its files, summary.csv included, before
+its bounds decide the exit code.
 """
 
 import argparse
@@ -142,7 +143,7 @@ def _grid(node, path):
 
 def _occupation(node, path):
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        if node < 0:
+        if _number(node, path) < 0:
             _fail(path, "must be non-negative")
         return InputOccupation(float(node))
     if isinstance(node, dict):
@@ -322,19 +323,23 @@ def _fmt(value):
 def _emit(cfg, tables, plot=None):
     """The one write stage: each (name, header, rows) table as a CSV in
     cfg.directory, then plot.gp if gnuplot output is asked for.  Returns
-    the paths in the order written."""
-    os.makedirs(cfg.directory, exist_ok=True)
+    the paths in the order written; an OSError becomes a ConfigError."""
     files = []
-    for name, header, rows in tables:
-        files.append(os.path.join(cfg.directory, name))
-        with open(files[-1], "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-    if plot is not None and "gnuplot" in cfg.formats:
-        files.append(os.path.join(cfg.directory, "plot.gp"))
-        with open(files[-1], "w", newline="") as fh:
-            fh.write(plot)
+    try:
+        os.makedirs(cfg.directory, exist_ok=True)
+        for name, header, rows in tables:
+            files.append(os.path.join(cfg.directory, name))
+            with open(files[-1], "w", newline="") as fh:
+                fh.write(",".join(header) + "\n")
+                for row in rows:
+                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+        if plot is not None and "gnuplot" in cfg.formats:
+            files.append(os.path.join(cfg.directory, "plot.gp"))
+            with open(files[-1], "w", newline="") as fh:
+                fh.write(plot)
+    except OSError as exc:
+        _fail("output.directory", "cannot write %s: %s"
+              % (exc.filename or cfg.directory, exc.strerror or exc))
     return files
 
 
@@ -668,8 +673,7 @@ def _build_parser():
                         help="override output.directory")
     sp = sub.add_parser("acceptance", help="run the acceptance checks")
     sp.add_argument("--seed", type=int, default=None,
-                    help="RNG seed (default: IOXSIM_SEED or %d)"
-                    % acceptance.DEFAULT_SEED)
+                    help="RNG seed (default: %d)" % acceptance.DEFAULT_SEED)
     return ap
 
 

@@ -74,14 +74,6 @@ class SystemParams:
             raise ValueError("mass_ratio must lie in [0, 1]")
 
     @property
-    def markov_advisory(self):
-        """True when eps0 is not far above every rate; the memoryless
-        (Markov) forms are then suspect."""
-        rates = (self.gamma_c, self.gamma_x, self.gamma_nr_c,
-                 self.gamma_nr_x, self.g_rabi)
-        return self.eps0 < 100.0 * max(rates)
-
-    @property
     def total_rate(self):
         return self.gamma_c + self.gamma_x + self.gamma_nr_c + self.gamma_nr_x
 
@@ -179,13 +171,6 @@ def effective_hamiltonian(p, k):
                      [pole.g_tilde, pole.z_x]])
 
 
-def principal_sqrt(d):
-    """Principal square root: Re >= 0, and Im >= 0 on the Re = 0 cut."""
-    # adding 0.0 turns a negative-zero imaginary part positive, so negative
-    # reals map to the +i side
-    return np.sqrt(np.asarray(d, dtype=complex) + 0.0)
-
-
 def _k_axis(k):
     """k as a 1-d float array; a scalar becomes a single point."""
     k = np.asarray(k, dtype=float)
@@ -260,7 +245,9 @@ def _modes(p, k):
     # (z_c + z_x) / 2 and sqrt(D) / 2 as one product
     pair = np.empty((2, k.size), dtype=complex)
     np.add(pole.z_c, pole.z_x, out=pair[0])
-    pair[1] = principal_sqrt(disc)
+    # principal root; adding 0.0 turns a negative-zero imaginary part
+    # positive, so negative reals map to the +i side
+    pair[1] = np.sqrt(disc + 0.0)
     mid, half = _real_times(0.5, pair)
     levels = np.empty((4, k.size), dtype=complex)
     np.subtract(mid, half, out=levels[0])

@@ -26,10 +26,6 @@ class AmplitudeState:
     x: complex
     t: float = 0.0
 
-    @property
-    def norm_sq(self):
-        return abs(self.c) ** 2 + abs(self.x) ** 2
-
 
 def _branch_projection(p, k, initial):
     """Coefficients of the two-exponential solution.

@@ -35,37 +35,34 @@ POLE_TOL = 1e-12
 # sweep above that of the per-k loop they replace
 _BLOCK_ROWS = 8
 
-_KINDS = ("power", "reflection", "absorption")
+_KINDS = ("power", "absorption")
 
 
 class InputOccupation:
-    """Input photon distribution n(omega), dimensionless and >= 0.
+    """Input photon distribution n(omega), dimensionless, finite and >= 0.
 
-    Wraps a nonnegative constant, a callable omega -> n, or a tabulated
-    (omega_points, values) pair interpolated linearly.
+    Wraps a constant or a tabulated (omega_points, values) pair
+    interpolated linearly, both validated here once.
     """
 
     def __init__(self, n_of_omega=1.0):
-        if callable(n_of_omega):
-            self._fn = n_of_omega
-        elif np.ndim(n_of_omega) == 0:
-            const = float(n_of_omega)
-            if const < 0:
-                raise ValueError("occupation must be non-negative")
-            self._fn = lambda omega: np.full_like(
-                np.asarray(omega, dtype=float), const)
+        if np.ndim(n_of_omega) == 0:
+            vals = float(n_of_omega)
+            self._fn = lambda omega: np.full_like(omega, vals)
         else:
             pts, vals = (np.asarray(a, dtype=float) for a in n_of_omega)
             if pts.ndim != 1 or pts.shape != vals.shape:
                 raise ValueError("tabulated occupation needs matching 1-d arrays")
-            if np.any(np.diff(pts) <= 0):
-                raise ValueError("tabulated omega points must increase")
+            if not np.all(np.isfinite(pts)) or np.any(np.diff(pts) <= 0):
+                raise ValueError("tabulated omega points must be finite and increase")
             self._fn = lambda omega: np.interp(omega, pts, vals)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("occupation must be finite")
+        if np.any(vals < 0):
+            raise ValueError("occupation must be non-negative")
 
     def __call__(self, omega):
-        n = np.asarray(self._fn(np.asarray(omega, dtype=float)), dtype=float)
-        if np.any(n < 0):
-            raise ValueError("occupation evaluated negative")
+        n = self._fn(np.asarray(omega, dtype=float))
         return n if n.ndim else float(n)
 
 
@@ -78,9 +75,9 @@ def as_occupation(n):
 class SpectrumGrid:
     """A spectrum sampled on a (k, omega) grid.
 
-    kind is one of "power", "reflection", "absorption".  divergent marks
-    grid points sitting exactly on an undamped pole (intensity NaN there);
-    the power and absorption grids fill it.
+    kind is "power" or "absorption".  divergent marks grid points sitting
+    exactly on an undamped pole (intensity NaN there); the power and
+    absorption grids fill it.
     """
 
     k_values: np.ndarray
@@ -111,7 +108,7 @@ class SpectrumGrid:
                 raise ValueError("power spectrum must be non-negative")
         elif (np.any(values < -1e-9, where=finite)
               or np.any(values > 1 + 1e-9, where=finite)):
-            raise ValueError("%s values must lie in [0, 1]" % self.kind)
+            raise ValueError("absorption values must lie in [0, 1]")
 
 
 def _resolvent(p, k, omega):

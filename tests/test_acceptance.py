@@ -70,6 +70,13 @@ def test_exit_codes_match_cli(monkeypatch, passed, code):
     assert cli.main(["acceptance"]) == code
 
 
+def test_seed_comes_only_from_the_argument(monkeypatch):
+    # no environment variable reaches the checks' random draws
+    monkeypatch.setenv("IOXSIM_SEED", "99")
+    assert acceptance.resolve_seed(None) == acceptance.DEFAULT_SEED
+    assert acceptance.resolve_seed(7) == 7
+
+
 def test_module_entry_point_forwards_to_cli():
     # a bad --seed is rejected by the CLI's parser before any check runs
     src = os.path.dirname(os.path.dirname(ioxsim.__file__))

@@ -6,9 +6,11 @@ are checked against a dense np.linalg.eigh of the full Hamiltonian on
 baths of a few hundred modes, where eigh is cheap.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import optimize
 
 from ioxsim import SystemParams, eigen_branches, effective_hamiltonian
 from ioxsim.bath import (
@@ -21,8 +23,6 @@ from ioxsim.bath import (
     full_matrix,
     green_matrix,
     kernel_freq,
-    kernel_time,
-    markov_rates,
 )
 from ioxsim.core import bic_condition, kinetic_energies
 from ioxsim.dynamics import bic_amplitudes
@@ -66,6 +66,14 @@ class TestBathSpec:
             BathSpec(1.0, 1.0, WINDOW, c_light=0.0)
         with pytest.raises(ValueError):
             BathSpec(1.0, 1.0, WINDOW, taper_frac=0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["kappa_c", "kappa_x", "c_light"])
+    def test_rejects_non_finite(self, field, bad):
+        kwargs = dict(kappa_c=1.0, kappa_x=1.0, omega_window=WINDOW)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match="%s must be finite" % field):
+            BathSpec(**kwargs)
 
     def test_taper_profile(self):
         b = BathSpec(1.0, 1.0, (100.0, 1100.0), taper_frac=0.1)
@@ -119,50 +127,15 @@ class TestDensityOfStates:
             env_density_of_states(b, 700.0, 650.0)
 
 
-class TestKernelTime:
-    def test_negative_tau_zero(self):
-        b = bath_for_rates(1.0, 0.5, EPS0, WINDOW)
-        assert np.all(kernel_time(b, 0.0, -0.3) == 0.0)
-
-    def test_single_coupling_diagonal(self):
-        b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
-        g = kernel_time(b, 0.0, 0.7)
-        assert g[0, 1] == 0.0 and g[1, 0] == 0.0 and g[1, 1] == 0.0
-
-    def test_zero_tau_window_mass(self):
-        # Gamma(0) = integral of the spectral weight: scales with the window
-        b = BathSpec(0.3, 0.0, WINDOW, taper_frac=0.05)
-        g0 = kernel_time(b, 0.0, 0.0)[0, 0]
-        width = WINDOW[1] - WINDOW[0]
-        expect = 0.3 ** 2 * width * (1.0 - b.taper_frac)  # half-cosine edges
-        assert g0.imag == pytest.approx(0.0, abs=1e-12)
-        assert g0.real == pytest.approx(expect, rel=1e-4)
-
-    def test_transform_matches_freq_kernel(self):
-        # the damped transform of Gamma(tau) must equal the eta-broadened
-        # kernel i * integral S(w')/(w - w' + i eta); the tau integrand
-        # oscillates only at the detuning from the window, so a modest
-        # step resolves it
-        b = bath_for_rates(1.0, 0.0, EPS0, (990.0, 1010.0))
-        eta, tmax = 0.6, 40.0
-        tau = np.arange(0.0, tmax, 0.02)
-        omega = 1000.8
-        gam = kernel_time(b, 0.0, tau, npoints=2001)[:, 0, 0]
-        damped = integrate.simpson(gam * np.exp((1j * omega - eta) * tau), x=tau)
-        grid = np.linspace(990.0, 1010.0, 2001)
-        s_vals = np.array([markov_rates(b, w)[0] for w in grid]) / np.pi
-        broadened = 1j * integrate.simpson(s_vals / (omega - grid + 1j * eta), x=grid)
-        assert abs(damped - broadened) < 2e-3 * abs(broadened)
-
-
 class TestKernelFreq:
     def test_center_reproduces_markov_rates(self):
+        # at the carrier the real part is the golden-rule rate matrix the
+        # bath was built for: gamma_c, gamma_x and sqrt(gamma_c gamma_x)
         b = bath_for_rates(1.0, 1.8, EPS0, WINDOW)
         g = kernel_freq(b, 0.0, EPS0)
-        gc, gx, cross = markov_rates(b, EPS0)
-        assert g[0, 0].real == pytest.approx(gc, rel=1e-12)
-        assert g[1, 1].real == pytest.approx(gx, rel=1e-12)
-        assert g[0, 1].real == pytest.approx(cross, rel=1e-12)
+        assert g[0, 0].real == pytest.approx(1.0, rel=1e-12)
+        assert g[1, 1].real == pytest.approx(1.8, rel=1e-12)
+        assert g[0, 1].real == pytest.approx(np.sqrt(1.8), rel=1e-12)
         assert g[0, 1] == g[1, 0]
         # symmetric window, k=0 flat density: principal value cancels
         assert abs(g[0, 0].imag) < 1e-10
@@ -196,7 +169,10 @@ class TestKernelFreq:
         # frequency so the pole cell cancels by symmetry
         b = bath_for_rates(1.0, 0.7, EPS0, WINDOW)
         sub = np.linspace(*WINDOW, 201)
-        re_cc = np.array([markov_rates(b, w)[0] for w in sub])
+        # Re Gamma~_cc = pi kappa_c^2 rho taper^2, written out: the kernel's
+        # own principal value is undefined at the window endpoints
+        re_cc = (np.pi * b.kappa_c ** 2 * env_density_of_states(b, 0.0, sub)
+                 * b.taper(sub) ** 2)
         mids = 0.5 * (sub[:-1] + sub[1:])[40:-40:20]
         for w in mids:
             hil = np.trapezoid(re_cc / np.pi / (w - sub), sub)
@@ -217,31 +193,34 @@ class TestKernelFreq:
         # window widens; the log tail keeps this just under 1% only for
         # windows somewhat beyond +-500 rates, so probe +-700
         b = bath_for_rates(1.0, 1.8, EPS0, (EPS0 - 700.0, EPS0 + 700.0))
-        gc, gx, cross = markov_rates(b, EPS0)
-        gmat = np.array([[gc, cross], [cross, gx]])
+        gmat = np.array([[1.0, np.sqrt(1.8)], [np.sqrt(1.8), 1.8]])
         for w in np.linspace(EPS0 - 10.0, EPS0 + 10.0, 9):
             g = kernel_freq(b, 0.0, float(w))
-            assert np.max(np.abs(g - gmat)) < 0.01 * (gc + gx)
+            assert np.max(np.abs(g - gmat)) < 0.01 * (1.0 + 1.8)
 
 
 PV_POINTS_DEFAULT = 4001
 
 
+PASSIVE = SystemParams(delta=2.0, g_rabi=1.0, gamma_c=1.0, gamma_x=0.8)
+
+
 class TestKernelInputs:
-    """NaN or inf frequencies, times and momenta are rejected, not turned
-    into zero kernels or zero rates that look like a valid answer."""
+    """NaN or inf frequencies and momenta are rejected, not turned into
+    zero kernels or zero couplings that look like a valid answer."""
 
     @pytest.mark.parametrize("fn, args", [
         pytest.param(kernel_freq, (0.0, np.inf), id="freq-inf"),
         pytest.param(kernel_freq, (0.0, np.nan), id="freq-nan"),
         pytest.param(kernel_freq, (0.0, np.array([EPS0, -np.inf])),
                      id="freq-array"),
-        pytest.param(kernel_time, (0.0, np.nan), id="time-nan"),
-        pytest.param(kernel_time, (0.0, np.array([0.0, np.inf])),
-                     id="time-array"),
-        pytest.param(markov_rates, (np.nan,), id="rates-nan"),
-        pytest.param(markov_rates, (np.inf,), id="rates-inf"),
-        pytest.param(markov_rates, (EPS0, np.nan), id="rates-k-nan"),
+        pytest.param(kernel_freq, (np.nan, EPS0), id="freq-k-nan"),
+        pytest.param(kernel_freq, (np.inf, EPS0), id="freq-k-inf"),
+        pytest.param(full_matrix, (PASSIVE, np.nan, EPS0), id="full-k-nan"),
+        pytest.param(partial(full_matrix, memoryless=True),
+                     (PASSIVE, np.nan, EPS0), id="memoryless-k-nan"),
+        pytest.param(discretize_bath, (2000, np.nan), id="discretize-k-nan"),
+        pytest.param(discretize_bath, (2000, np.inf), id="discretize-k-inf"),
     ])
     def test_non_finite_rejected(self, fn, args):
         with pytest.raises(ValueError, match="must be finite"):
@@ -466,6 +445,17 @@ class TestOracleLevelAttraction:
         orc, _ = attract_oracle
         with pytest.raises(RecurrenceLimitError):
             orc.dynamics((1.0, 0.0), np.array([orc.recurrence_time]))
+
+    @pytest.mark.parametrize("initial, times", [
+        pytest.param((0.0, 1.0), [0.0, np.nan], id="time-nan"),
+        pytest.param((0.0, 1.0), [0.0, np.inf], id="time-inf"),
+        pytest.param((np.nan, 1.0), [0.0, 1.0], id="cavity-nan"),
+        pytest.param((0.0, complex(1.0, np.inf)), [0.0, 1.0], id="emitter-inf"),
+    ])
+    def test_dynamics_rejects_non_finite(self, attract_oracle, initial, times):
+        orc, _ = attract_oracle
+        with pytest.raises(ValueError, match="must be finite"):
+            orc.dynamics(initial, times)
 
 
 class TestOracleBic:

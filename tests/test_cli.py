@@ -135,6 +135,12 @@ class TestConfigValidation:
         cfg = cli.parse_config(doc)
         assert cfg.occupation(1000.0) == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_occupation_is_config_error(self, bad):
+        # json.load accepts NaN and Infinity
+        with pytest.raises(ConfigError, match="input_occupation: must be finite"):
+            cli.parse_config(base_doc(**dispersion_scan(input_occupation=bad)))
+
     def test_decode_error_carries_line_and_column(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "system": {,}\n}')
@@ -184,6 +190,18 @@ class TestDispersionRun:
         doc = base_doc(**dispersion_scan())
         rc = cli.main(["spectrum", "--config", write_cfg(tmp_path, doc)])
         assert rc == 2
+
+    def test_unwritable_directory_is_config_error(self, tmp_path, capsys):
+        # a regular file where a parent directory should be
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        config = os.path.join(ROOT, "configs", "ep_certificate.json")
+        rc = cli.main(["ep-bic", "--config", config,
+                       "--out", str(blocker / "sub")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output.directory: cannot write")
+        assert "Traceback" not in err
 
 
 class TestSpectrumAndDynamicsRuns:

@@ -58,11 +58,6 @@ class TestSystemParams:
         with pytest.raises(ValueError, match=field + " must be finite"):
             SystemParams(**{field: bad})
 
-    def test_markov_advisory(self):
-        assert not SystemParams(eps0=1000.0, gamma_c=1.0).markov_advisory
-        assert SystemParams(eps0=50.0, gamma_c=1.0).markov_advisory
-        assert SystemParams(eps0=1000.0, g_rabi=20.0).markov_advisory
-
 
 class TestKineticEnergies:
     def test_detuned_k0(self):

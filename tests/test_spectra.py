@@ -51,17 +51,31 @@ class TestInputOccupation:
         assert n(1000.0) == 2.0
 
     def test_callable_and_table(self):
-        n = InputOccupation(lambda w: np.asarray(w) * 0 + 0.5)
-        assert n(3.0) == 0.5
+        # only a constant or a table is an occupation, not a callable
+        with pytest.raises(TypeError):
+            InputOccupation(lambda w: 0.5)
         table = InputOccupation(([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]))
         assert table(0.5) == pytest.approx(0.5)
+        assert np.allclose(table(np.array([0.5, 1.5])), 0.5)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             InputOccupation(-1.0)
-        bad = InputOccupation(lambda w: -np.ones_like(np.asarray(w, float)))
-        with pytest.raises(ValueError):
-            bad(1.0)
+        # a tabulated negative value is rejected when built, not when called
+        with pytest.raises(ValueError, match="non-negative"):
+            InputOccupation(([0.0, 1.0], [1.0, -0.5]))
+
+    @pytest.mark.parametrize("form", [
+        pytest.param(np.nan, id="const-nan"),
+        pytest.param(np.inf, id="const-inf"),
+        pytest.param(([0.0, 1.0], [1.0, np.nan]), id="value-nan"),
+        pytest.param(([0.0, 1.0], [1.0, np.inf]), id="value-inf"),
+        pytest.param(([0.0, np.nan], [1.0, 1.0]), id="point-nan"),
+        pytest.param(([0.0, np.inf], [1.0, 1.0]), id="point-inf"),
+    ])
+    def test_rejects_non_finite(self, form):
+        with pytest.raises(ValueError, match="finite"):
+            InputOccupation(form)
 
 
 class TestPowerSpectrum:
@@ -342,7 +356,9 @@ class TestSpectrumGrid:
         with pytest.raises(ValueError):
             SpectrumGrid([0.0], [0.0, 1.0], np.zeros((1, 2)), "bogus")
         with pytest.raises(ValueError):
-            SpectrumGrid([0.0], [0.0, 1.0], 2 * np.ones((1, 2)), "reflection")
+            SpectrumGrid([0.0], [0.0, 1.0], np.zeros((1, 2)), "reflection")
+        with pytest.raises(ValueError):
+            SpectrumGrid([0.0], [0.0, 1.0], 2 * np.ones((1, 2)), "absorption")
         with pytest.raises(ValueError):
             SpectrumGrid([0.0], [0.0, 1.0], -np.ones((1, 2)), "power")
 
