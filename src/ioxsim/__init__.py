@@ -45,7 +45,6 @@ from .bath import (
     env_density_of_states,
     kernel_freq,
     full_matrix,
-    green_matrix,
     bath_for_rates,
     discretize_bath,
 )

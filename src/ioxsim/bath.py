@@ -23,12 +23,11 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .core import SystemParams, kinetic_energies
+from .core import SystemParams, _response_det, kinetic_energies
 from .errors import (
     EvanescentRegionError,
     KernelAccuracyError,
     RecurrenceLimitError,
-    SingularMatrixError,
 )
 
 PV_GRID_POINTS = 4001
@@ -77,10 +76,11 @@ class BathSpec:
             raise ValueError("taper_frac must lie in [0, 0.5)")
 
     def taper(self, omega):
-        """Coupling-amplitude rolloff: 1 deep inside the window, 0 at its ends."""
+        """Coupling-amplitude rolloff: 1 deep inside the window, 0 at its
+        ends; ValueError for NaN or inf omega."""
         lo, hi = self.omega_window
         width = (hi - lo) * self.taper_frac
-        omega = np.asarray(omega, dtype=float)
+        omega = _finite(omega, "omega")
         if width == 0.0:
             return np.where((omega >= lo) & (omega <= hi), 1.0, 0.0)
         edge = np.minimum(omega - lo, hi - omega) / width
@@ -93,11 +93,16 @@ def env_density_of_states(b, k, omega):
 
     Follows from inverting d(omega)/dq for the half-line dispersion
     omega = c sqrt(k^2 + q^2).  Only omega > c|k| is radiative; below the
-    light cone there are no environment modes to emit into.
+    light cone there are no environment modes to emit into.  NaN or inf
+    omega or k raises ValueError.
     """
     omega = np.asarray(omega, dtype=float)
     ck = b.c_light * abs(k)
-    if np.any(omega <= ck):
+    # one test on the valid path; only a failure asks which rule broke
+    if not np.all((omega > ck) & (omega < np.inf)):
+        _finite(omega, "omega")
+        if not math.isfinite(k):
+            raise ValueError("k must be finite")
         raise EvanescentRegionError(
             "no radiative environment modes at omega <= c|k| = %g" % ck)
     out = omega / (b.c_light * np.sqrt(omega * omega - ck * ck))
@@ -216,14 +221,10 @@ def _response(h, z, sigma):
 
 
 def _green(m, z):
-    """Cofactor inverses of a stack of 2x2 response matrices m; singular
-    where |det| < 1e-14 * max(1, |m00| + |m11|)^2, reported at Re z."""
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    scale = np.maximum(1.0, np.abs(m[..., 0, 0]) + np.abs(m[..., 1, 1])) ** 2
-    bad = np.abs(det) < 1e-14 * scale
-    if np.any(bad):
-        raise SingularMatrixError("response matrix singular at omega = %g"
-                                  % np.asarray(z).real[bad][0])
+    """Cofactor inverses of a stack of 2x2 response matrices m, under the
+    singularity rule of core._response_det."""
+    det = _response_det(m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1],
+                        z)
     adj = np.stack((m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]),
                    axis=-1)
     return adj.reshape(m.shape) / det[..., None, None]
@@ -246,11 +247,6 @@ def full_matrix(b, p, k, omega, npoints=PV_GRID_POINTS, memoryless=False):
     else:
         gam = kernel_freq(b, k, omega, npoints)
     return _response(_bare_hamiltonian(p, k), omega, -1j * gam)
-
-
-def green_matrix(b, p, k, omega, npoints=PV_GRID_POINTS, memoryless=False):
-    """System Green's matrix G = M^{-1}, one per entry of real omega."""
-    return _green(full_matrix(b, p, k, omega, npoints, memoryless), omega)
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,18 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import SingularMatrixError
+
 # Relative tolerance used when matching the EP/BiC closed-form conditions.
 CONDITION_RTOL = 1e-9
 
 # Two branches count as coalesced when |omega_U - omega_L| = |sqrt(D)| falls
 # below this times the local energy scale.
 DEGENERACY_TOL = 1e-7
+
+# A 2x2 response matrix M counts as singular where
+# |det M| < SINGULAR_TOL * max(1, |M00| + |M11|)^2.
+SINGULAR_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -169,6 +175,20 @@ def effective_hamiltonian(p, k):
     pole = complex_poles(p, k)
     return np.array([[pole.z_c, pole.g_tilde],
                      [pole.g_tilde, pole.z_x]])
+
+
+def _response_det(m00, m01, m10, m11, z):
+    """det of the 2x2 response matrices [[m00, m01], [m10, m11]] at the
+    frequencies z, each entry broadcast to z's shape.  The one singularity
+    rule of the package: SingularMatrixError names the first singular Re z.
+    """
+    det = m00 * m11 - m01 * m10
+    scale = np.maximum(1.0, np.abs(m00) + np.abs(m11)) ** 2
+    bad = np.abs(det) < SINGULAR_TOL * scale
+    if bad.any():
+        raise SingularMatrixError("response matrix singular at omega = %g"
+                                  % np.asarray(z).real[bad][0])
+    return det
 
 
 def _k_axis(k):

@@ -13,16 +13,20 @@ or a 1-d array and return one row per k; the grid functions are the same
 call wrapped in a SpectrumGrid.  All of them evaluate the core kernel in
 blocks of k rows, so a grid row equals the scalar call at its k exactly.
 Exactly on an undamped pole the scalar calls raise DivergentPointError
-and the grids flag the point in SpectrumGrid.divergent.  The scattering
-functions and reflection take a scalar k.
+and the grids flag the point in SpectrumGrid.divergent.
+
+Scattering has one path, S = 1 - 2i W G W^T at one k over an omega scalar
+or array: the single-bath amplitude is its S11, reflection |S11|^2 and
+scattering_matrix_three_bath all of S.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _k_axis, _modes, complex_poles
-from .errors import DivergentPointError, SingularMatrixError
+from .core import _k_axis, _modes, _response_det
+from .errors import DivergentPointError
 
 # an omega closer than this (times local scale) to an undamped pole is
 # reported as divergent rather than as a huge float
@@ -109,20 +113,6 @@ class SpectrumGrid:
         elif (np.any(values < -1e-9, where=finite)
               or np.any(values > 1 + 1e-9, where=finite)):
             raise ValueError("absorption values must lie in [0, 1]")
-
-
-def _resolvent(p, k, omega):
-    """Cofactor inverse of M = omega*1 - H_k, vectorized over omega.
-
-    Returns (g11, g22, g12, det, pole).  Off-diagonals of G are equal by
-    symmetry of M.
-    """
-    pole = complex_poles(p, k)
-    omega = np.asarray(omega, dtype=complex)
-    a = omega - pole.z_c
-    b = omega - pole.z_x
-    det = a * b - pole.g_tilde ** 2
-    return b / det, a / det, pole.g_tilde / det, det, pole
 
 
 def _on_grid(rows, p, k, omega, *args):
@@ -218,70 +208,59 @@ def power_spectrum_grid(p, k_values, omega_values, n=None):
     return SpectrumGrid(k_values, omega_values, intensity, "power", mask)
 
 
-def _check_nonsingular(det, pole, omega):
-    # The ball scales with the carrier |omega| + |z|, not with the rate scale
-    # |M00| + |M11| of bath._green: omega - z_c and omega - z_x carry rounding
-    # of order eps*|omega|, which the rate scale ignores.  With it, one ulp
-    # from the undamped-pole check's dark pole ||S| - 1| = 7e-4 would pass.
-    # Even this ball (radius ~1e-8 there) misses the 1e-12 conservation
-    # bound: ||S| - 1| is 1.2e-9 at 1e-8 from the pole, 1.2e-11 at 1e-6.
-    scale = np.maximum(1.0, np.abs(np.asarray(omega, dtype=complex))
-                       + max(abs(pole.z_c), abs(pole.z_x))) ** 2
-    bad = np.abs(det) < 1e-14 * scale
-    if np.any(bad):
-        raise SingularMatrixError(
-            "response matrix singular (undamped pole) at omega = %s"
-            % np.asarray(omega)[bad if np.ndim(omega) else ...])
+def _scattering(p, k, omega, full=True):
+    """S = 1 - 2i W G W^T among the common bath (1), the matter loss bath
+    (2) and the photon loss bath (3), shape omega.shape + (3, 3), or S11
+    alone, shape omega.shape, for full=False.  Row i of W = sqrt([[gamma_c,
+    gamma_x], [0, gamma_nr_x], [gamma_nr_c, 0]]) couples channel i to
+    (cavity, emitter); G = M^-1 with M = omega*1 - H_k, whose diagonals
+    omega - z_c and omega - z_x are measured from omega - eps0, exact near
+    the lines.  S11 = det(M - 2i Gamma) / det M with Gamma the common-bath
+    damping; that bath alone gives M - 2i Gamma = conj(M), so |S11| = 1.
+    """
+    om = np.asarray(omega, dtype=float)
+    flat = om.reshape(-1)
+    u = flat - p.eps0
+    k2 = k * k
+    gc, gx, gnc, gnx = p.gamma_c, p.gamma_x, p.gamma_nr_c, p.gamma_nr_x
+    g_t = complex(p.g_rabi, -math.sqrt(gc * gx))
+    # M = [[a, -g~], [-g~, b]] with a = omega - z_c, b = omega - z_x
+    a = u - complex(p.delta + k2, -(gc + gnc))
+    b = u - complex(p.mass_ratio * k2, -(gx + gnx))
+    det = _response_det(a, -g_t, -g_t, b, flat)
+    # the off-diagonal of M - 2i Gamma is -g~ - 2i sqrt(gc gx) = -conj(g~)
+    det_out = (a - 2j * gc) * (b - 2j * gx) - g_t.conjugate() ** 2
+    # det_out / det, with an exact numerator when det_out = conj(det)
+    s11 = 1.0 + (det_out - det) / det
+    if not full:
+        return s11.reshape(om.shape)
+    # G = adj / det with adj = [[b, g~], [g~, a]]
+    adj = np.full((flat.size, 2, 2), g_t)
+    adj[:, 0, 0], adj[:, 1, 1] = b, a
+    w = np.sqrt([[gc, gx], [0.0, gnx], [gnc, 0.0]])
+    smat = np.eye(3) + np.einsum("ia,nab,jb,n->nij", w, adj, w, -2j / det)
+    smat[:, 0, 0] = s11
+    return smat.reshape(om.shape + (3, 3))
 
 
 def scattering_amplitude_single_bath(p, k, omega):
-    """Amplitude S(k, omega) for the common bath alone; |S| = 1.
-
-    S = 1 - 2i [gamma_c G11 + gamma_x G22 + sqrt(gamma_c gamma_x)(G12+G21)].
-    Requires purely radiative damping.
-    """
+    """Amplitude S(k, omega) = det(M - 2i Gamma) / det M for the common
+    bath alone; |S| = 1.  Requires purely radiative damping."""
     if p.gamma_nr_c != 0.0 or p.gamma_nr_x != 0.0:
         raise ValueError("single-bath amplitude requires zero nonradiative rates")
-    g11, g22, g12, det, pole = _resolvent(p, k, omega)
-    _check_nonsingular(det, pole, omega)
-    s = np.sqrt(p.gamma_c * p.gamma_x)
-    amp = 1.0 - 2.0j * (p.gamma_c * g11 + p.gamma_x * g22 + 2.0 * s * g12)
+    amp = _scattering(p, k, omega, full=False)
     return amp if np.ndim(omega) else complex(amp)
 
 
 def scattering_matrix_three_bath(p, k, omega):
     """3x3 scattering matrix among the common bath (1), the matter loss
-    bath (2) and the photon loss bath (3).
-
-    Built from one shared cofactor inversion of M' (nonradiative rates on
-    the diagonal); density-of-states ratios are absorbed into the rates.
-    """
-    g11, g22, g12, det, pole = _resolvent(p, k, omega)
-    _check_nonsingular(det, pole, omega)
-    g21 = g12
-    gc, gx = p.gamma_c, p.gamma_x
-    gg, gm = p.gamma_nr_c, p.gamma_nr_x
-    s_cx = np.sqrt(gc * gx)
-    smat = np.empty((3, 3), dtype=complex)
-    smat[0, 0] = 1.0 - 2.0j * (gc * g11 + gx * g22 + s_cx * (g12 + g21))
-    smat[1, 1] = 1.0 - 2.0j * gm * g22
-    smat[2, 2] = 1.0 - 2.0j * gg * g11
-    smat[0, 1] = -2.0j * (np.sqrt(gc * gm) * g12 + np.sqrt(gx * gm) * g22)
-    smat[1, 0] = -2.0j * (np.sqrt(gc * gm) * g21 + np.sqrt(gx * gm) * g22)
-    smat[0, 2] = -2.0j * (np.sqrt(gc * gg) * g11 + np.sqrt(gx * gg) * g21)
-    smat[2, 0] = -2.0j * (np.sqrt(gc * gg) * g11 + np.sqrt(gx * gg) * g12)
-    smat[1, 2] = -2.0j * np.sqrt(gg * gm) * g21
-    smat[2, 1] = -2.0j * np.sqrt(gg * gm) * g12
-    return smat
+    bath (2) and the photon loss bath (3), shape omega.shape + (3, 3)."""
+    return _scattering(p, k, omega)
 
 
 def reflection(p, k, omega):
     """R = |S11|^2, vectorized over omega."""
-    g11, g22, g12, det, pole = _resolvent(p, k, omega)
-    _check_nonsingular(det, pole, omega)
-    s = np.sqrt(p.gamma_c * p.gamma_x)
-    s11 = 1.0 - 2.0j * (p.gamma_c * g11 + p.gamma_x * g22 + 2.0 * s * g12)
-    out = np.abs(s11) ** 2
+    out = np.abs(_scattering(p, k, omega, full=False)) ** 2
     return out if np.ndim(omega) else float(out)
 
 

@@ -6,6 +6,7 @@ are checked against a dense np.linalg.eigh of the full Hamiltonian on
 baths of a few hundred modes, where eigh is cheap.
 """
 
+import warnings
 from functools import partial
 
 import numpy as np
@@ -17,11 +18,11 @@ from ioxsim.bath import (
     BathOracle,
     BathSpec,
     DiscretizedBath,
+    _green,
     bath_for_rates,
     discretize_bath,
     env_density_of_states,
     full_matrix,
-    green_matrix,
     kernel_freq,
 )
 from ioxsim.core import bic_condition, kinetic_energies
@@ -89,6 +90,14 @@ class TestBathSpec:
         assert float(b.taper(WINDOW[0] + 1.0)) == 1.0
         assert float(b.taper(WINDOW[0] - 1.0)) == 0.0
 
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf,
+                                       np.array([1000.0, np.nan])])
+    @pytest.mark.parametrize("taper_frac", [0.05, 0.0])
+    def test_taper_rejects_non_finite(self, omega, taper_frac):
+        b = BathSpec(1.0, 1.0, WINDOW, taper_frac=taper_frac)
+        with pytest.raises(ValueError, match="omega must be finite"):
+            b.taper(omega)
+
 
 class TestDensityOfStates:
     def test_k_zero_flat(self):
@@ -125,6 +134,23 @@ class TestDensityOfStates:
         b = BathSpec(1.0, 1.0, WINDOW)
         with pytest.raises(EvanescentRegionError):
             env_density_of_states(b, 700.0, 650.0)
+
+    @pytest.mark.parametrize("k, omega", [
+        pytest.param(np.nan, 1000.0, id="k-nan"),
+        pytest.param(np.inf, 1000.0, id="k-inf"),
+        pytest.param(0.0, np.nan, id="omega-nan"),
+        pytest.param(0.0, np.inf, id="omega-inf"),
+        pytest.param(0.0, -np.inf, id="omega-minus-inf"),
+        pytest.param(0.0, np.array([1000.0, np.nan]), id="omega-array"),
+    ])
+    def test_non_finite_rejected(self, k, omega):
+        # a NaN density, or an evanescent verdict for a NaN input, would
+        # look like an answer
+        b = bath_for_rates(1.0, 0.8, EPS0, WINDOW)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                env_density_of_states(b, k, omega)
 
 
 class TestKernelFreq:
@@ -205,6 +231,11 @@ PV_POINTS_DEFAULT = 4001
 PASSIVE = SystemParams(delta=2.0, g_rabi=1.0, gamma_c=1.0, gamma_x=0.8)
 
 
+def green_of(b, p, k, omega, **kwargs):
+    """G = M^-1 on the one response path: _green of the full_matrix."""
+    return _green(full_matrix(b, p, k, omega, **kwargs), omega)
+
+
 class TestKernelInputs:
     """NaN or inf frequencies and momenta are rejected, not turned into
     zero kernels or zero couplings that look like a valid answer."""
@@ -270,7 +301,7 @@ class TestFullMatrixAndGreen:
         for _ in range(300):
             w = float(rng.uniform(940.0, 1060.0))
             m = full_matrix(b, p, 0.0, w, npoints=801)
-            g = green_matrix(b, p, 0.0, w, npoints=801)
+            g = green_of(b, p, 0.0, w, npoints=801)
             worst = max(worst, np.max(np.abs(m @ g - np.eye(2))))
         assert worst < 1e-12
 
@@ -278,7 +309,7 @@ class TestFullMatrixAndGreen:
         p = SystemParams(delta=2.0, g_rabi=1.0, gamma_c=1.0, gamma_x=0.8)
         b = bath_for_rates(1.0, 0.8, EPS0, WINDOW)
         for w in np.linspace(960.0, 1040.0, 17):
-            g = green_matrix(b, p, 0.0, float(w), npoints=801)
+            g = green_of(b, p, 0.0, float(w), npoints=801)
             assert g[0, 0].imag <= 0.0
             assert g[1, 1].imag <= 0.0
 
@@ -287,15 +318,15 @@ class TestFullMatrixAndGreen:
         p = SystemParams(delta=1.0, g_rabi=0.0, gamma_c=0.0, gamma_x=0.0)
         b = BathSpec(0.0, 0.0, WINDOW)
         with pytest.raises(SingularMatrixError):
-            green_matrix(b, p, 0.0, p.eps0)
+            green_of(b, p, 0.0, p.eps0)
         # on a frequency stack the error names the first singular entry
         with pytest.raises(SingularMatrixError, match="omega = %g" % p.eps0):
-            green_matrix(b, p, 0.0, [p.eps0 - 0.5, p.eps0, p.eps0 + 0.5])
+            green_of(b, p, 0.0, [p.eps0 - 0.5, p.eps0, p.eps0 + 0.5])
 
     def test_decoupled_green_diagonal(self):
         p = SystemParams(delta=2.0, g_rabi=0.0, gamma_c=1.0, gamma_x=0.0)
         b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
-        g = green_matrix(b, p, 0.0, 998.5)
+        g = green_of(b, p, 0.0, 998.5)
         assert g[0, 1] == 0.0 and g[1, 0] == 0.0
 
     @pytest.mark.parametrize("memoryless", [True, False])
@@ -304,7 +335,7 @@ class TestFullMatrixAndGreen:
     def test_omega_array_matches_scalar(self, omega, memoryless):
         p = SystemParams(delta=2.0, g_rabi=1.0, gamma_c=1.0, gamma_x=0.8)
         b = bath_for_rates(1.0, 0.8, EPS0, WINDOW)
-        for fn in (full_matrix, green_matrix):
+        for fn in (full_matrix, green_of):
             out = fn(b, p, 0.0, np.array(omega), npoints=801,
                      memoryless=memoryless)
             assert out.shape == (len(omega), 2, 2)
@@ -318,7 +349,7 @@ class TestFullMatrixAndGreen:
     def test_non_finite_omega_rejected(self, bad, memoryless):
         p = SystemParams(delta=2.0, g_rabi=1.0, gamma_c=1.0, gamma_x=0.8)
         b = bath_for_rates(1.0, 0.8, EPS0, WINDOW)
-        for fn in (full_matrix, green_matrix):
+        for fn in (full_matrix, green_of):
             for omega in (bad, np.array([1000.0, bad])):
                 with pytest.raises(ValueError):
                     fn(b, p, 0.0, omega, npoints=801, memoryless=memoryless)

@@ -395,6 +395,43 @@ class TestOracleCompareRun:
         _, rows = read_csv(tmp_path / "out" / "summary.csv")
         assert any(r[3] == "no" for r in rows)
 
+    @pytest.mark.parametrize("k_grid", [[0.0, 0.5, 1.0],
+                                        {"start": 0.0, "stop": 1.0, "num": 2}])
+    def test_k_grid_of_several_points_rejected(self, tmp_path, k_grid):
+        # the oracle is built at one momentum; further points would go unused
+        doc = self.oracle_doc(tmp_path, k_grid=k_grid)
+        with pytest.raises(ConfigError, match="scan.k_grid"):
+            cli.parse_config(doc)
+        assert cli.main(["oracle-compare", "--config",
+                         write_cfg(tmp_path, doc)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_single_k_accepted(self, tmp_path):
+        doc = self.oracle_doc(tmp_path, k_grid=[0.2])
+        assert cli.parse_config(doc).k_grid.tolist() == [0.2]
+
+    @pytest.mark.parametrize("num", [1, 3, 5])
+    def test_omega_grid_too_short_for_fit_rejected(self, tmp_path, num):
+        # the two-Lorentzian fit has six parameters
+        doc = self.oracle_doc(tmp_path)
+        doc["scan"]["omega_grid"] = {"start": 1000.0, "stop": 1002.0, "num": num}
+        with pytest.raises(ConfigError, match="scan.omega_grid"):
+            cli.parse_config(doc)
+        assert cli.main(["oracle-compare", "--config",
+                         write_cfg(tmp_path, doc)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_fit_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # far above both lines the spectra hold no peaks to fit, and the
+        # fit stops at its evaluation limit
+        doc = self.oracle_doc(tmp_path)
+        doc["scan"].pop("t_grid")
+        doc["scan"]["omega_grid"] = {"start": 1100, "stop": 1150, "num": 50}
+        rc = cli.main(["oracle-compare", "--config",
+                       write_cfg(tmp_path, doc)])
+        assert rc == 3
+        assert "fit failed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_raised_error_writes_nothing(self, tmp_path):
         # the recurrence guard of this bath sits at t = 15.7

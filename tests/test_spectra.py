@@ -233,10 +233,25 @@ class TestThreeBathMatrix:
 
     def test_column_power_balance(self):
         w = np.linspace(*default_omega_window(LOSSY), 97)
-        for wi in w:
-            s = scattering_matrix_three_bath(LOSSY, 0.4, wi)
-            total = abs(s[0, 0]) ** 2 + abs(s[1, 0]) ** 2 + abs(s[2, 0]) ** 2
-            assert total == pytest.approx(1.0, abs=1e-12)
+        stack = scattering_matrix_three_bath(LOSSY, 0.4, w)
+        for wi, s_of_array in zip(w, stack):
+            for s in (scattering_matrix_three_bath(LOSSY, 0.4, wi), s_of_array):
+                total = abs(s[0, 0]) ** 2 + abs(s[1, 0]) ** 2 + abs(s[2, 0]) ** 2
+                assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [LOSSY, ATTRACT, BIC],
+                             ids=["lossy", "attract", "bic"])
+    def test_omega_array_matches_scalar(self, p):
+        w = np.linspace(*default_omega_window(p), 41)
+        stack = scattering_matrix_three_bath(p, 0.4, w)
+        assert stack.shape == (41, 3, 3)
+        for wi, s in zip(w, stack):
+            assert np.array_equal(s, scattering_matrix_three_bath(p, 0.4, wi))
+        # the other two public views read the same S
+        assert np.array_equal(np.abs(stack[:, 0, 0]) ** 2, reflection(p, 0.4, w))
+        if p.gamma_nr_c == p.gamma_nr_x == 0.0:
+            assert np.array_equal(stack[:, 0, 0],
+                                  scattering_amplitude_single_bath(p, 0.4, w))
 
     def test_matches_reflection_absorption(self):
         w = LOSSY.eps0 + 1.7
@@ -316,13 +331,38 @@ class TestScatteringSingularPath:
         with pytest.raises(SingularMatrixError):
             fn(self.DARK, 0.0, low.omega.real)
 
-    @pytest.mark.parametrize("fn", [reflection, scattering_amplitude_single_bath],
+    @pytest.mark.parametrize("fn", [reflection, scattering_amplitude_single_bath,
+                                    scattering_matrix_three_bath],
                              ids=lambda fn: fn.__name__)
     def test_array_with_pole_raises(self, fn):
         w0 = eigen_branches(self.DARK, 0.0)[0].omega.real
         fn(self.DARK, 0.0, np.array([w0 - 1.0, w0 + 1.0]))
         with pytest.raises(SingularMatrixError):
             fn(self.DARK, 0.0, np.array([w0 - 1.0, w0, w0 + 1.0]))
+
+    @pytest.mark.parametrize("d", [1e-8, 1e-7, 1e-6, 1e-5])
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+    def test_conserving_near_undamped_pole(self, d, side):
+        # the distances omega - z are measured from eps0, so no rounding at
+        # the carrier scale leaks into |S| or R + A next to the pole
+        w = eigen_branches(self.DARK, 0.0)[0].omega.real + side * d
+        s = scattering_amplitude_single_bath(self.DARK, 0.0, w)
+        assert abs(abs(s) - 1.0) <= 1e-12
+        r = reflection(self.DARK, 0.0, w)
+        assert abs(r + absorption(self.DARK, 0.0, w) - 1.0) <= 1e-12
+        s3 = scattering_matrix_three_bath(self.DARK, 0.0, w)
+        assert np.allclose(s3 @ s3.conj().T, np.eye(3), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("toward", [0.0, 2000.0], ids=["below", "above"])
+    def test_conserving_one_ulp_from_undamped_pole(self, toward):
+        # absorption flags these points as on the pole; with no loss baths
+        # it is zero there, so R alone must be 1
+        w = np.nextafter(eigen_branches(self.DARK, 0.0)[0].omega.real, toward)
+        s = scattering_amplitude_single_bath(self.DARK, 0.0, w)
+        assert abs(abs(s) - 1.0) <= 1e-12
+        assert abs(reflection(self.DARK, 0.0, w) - 1.0) <= 1e-12
+        s3 = scattering_matrix_three_bath(self.DARK, 0.0, w)
+        assert np.allclose(s3 @ s3.conj().T, np.eye(3), rtol=0.0, atol=1e-12)
 
 
 class TestPowerAbsorptionRelation:
