@@ -5,14 +5,16 @@ gnuplot-script emission, and the acceptance-suite runner.
 
 Subcommands: dispersion, spectrum, dynamics, ep-bic, absorption,
 oracle-compare, acceptance.  A config is a single JSON object with blocks
-system / bath (optional) / scan / output; unknown keys are rejected with
-JSON-path messages, decode errors carry line and column.  CSV output uses
-17 significant digits, so identical configs give byte-identical files
-across runs.  Exit codes: 0 all outputs written and internal residual
-checks passed, 2 config error or unwritable output directory, 3
-numerical-check failure.  A failed gate or a raised error writes nothing;
-only oracle-compare writes all its files, summary.csv included, before
-its bounds decide the exit code.
+system / bath / scan / output; unknown keys are rejected with JSON-path
+messages, decode errors carry line and column.  Each scan kind is one
+_Scan record in SCANS; a scan key, detuning list or bath block that its
+record does not take is rejected as not referenced.  CSV output uses 17
+significant digits, so identical configs give byte-identical files
+across runs.  Exit codes: 0 all outputs written and every gate passed,
+2 config error or unwritable output directory, 3 numerical-check
+failure.  Every gate is one _gate call, which a NaN fails.  A failed
+gate or a raised error writes nothing; only oracle-compare writes all
+its files, summary.csv included, before its bounds decide the exit code.
 """
 
 import argparse
@@ -58,9 +60,6 @@ from .spectra import (
 
 FLOAT_FMT = "%.17g"
 
-SCAN_KINDS = ("dispersion", "spectrum", "dynamics", "ep-bic",
-              "absorption", "oracle-compare")
-
 _TOP_KEYS = ("system", "bath", "scan", "output")
 _SYSTEM_KEYS = ("eps0", "delta", "g_rabi", "mass_ratio",
                 "gamma_c", "gamma_x", "gamma_nr_c", "gamma_nr_x")
@@ -80,6 +79,26 @@ _NUMERICAL_ERRORS = (NumericalCheckError, DivergentPointError,
                      SingularMatrixError, DegenerateModesError,
                      EvanescentRegionError, KernelAccuracyError,
                      RecurrenceLimitError)
+
+
+def _gate(what, value, bound):
+    """The one numerical gate: pass only if value <= bound, so NaN fails."""
+    if not value <= bound:
+        raise NumericalCheckError("%s = %.3e exceeds bound %.3e"
+                                  % (what, value, bound))
+
+
+@dataclass(frozen=True)
+class _Scan:
+    """One scan kind: its runner, the scan keys it requires, the further
+    scan keys it takes, whether system.delta may be a list (a detuning
+    family) and whether it needs the bath block."""
+
+    run: object
+    needs: tuple = ()
+    takes: tuple = ()
+    family: bool = False
+    bath: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +217,27 @@ def parse_config(doc):
     except ValueError as exc:
         _fail("system", str(exc))
 
+    scan = _mapping(doc["scan"], "scan")
+    _check_keys(scan, _SCAN_KEYS, ("kind",), "scan")
+    kind = scan["kind"]
+    if not isinstance(kind, str) or kind not in SCANS:
+        _fail("scan.kind", "must be one of %s" % ", ".join(SCANS))
+    record = SCANS[kind]
+    for key in _SCAN_KEYS[1:]:
+        if key in record.needs and key not in scan:
+            _fail("scan." + key, "required for scan kind %r" % kind)
+        if key in scan and key not in record.needs + record.takes:
+            _fail("scan." + key, "not referenced by scan kind %r" % kind)
+    if len(deltas) > 1 and not record.family:
+        _fail("system.delta",
+              "a detuning list is not referenced by scan kind %r" % kind)
+    if ("bath" in doc) != record.bath:
+        _fail("bath", "%s scan kind %r" % (
+            "required for" if record.bath else "not referenced by", kind))
+
     bath = None
     n_modes = 4000
-    if "bath" in doc:
+    if record.bath:
         bath_block = _mapping(doc["bath"], "bath")
         _check_keys(bath_block, _BATH_KEYS,
                     ("kappa_c", "kappa_x", "omega_window"), "bath")
@@ -223,35 +260,11 @@ def parse_config(doc):
         except ValueError as exc:
             _fail("bath", str(exc))
 
-    scan = _mapping(doc["scan"], "scan")
-    _check_keys(scan, _SCAN_KEYS, ("kind",), "scan")
-    kind = scan["kind"]
-    if kind not in SCAN_KINDS:
-        _fail("scan.kind", "must be one of %s" % ", ".join(SCAN_KINDS))
     grids = {name: _grid(scan[name], "scan." + name) if name in scan else None
              for name in ("k_grid", "omega_grid", "t_grid")}
-
-    needs = {"dispersion": ("k_grid", "omega_grid"),
-             "spectrum": ("omega_grid",),
-             "dynamics": ("t_grid",),
-             "ep-bic": (),
-             "absorption": ("k_grid", "omega_grid"),
-             "oracle-compare": ()}[kind]
-    ignores = {"dispersion": ("t_grid",),
-               "spectrum": ("t_grid",),
-               "dynamics": ("omega_grid",),
-               "ep-bic": ("k_grid", "omega_grid", "t_grid"),
-               "absorption": ("t_grid",),
-               "oracle-compare": ()}[kind]
-    for name in needs:
-        if grids[name] is None:
-            _fail("scan." + name, "required for scan kind %r" % kind)
-    for name in ignores:
-        if grids[name] is not None:
-            _fail("scan." + name, "not referenced by scan kind %r" % kind)
+    if grids["t_grid"] is not None and grids["t_grid"][0] < 0.0:
+        _fail("scan.t_grid", "times must be non-negative")
     if kind == "oracle-compare":
-        if bath is None:
-            _fail("bath", "required for scan kind 'oracle-compare'")
         if grids["omega_grid"] is None and grids["t_grid"] is None:
             _fail("scan", "oracle-compare needs omega_grid and/or t_grid")
         if grids["k_grid"] is not None and grids["k_grid"].size > 1:
@@ -259,28 +272,13 @@ def parse_config(doc):
         # the two-Lorentzian peak fit has six parameters
         if grids["omega_grid"] is not None and grids["omega_grid"].size < 6:
             _fail("scan.omega_grid", "oracle-compare needs at least 6 points")
-    if kind == "dynamics" and grids["t_grid"][0] < 0.0:
-        _fail("scan.t_grid", "times must be non-negative")
-    if len(deltas) > 1 and kind not in ("spectrum", "dynamics"):
-        _fail("system.delta",
-              "a detuning list is only referenced by spectrum/dynamics scans")
 
-    occupation = InputOccupation(1.0)
-    if "input_occupation" in scan:
-        if kind not in ("dispersion", "spectrum"):
-            _fail("scan.input_occupation",
-                  "not referenced by scan kind %r" % kind)
-        occupation = _occupation(scan["input_occupation"],
-                                 "scan.input_occupation")
-
-    max_deviation = 0.05
-    if "max_deviation" in scan:
-        if kind != "oracle-compare":
-            _fail("scan.max_deviation",
-                  "only referenced by scan kind 'oracle-compare'")
-        max_deviation = _number(scan["max_deviation"], "scan.max_deviation")
-        if max_deviation <= 0:
-            _fail("scan.max_deviation", "must be positive")
+    occupation = _occupation(scan.get("input_occupation", 1.0),
+                             "scan.input_occupation")
+    max_deviation = _number(scan.get("max_deviation", 0.05),
+                            "scan.max_deviation")
+    if max_deviation <= 0:
+        _fail("scan.max_deviation", "must be positive")
 
     out = _mapping(doc["output"], "output")
     _check_keys(out, _OUTPUT_KEYS, ("directory",), "output")
@@ -431,11 +429,8 @@ def run_dispersion(cfg):
     for idx in {0, cfg.k_grid.size // 2, cfg.k_grid.size - 1}:
         for track in tracks:
             branch = track[idx]
-            resid = _det_residual(p, branch.k, branch.omega)
-            if resid > 1e-8:
-                raise NumericalCheckError(
-                    "branch determinant residual %.2e at k = %g"
-                    % (resid, branch.k))
+            _gate("branch determinant residual at k = %g" % branch.k,
+                  _det_residual(p, branch.k, branch.omega), 1e-8)
 
     grid = _spectrum_grid(power_spectrum_grid, "power spectrum diverges",
                           p, cfg.k_grid, cfg.omega_grid, cfg.occupation)
@@ -457,11 +452,9 @@ def run_spectrum(cfg):
             for p in cfg.systems]
     for p in cfg.systems:
         mid = cfg.omega_grid[cfg.omega_grid.size // 2]
-        resid = power_absorption_relation_check(p, k_grid[0], mid,
-                                                cfg.occupation)
-        if resid > 1e-10:
-            raise NumericalCheckError(
-                "emission/absorption identity residual %.2e" % resid)
+        _gate("emission/absorption identity residual",
+              power_absorption_relation_check(p, k_grid[0], mid,
+                                               cfg.occupation), 1e-10)
 
     return _emit(cfg, [
         ("spectrum.csv", ("k", "delta", "omega", "intensity"),
@@ -484,12 +477,8 @@ def _trajectory_with_check(p, k, t_grid):
     stride = max(1, t_grid.size // 8)
     probe = t_grid[::stride]
     c_ref, x_ref = evolve_ode(p, k, initial, probe)
-    sup = max(np.max(np.abs(c[::stride] - c_ref)),
-              np.max(np.abs(x[::stride] - x_ref)))
-    if sup > 1e-6:
-        raise NumericalCheckError(
-            "closed-form/matrix-exponential trajectory mismatch %.2e "
-            "at k = %g" % (sup, k))
+    _gate("closed-form/matrix-exponential trajectory mismatch at k = %g" % k,
+          np.max(np.abs([c[::stride] - c_ref, x[::stride] - x_ref])), 1e-6)
     return c, x
 
 
@@ -528,10 +517,8 @@ def run_ep_bic(cfg):
             resid = abs(complex(discriminant(p, cond.k_ep)))
             scale = max(1.0, abs(det0.d_eps) + abs(det0.d_gamma)
                         + 2.0 * abs(complex_poles(p, 0.0).g_tilde)) ** 2
-            if resid > 1e-6 * scale:
-                raise NumericalCheckError(
-                    "discriminant residual %.2e at located coalescence"
-                    % resid)
+            _gate("discriminant residual at located coalescence",
+                  resid, 1e-6 * scale)
         rows.append(("ep", sign, required, det0.d_gamma,
                      sign * 2.0 * np.sqrt(p.gamma_c * p.gamma_x),
                      k_loc, resid, note))
@@ -542,10 +529,9 @@ def run_ep_bic(cfg):
         if cond.k_bic is not None:
             lo, up = eigen_branches(p, cond.k_bic)
             resid = min(abs(lo.omega.imag), abs(up.omega.imag))
-            if cond.exact and resid > 1e-6 * max(1.0, p.total_rate):
-                raise NumericalCheckError(
-                    "undamped-pole residual %.2e at located condition"
-                    % resid)
+            if cond.exact:
+                _gate("undamped-pole residual at located condition",
+                      resid, 1e-6 * max(1.0, p.total_rate))
         note = ("exact cancellation" if cond.exact
                 else "formula only (nonradiative losses present)")
         rows.append(("bic", "", "", det0.d_gamma, cond.d_eps_bic,
@@ -568,10 +554,9 @@ def run_absorption(cfg):
         raise NumericalCheckError("absorption left [0, 1]")
     mid_w = cfg.omega_grid[cfg.omega_grid.size // 2]
     for k in (cfg.k_grid[0], cfg.k_grid[-1]):
-        resid = abs(reflection(p, k, mid_w) + absorption(p, k, mid_w) - 1.0)
-        if resid > 1e-10:
-            raise NumericalCheckError(
-                "R + A = 1 residual %.2e at k = %g" % (resid, k))
+        _gate("R + A = 1 residual at k = %g" % k,
+              abs(reflection(p, k, mid_w) + absorption(p, k, mid_w) - 1.0),
+              1e-10)
 
     return _emit(cfg, [
         ("absorption_map.csv", ("k", "omega", "absorption"),
@@ -640,8 +625,8 @@ def run_oracle_compare(cfg):
     if cfg.t_grid is not None:
         c_orc, x_orc = oracle.dynamics((0.0, 1.0), cfg.t_grid)
         c_ana, x_ana = _trajectory_with_check(p, k, cfg.t_grid)
-        sup = max(np.max(np.abs(np.abs(c_orc) ** 2 - np.abs(c_ana) ** 2)),
-                  np.max(np.abs(np.abs(x_orc) ** 2 - np.abs(x_ana) ** 2)))
+        sup = np.max(np.abs([np.abs(c_orc) ** 2 - np.abs(c_ana) ** 2,
+                             np.abs(x_orc) ** 2 - np.abs(x_ana) ** 2]))
         metrics.append(("dynamics_sup_err", float(sup), cfg.max_deviation))
         tables.append((
             "oracle_dynamics.csv",
@@ -655,19 +640,23 @@ def run_oracle_compare(cfg):
                    ((name, value, bound, "yes" if value <= bound else "no")
                     for name, value, bound in metrics)))
     files = _emit(cfg, tables)
-    bad = ["%s = %.3e exceeds bound %.3e" % metric for metric in metrics
-           if metric[1] > metric[2]]
-    if bad:
-        raise NumericalCheckError("; ".join(bad))
+    for metric in metrics:
+        _gate(*metric)
     return files
 
 
-_OPS = {"dispersion": run_dispersion,
-        "spectrum": run_spectrum,
-        "dynamics": run_dynamics,
-        "ep-bic": run_ep_bic,
-        "absorption": run_absorption,
-        "oracle-compare": run_oracle_compare}
+SCANS = {
+    "dispersion": _Scan(run_dispersion, ("k_grid", "omega_grid"),
+                        ("input_occupation",)),
+    "spectrum": _Scan(run_spectrum, ("omega_grid",),
+                      ("k_grid", "input_occupation"), family=True),
+    "dynamics": _Scan(run_dynamics, ("t_grid",), ("k_grid",), family=True),
+    "ep-bic": _Scan(run_ep_bic),
+    "absorption": _Scan(run_absorption, ("k_grid", "omega_grid")),
+    "oracle-compare": _Scan(run_oracle_compare, (),
+                            ("k_grid", "omega_grid", "t_grid",
+                             "max_deviation"), bath=True),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +668,7 @@ def _build_parser():
         description="input-output simulations of an emitter and cavity mode"
                     " sharing a photonic environment")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in SCAN_KINDS:
+    for name in SCANS:
         sp = sub.add_parser(name, help="run a %s scan from a JSON config"
                             % name)
         sp.add_argument("--config", required=True, help="JSON run config")
@@ -705,7 +694,7 @@ def main(argv=None):
                 % (cfg.kind, args.command))
         if args.out:
             cfg = replace(cfg, directory=args.out)
-        files = _OPS[cfg.kind](cfg)
+        files = SCANS[cfg.kind].run(cfg)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -17,7 +17,8 @@ and the grids flag the point in SpectrumGrid.divergent.
 
 Scattering has one path, S = 1 - 2i W G W^T at one k over an omega scalar
 or array: the single-bath amplitude is its S11, reflection |S11|^2 and
-scattering_matrix_three_bath all of S.
+scattering_matrix_three_bath all of S.  The spectra and the scattering
+functions raise ValueError for a NaN or inf k or omega.
 """
 
 import math
@@ -115,16 +116,27 @@ class SpectrumGrid:
             raise ValueError("absorption values must lie in [0, 1]")
 
 
+def _all_finite(a):
+    """Whether no entry of the float array a is NaN or inf.  A single entry
+    is checked as a Python float, at a tenth of the cost of a ufunc."""
+    return math.isfinite(a.flat[0]) if a.size == 1 else np.isfinite(a).all()
+
+
 def _on_grid(rows, p, k, omega, *args):
     """Evaluate rows(p, modes, omega, *args) over k in blocks of
     _BLOCK_ROWS momenta.
 
     k is a scalar or a 1-d array and omega any shape; each returned array
     has shape np.shape(k) + np.shape(omega).  Scalar calls and grids share
-    this one path, so a grid row equals the scalar call at its k.
+    this one path, so a grid row equals the scalar call at its k.  A NaN
+    or inf k or omega raises ValueError.
     """
     ks = _k_axis(k)
     om = np.asarray(omega, dtype=float)
+    if not _all_finite(ks):
+        raise ValueError("k must be finite")
+    if not _all_finite(om):
+        raise ValueError("omega must be finite")
     flat = om.reshape(-1)
     outs = None
     for start in range(0, max(ks.size, 1), _BLOCK_ROWS):
@@ -219,6 +231,10 @@ def _scattering(p, k, omega, full=True):
     damping; that bath alone gives M - 2i Gamma = conj(M), so |S11| = 1.
     """
     om = np.asarray(omega, dtype=float)
+    if not math.isfinite(k):
+        raise ValueError("k must be finite")
+    if not _all_finite(om):
+        raise ValueError("omega must be finite")
     flat = om.reshape(-1)
     u = flat - p.eps0
     k2 = k * k

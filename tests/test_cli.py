@@ -5,6 +5,7 @@ import glob
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -21,6 +22,28 @@ from ioxsim.errors import ConfigError
 DELTA_BIC = 3.834057902536163
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# per scan kind: the scan keys it requires, the further scan keys it
+# takes, whether system.delta may be a list, whether it needs the bath
+SCAN_RULES = {
+    "dispersion": (("k_grid", "omega_grid"), ("input_occupation",),
+                   False, False),
+    "spectrum": (("omega_grid",), ("k_grid", "input_occupation"),
+                 True, False),
+    "dynamics": (("t_grid",), ("k_grid",), True, False),
+    "ep-bic": ((), (), False, False),
+    "absorption": (("k_grid", "omega_grid"), (), False, False),
+    "oracle-compare": ((), ("k_grid", "omega_grid", "t_grid",
+                            "max_deviation"), False, True),
+}
+# a valid value of every scan key, for every kind that takes it
+SCAN_VALUES = {"k_grid": [0.0],
+               "omega_grid": {"start": 995.0, "stop": 1010.0, "num": 61},
+               "t_grid": [0.0, 1.0],
+               "input_occupation": 1.0,
+               "max_deviation": 0.1}
+BATH = {"kappa_c": 0.5641895835477563, "kappa_x": 0.7569397566060481,
+        "omega_window": [800.0, 1200.0], "n_modes": 2000}
+
 
 def base_doc(**scan):
     return {
@@ -36,6 +59,29 @@ def dispersion_scan(**extra):
                 k_grid={"start": -0.5, "stop": 0.5, "num": 11},
                 omega_grid={"start": 995.0, "stop": 1010.0, "num": 61},
                 **extra)
+
+
+def kind_doc(kind):
+    """A valid config of the given kind holding only what it requires
+    (and for oracle-compare the omega_grid it needs one grid for)."""
+    needs, _, _, bath = SCAN_RULES[kind]
+    scan = {key: SCAN_VALUES[key] for key in needs}
+    if kind == "oracle-compare":
+        scan["omega_grid"] = SCAN_VALUES["omega_grid"]
+    doc = base_doc(kind=kind, **scan)
+    if bath:
+        doc["bath"] = dict(BATH)
+    return doc
+
+
+def src_env():
+    """The environment for a subprocess that imports this checkout's
+    package, installed or not."""
+    src = os.path.dirname(os.path.dirname(ioxsim.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -66,16 +112,57 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="scan.kind"):
             cli.parse_config(base_doc(kind="powermap"))
 
-    def test_missing_required_grid(self):
-        with pytest.raises(ConfigError, match="scan.omega_grid"):
-            cli.parse_config(base_doc(
-                kind="dispersion",
-                k_grid={"start": 0.0, "stop": 1.0, "num": 3}))
+    def test_kind_must_be_a_string(self):
+        with pytest.raises(ConfigError, match="scan.kind"):
+            cli.parse_config(base_doc(kind=["dispersion"]))
 
-    def test_unreferenced_grid_rejected(self):
-        with pytest.raises(ConfigError, match="scan.t_grid"):
-            cli.parse_config(base_doc(
-                **dispersion_scan(t_grid=[0.0, 1.0])))
+    def test_table_matches_rules(self):
+        assert {kind: (rec.needs, rec.takes, rec.family, rec.bath)
+                for kind, rec in cli.SCANS.items()} == SCAN_RULES
+
+    @pytest.mark.parametrize("kind,key", [(kind, key) for kind in SCAN_RULES
+                                          for key in SCAN_VALUES])
+    def test_scan_key_rules(self, kind, key):
+        # a required key may not be missing, a key the kind neither needs
+        # nor takes may not be present
+        needs, takes, _, _ = SCAN_RULES[kind]
+        doc = kind_doc(kind)
+        cli.parse_config(doc)
+        if key in needs:
+            del doc["scan"][key]
+            message = "scan.%s: required for scan kind %r" % (key, kind)
+        else:
+            doc["scan"][key] = SCAN_VALUES[key]
+            if key in takes:
+                assert cli.parse_config(doc).kind == kind
+                return
+            message = "scan.%s: not referenced by scan kind %r" % (key, kind)
+        with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
+            cli.parse_config(doc)
+
+    @pytest.mark.parametrize("kind", [k for k, rule in SCAN_RULES.items()
+                                      if "t_grid" in rule[0] + rule[1]])
+    def test_negative_times_rejected(self, tmp_path, kind):
+        doc = kind_doc(kind)
+        doc["scan"]["t_grid"] = {"start": -1.0, "stop": 2.0, "num": 7}
+        doc["output"]["directory"] = str(tmp_path / "out")
+        with pytest.raises(ConfigError,
+                           match="scan.t_grid: times must be non-negative"):
+            cli.parse_config(doc)
+        assert cli.main([kind, "--config", write_cfg(tmp_path, doc)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", [k for k, rule in SCAN_RULES.items()
+                                      if not rule[3]])
+    def test_bath_block_only_for_oracle_compare(self, tmp_path, kind):
+        doc = kind_doc(kind)
+        doc["bath"] = dict(BATH)
+        doc["output"]["directory"] = str(tmp_path / "out")
+        with pytest.raises(ConfigError, match=re.escape(
+                "bath: not referenced by scan kind %r" % kind)):
+            cli.parse_config(doc)
+        assert cli.main([kind, "--config", write_cfg(tmp_path, doc)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_decreasing_grid(self):
         with pytest.raises(ConfigError, match="strictly increasing"):
@@ -91,20 +178,14 @@ class TestConfigValidation:
         assert cfg.omega_grid.size == 3
 
     def test_delta_list_only_for_families(self):
-        doc = base_doc(**dispersion_scan())
-        doc["system"]["delta"] = [1.0, 2.0]
-        with pytest.raises(ConfigError, match="system.delta"):
-            cli.parse_config(doc)
-
-    def test_occupation_not_referenced_by_dynamics(self):
-        with pytest.raises(ConfigError, match="input_occupation"):
-            cli.parse_config(base_doc(
-                kind="dynamics", t_grid=[0.0, 1.0], input_occupation=1.0))
-
-    def test_max_deviation_only_oracle(self):
-        with pytest.raises(ConfigError, match="max_deviation"):
-            cli.parse_config(base_doc(
-                **dispersion_scan(max_deviation=0.1)))
+        for kind, (_, _, family, _) in SCAN_RULES.items():
+            doc = kind_doc(kind)
+            doc["system"]["delta"] = [1.0, 2.0]
+            if family:
+                assert len(cli.parse_config(doc).systems) == 2
+            else:
+                with pytest.raises(ConfigError, match="system.delta"):
+                    cli.parse_config(doc)
 
     def test_formats_must_include_csv(self):
         doc = base_doc(**dispersion_scan())
@@ -492,6 +573,33 @@ class TestExitCodes:
         assert cli.main(["acceptance"]) == 3
 
 
+class TestGates:
+    def test_nan_fails_a_gate(self):
+        cli._gate("residual", 1.0, 1.0)
+        with pytest.raises(cli.NumericalCheckError, match="residual = nan"):
+            cli._gate("residual", float("nan"), 1.0)
+
+    def test_nan_identity_residual_exits_3(self, tmp_path):
+        # rates of 1e160 overflow every intensity to NaN.  A subprocess
+        # keeps the overflow RuntimeWarnings out of this suite's filter.
+        doc = {
+            "system": {"eps0": 1000.0, "delta": 3.0,
+                       "gamma_c": 1e160, "gamma_x": 1e160},
+            "scan": {"kind": "spectrum",
+                     "omega_grid": {"start": 990.0, "stop": 1010.0,
+                                    "num": 5}},
+            "output": {"directory": str(tmp_path / "out"),
+                       "formats": ["csv"]},
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "ioxsim", "spectrum",
+             "--config", write_cfg(tmp_path, doc)],
+            capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 3, proc.stderr
+        assert "emission/absorption identity residual = nan" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         exe = shutil.which("ioxsim")
@@ -512,11 +620,6 @@ class TestConsoleScript:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_cli(self, tmp_path):
-        # run this checkout's package, installed or not
-        src = os.path.dirname(os.path.dirname(ioxsim.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, env.get("PYTHONPATH"))))
         doc = {
             "system": {"eps0": 1000.0, "delta": DELTA_BIC, "g_rabi": 3.0,
                        "gamma_c": 1.0, "gamma_x": 0.3},
@@ -527,7 +630,7 @@ class TestModuleEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "ioxsim", "ep-bic",
              "--config", write_cfg(tmp_path, doc)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         assert "ep_bic.csv" in proc.stdout
 
@@ -535,15 +638,11 @@ class TestModuleEntryPoint:
 class TestImportCost:
     def test_import_does_not_load_optimizers(self):
         # scipy.optimize is loaded only by the fit that needs it
-        src = os.path.dirname(os.path.dirname(ioxsim.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, ioxsim, ioxsim.cli; "
              "print('scipy.optimize' in sys.modules)"],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
@@ -554,7 +653,7 @@ class TestBundledConfigs:
         assert len(paths) >= 7
         for path in paths:
             cfg = cli.load_config(path)
-            assert cfg.kind in cli.SCAN_KINDS
+            assert cfg.kind in cli.SCANS
 
     def test_closed_form_csvs_match_reference(self, tmp_path):
         # every bundled config but the bath oracle, against the CSV hashes

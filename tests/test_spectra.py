@@ -428,3 +428,39 @@ class TestSpectrumGrid:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * intensity.nbytes
+
+
+# each public spectra entry point, called with one momentum k and one
+# frequency omega placed where a caller could pass them
+NON_FINITE_CALLS = {
+    "power_spectrum": lambda p, k, w: power_spectrum(p, k, w),
+    "power_spectrum_k_array":
+        lambda p, k, w: power_spectrum(p, [0.0, k], [999.0, w]),
+    "power_spectrum_grid":
+        lambda p, k, w: power_spectrum_grid(p, [0.0, k], [999.0, w]),
+    "absorption": lambda p, k, w: absorption(p, k, w),
+    "absorption_components": lambda p, k, w: absorption_components(p, k, w),
+    "absorption_grid":
+        lambda p, k, w: absorption_grid(p, [0.0, k], [999.0, w]),
+    "reflection": lambda p, k, w: reflection(p, k, w),
+    "reflection_omega_array": lambda p, k, w: reflection(p, k, [999.0, w]),
+    "scattering_amplitude_single_bath":
+        lambda p, k, w: scattering_amplitude_single_bath(p, k, w),
+    "scattering_matrix_three_bath":
+        lambda p, k, w: scattering_matrix_three_bath(p, k, w),
+    "power_absorption_relation_check":
+        lambda p, k, w: power_absorption_relation_check(p, k, w),
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+    @pytest.mark.parametrize("axis", ["k", "omega"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_rejected(self, name, axis, bad):
+        # a NaN or inf k or omega would otherwise give a NaN value or row
+        p = SystemParams(delta=1.0, g_rabi=2.0, gamma_c=0.5, gamma_x=0.7)
+        k, omega = (bad, 1000.0) if axis == "k" else (0.0, bad)
+        with pytest.raises(ValueError, match="%s must be finite" % axis):
+            NON_FINITE_CALLS[name](p, k, omega)
