@@ -430,27 +430,22 @@ class TestSpectrumGrid:
         assert peak < 0.5 * intensity.nbytes
 
 
-# each public spectra entry point, called with one momentum k and one
-# frequency omega placed where a caller could pass them
+# each public spectra entry point as f(p, k, omega), with the array forms
+# taking k and omega as the second entry of a pair
 NON_FINITE_CALLS = {
-    "power_spectrum": lambda p, k, w: power_spectrum(p, k, w),
+    fn.__name__: fn for fn in (
+        power_spectrum, absorption, absorption_components, reflection,
+        scattering_amplitude_single_bath, scattering_matrix_three_bath,
+        power_absorption_relation_check)}
+NON_FINITE_CALLS.update({
     "power_spectrum_k_array":
         lambda p, k, w: power_spectrum(p, [0.0, k], [999.0, w]),
     "power_spectrum_grid":
         lambda p, k, w: power_spectrum_grid(p, [0.0, k], [999.0, w]),
-    "absorption": lambda p, k, w: absorption(p, k, w),
-    "absorption_components": lambda p, k, w: absorption_components(p, k, w),
     "absorption_grid":
         lambda p, k, w: absorption_grid(p, [0.0, k], [999.0, w]),
-    "reflection": lambda p, k, w: reflection(p, k, w),
     "reflection_omega_array": lambda p, k, w: reflection(p, k, [999.0, w]),
-    "scattering_amplitude_single_bath":
-        lambda p, k, w: scattering_amplitude_single_bath(p, k, w),
-    "scattering_matrix_three_bath":
-        lambda p, k, w: scattering_matrix_three_bath(p, k, w),
-    "power_absorption_relation_check":
-        lambda p, k, w: power_absorption_relation_check(p, k, w),
-}
+})
 
 
 class TestNonFiniteInput:
