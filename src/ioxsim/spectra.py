@@ -82,7 +82,8 @@ class SpectrumGrid:
 
     kind is "power" or "absorption".  divergent marks grid points sitting
     exactly on an undamped pole (intensity NaN there); the power and
-    absorption grids fill it.
+    absorption grids fill it.  Axes and intensity must be finite, except
+    NaN intensity on the points divergent marks.
     """
 
     k_values: np.ndarray
@@ -101,13 +102,27 @@ class SpectrumGrid:
         for ax in (self.k_values, self.omega_values):
             if ax.ndim != 1 or ax.size == 0:
                 raise ValueError("grid axes must be nonempty 1-d arrays")
+            if not np.isfinite(ax).all():
+                raise ValueError("grid axes must be finite")
             if ax.size > 1 and np.any(np.diff(ax) <= 0):
                 raise ValueError("grid axes must be strictly increasing")
         if self.intensity.shape != (self.k_values.size, self.omega_values.size):
             raise ValueError("intensity shape does not match the axes")
+        if self.divergent is not None:
+            object.__setattr__(self, "divergent",
+                               np.asarray(self.divergent, bool))
+            if self.divergent.shape != self.intensity.shape:
+                raise ValueError("divergent shape does not match the axes")
         # range-check the finite values in place: masks, not a copy
         values = self.intensity
         finite = np.isfinite(values)
+        if not finite.all():
+            stray = np.isnan(values)
+            if self.divergent is not None:
+                stray[self.divergent] = False
+            if stray.any() or np.isinf(values).any():
+                raise ValueError("intensity must be finite, or NaN on a "
+                                 "divergent point")
         if self.kind == "power":
             if np.any(values < -1e-12, where=finite):
                 raise ValueError("power spectrum must be non-negative")

@@ -38,6 +38,14 @@ def test_conservation():
     _report(acceptance.check_conservation())
 
 
+def test_nan_residual_fails_the_check(monkeypatch):
+    monkeypatch.setattr(acceptance, "scattering_amplitude_single_bath",
+                        lambda p, k, omega: float("nan"))
+    res = acceptance.check_conservation(seed=1234)
+    assert not res.passed
+    assert "max ||S|-1| = nan" in res.details
+
+
 def test_green_identity():
     _report(acceptance.check_green_identity())
 

@@ -646,6 +646,16 @@ class TestImportCost:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_import_loads_no_scipy(self):
+        # the propagator is numpy-only; scipy waits for lorentzian_pair_fit
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ioxsim, ioxsim.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestBundledConfigs:
     def test_all_bundled_configs_parse(self):

@@ -3,10 +3,13 @@ matrix-exponential reference."""
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ioxsim import SystemParams
 from ioxsim.dynamics import (
+    _EXPM_THETA,
     AmplitudeState,
+    _expm2,
     analytic_trajectory,
     bic_amplitudes,
     evolve_ode,
@@ -223,6 +226,61 @@ class TestEvolveOde:
             c_an, x_an = analytic_trajectory(p, k, state, t)
             assert np.max(np.abs(c_ode - c_an)) < 1e-8
             assert np.max(np.abs(x_ode - x_an)) < 1e-8
+
+
+def passive_generator(rng):
+    """-i H for a random complex-symmetric H with a damped diagonal."""
+    h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return -1j * ((h + h.T) / 2 - 1j * np.diag(rng.uniform(0, 1, 2)))
+
+
+def squarings(a):
+    """Squarings the propagator applies to each slice of the stack a."""
+    return np.maximum(
+        np.frexp(np.abs(a).sum(axis=1).max(axis=1) / _EXPM_THETA)[1], 0)
+
+
+class TestPropagator:
+    def test_matches_scipy_on_seeded_draws(self):
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            a = rng.uniform(0, 40, 64)[:, None, None] * passive_generator(rng)
+            ref = expm(a)
+            err = np.abs(_expm2(a) - ref).max(axis=(1, 2))
+            assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(1, 2)))
+
+    def test_many_squarings(self):
+        # Hermitian generators of unit 1-norm: exp(a) is unitary
+        rng = np.random.default_rng(67)
+        for _ in range(20):
+            h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            h += h.conj().T
+            h /= np.abs(h).sum(axis=0).max()
+            a = -1j * rng.uniform(300, 3000, 8)[:, None, None] * h
+            assert squarings(a).min() >= 10
+            u = _expm2(a)
+            assert np.abs(u - expm(a)).max() < 1e-11
+            eye = np.conj(u.transpose(0, 2, 1)) @ u
+            assert np.abs(eye - np.eye(2)).max() < 1e-11
+
+    def test_zero_time_is_exact_identity(self):
+        a = 0.0 * passive_generator(np.random.default_rng(71))
+        assert np.array_equal(_expm2(np.stack([a, a, a])),
+                              np.broadcast_to(np.eye(2), (3, 2, 2)))
+
+    def test_mixed_stack_matches_single_slices(self):
+        # slices needing 0 to 11 squarings, out of order, with a zero one
+        gen = passive_generator(np.random.default_rng(73))
+        t = np.array([3.0, 0.0, 1e-3, 700.0, 0.2, 40.0, 1.0])
+        a = t[:, None, None] * gen
+        s = squarings(a)
+        assert s.min() == 0 and s.max() >= 10
+        stack = _expm2(a)
+        for i in range(t.size):
+            assert np.array_equal(stack[i], _expm2(a[i:i + 1])[0])
+        ref = expm(a)
+        err = np.abs(stack - ref).max(axis=(1, 2))
+        assert np.all(err <= 1e-11 * np.abs(ref).max(axis=(1, 2)))
 
 
 @pytest.mark.parametrize("trajectory", [evolve_ode, analytic_trajectory])

@@ -402,28 +402,55 @@ class TestSpectrumGrid:
         with pytest.raises(ValueError):
             SpectrumGrid([0.0], [0.0, 1.0], -np.ones((1, 2)), "power")
 
-    def test_range_check_ignores_only_non_finite_values(self):
+    def test_range_check_skips_only_divergent_nan(self):
         axes = ([0.0], [0.0, 1.0, 2.0, 3.0])
-        odd = [[np.nan, np.inf, -np.inf, 0.5]]
+        flagged = [[False, False, False, True]]
         for kind in ("power", "absorption"):
-            SpectrumGrid(*axes, np.array(odd), kind)
-        SpectrumGrid(*axes, np.array([[-1e-12, 0.0, 5.0, np.nan]]), "power")
-        SpectrumGrid(*axes, np.array([[-1e-9, 1.0 + 1e-9, 1.0, np.inf]]),
-                     "absorption")
+            SpectrumGrid(*axes, np.array([[0.0, 0.5, 1.0, np.nan]]), kind,
+                         flagged)
+        SpectrumGrid(*axes, np.array([[-1e-12, 0.0, 5.0, np.nan]]), "power",
+                     flagged)
+        SpectrumGrid(*axes, np.array([[-1e-9, 1.0 + 1e-9, 1.0, np.nan]]),
+                     "absorption", flagged)
         for kind, bad in (("power", -2e-12), ("absorption", -2e-9),
                           ("absorption", 1.0 + 2e-9)):
             with pytest.raises(ValueError):
-                SpectrumGrid(*axes, np.array([[np.nan, np.inf, -np.inf, bad]]),
-                             kind)
+                SpectrumGrid(*axes, np.array([[0.5, 0.5, bad, np.nan]]),
+                             kind, flagged)
+
+    @pytest.mark.parametrize("kind", ["power", "absorption"])
+    @pytest.mark.parametrize("row, flagged", [
+        ([0.5, np.nan], None),
+        ([0.5, np.nan], [[True, False]]),
+        ([np.inf, 1.0], None),
+        ([0.5, -np.inf], None),
+        ([0.5, np.inf], [[False, True]]),
+    ], ids=["nan", "nan-unflagged", "inf", "minus-inf", "inf-flagged"])
+    def test_rejects_non_finite_intensity(self, kind, row, flagged):
+        with pytest.raises(ValueError, match="finite"):
+            SpectrumGrid([0.0], [1.0, 2.0], [row], kind, flagged)
+
+    def test_rejects_non_finite_axes(self):
+        with pytest.raises(ValueError, match="finite"):
+            SpectrumGrid([np.nan], [1.0, np.nan], np.zeros((1, 2)), "power")
+        with pytest.raises(ValueError, match="finite"):
+            SpectrumGrid([0.0], [1.0, np.inf], np.zeros((1, 2)), "power")
+
+    def test_rejects_mismatched_divergent_mask(self):
+        with pytest.raises(ValueError, match="divergent"):
+            SpectrumGrid([0.0], [1.0, 2.0], np.zeros((1, 2)), "power",
+                         np.zeros((2, 1), bool))
 
     def test_range_check_copies_nothing(self):
         k = np.linspace(-3.0, 3.0, 241)
         w = np.linspace(990.0, 1010.0, 801)
         intensity = np.full((k.size, w.size), 0.5)
         intensity[0, 0] = np.nan
+        divergent = np.zeros(intensity.shape, bool)
+        divergent[0, 0] = True
         tracemalloc.start()
         try:
-            SpectrumGrid(k, w, intensity, "absorption")
+            SpectrumGrid(k, w, intensity, "absorption", divergent)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
