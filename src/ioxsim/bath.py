@@ -19,11 +19,11 @@ rate, the same convention as the rest of the package.
 """
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemParams, _response_det, kinetic_energies
+from .core import SystemParams, _finite, _response_det, kinetic_energies
 from .errors import (
     EvanescentRegionError,
     KernelAccuracyError,
@@ -101,8 +101,7 @@ def env_density_of_states(b, k, omega):
     # one test on the valid path; only a failure asks which rule broke
     if not np.all((omega > ck) & (omega < np.inf)):
         _finite(omega, "omega")
-        if not math.isfinite(k):
-            raise ValueError("k must be finite")
+        _finite(k, "k")
         raise EvanescentRegionError(
             "no radiative environment modes at omega <= c|k| = %g" % ck)
     out = omega / (b.c_light * np.sqrt(omega * omega - ck * ck))
@@ -129,17 +128,8 @@ def _spectral_weight(b, k, omega):
     return out
 
 
-def _finite(value, name):
-    """value as a float array; ValueError if any entry is NaN or inf."""
-    value = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(value)):
-        raise ValueError("%s must be finite" % name)
-    return value
-
-
 def _window_grid(b, k, npoints):
-    if not math.isfinite(k):
-        raise ValueError("k must be finite")
+    _finite(k, "k")
     lo, hi = b.omega_window
     ck = b.c_light * abs(k)
     if lo <= ck:
@@ -240,13 +230,12 @@ def full_matrix(b, p, k, omega, npoints=PV_GRID_POINTS, memoryless=False):
     the closed-form theory exactly; NaN or inf omega or k raises ValueError.
     """
     omega = _finite(omega, "omega")
-    if not math.isfinite(k):
-        raise ValueError("k must be finite")
+    h = _bare_hamiltonian(p, k)  # kinetic_energies rejects a NaN or inf k
     if memoryless:
         gam = _golden_rule(b, k, p.eps0)
     else:
         gam = kernel_freq(b, k, omega, npoints)
-    return _response(_bare_hamiltonian(p, k), omega, -1j * gam)
+    return _response(h, omega, -1j * gam)
 
 
 @dataclass(frozen=True)
@@ -275,8 +264,7 @@ def discretize_bath(b, n_modes, k=0.0):
     """Midpoint discretization of the window into n_modes bath modes."""
     if n_modes < 2:
         raise ValueError("need at least two bath modes")
-    if not math.isfinite(k):
-        raise ValueError("k must be finite")
+    _finite(k, "k")
     lo, hi = b.omega_window
     dw = (hi - lo) / n_modes
     freqs = lo + (np.arange(n_modes) + 0.5) * dw
@@ -490,9 +478,8 @@ class BathOracle:
         if d.n_modes < min_modes:
             raise ValueError(
                 "oracle needs >= %d bath modes for converged rates" % min_modes)
-        if not all(np.all(np.isfinite(v)) for v in
-                   (astuple(p), k, d.mode_freqs, d.coupling_c, d.coupling_x)):
-            raise ValueError("oracle parameters and bath must be finite")
+        for v in (d.mode_freqs, d.coupling_c, d.coupling_x):
+            _finite(v, "bath")
         eps_c, eps_x = kinetic_energies(p, k)
         lo, hi = d.mode_freqs[0], d.mode_freqs[-1]
         margin = WINDOW_MARGIN * max(p.total_rate, 1e-12)
@@ -543,9 +530,9 @@ class BathOracle:
         if not 2.0 * self.bath.spacing <= eta < np.inf:
             raise KernelAccuracyError(
                 "broadening must be finite and at least twice the level spacing")
-        omega = np.asarray(omega_grid, dtype=float)
-        if omega.ndim != 1 or not np.all(np.isfinite(omega)):
-            raise ValueError("omega_grid must be a finite 1-d array")
+        omega = _finite(omega_grid, "omega_grid")
+        if omega.ndim != 1:
+            raise ValueError("omega_grid must be a 1-d array")
         return omega + 1j * eta
 
     def spectrum(self, omega_grid, eta=None):
@@ -556,7 +543,7 @@ class BathOracle:
     def dynamics(self, initial, t_grid):
         """Exact amplitudes (c(t), x(t)) from an initial system excitation;
         NaN or inf times or amplitudes raise ValueError."""
-        t_grid = _finite(t_grid, "times")
+        t_grid = _finite(t_grid, "t_grid")
         _finite(np.abs(initial), "initial amplitudes")
         if np.any(t_grid < 0.0):
             raise ValueError("times must be non-negative")

@@ -20,6 +20,12 @@ detunings and discriminant accept a 1-d k array, and one private kernel
 (_modes) gives the eigenvalues and degeneracy flags for a whole k array.
 eigen_branches (one k) and track_branches (a k grid) both evaluate it, so
 they agree bit for bit, and so do the spectra built on it.
+
+One input rule holds for the whole package and lives here: a NaN or inf
+k, omega or time raises ValueError naming the argument (_finite), and a
+grid must also be nonempty, 1-d and strictly increasing (_axis).  k is
+checked where it enters the closed forms, in kinetic_energies and
+detunings.
 """
 
 import math
@@ -145,12 +151,33 @@ class BicCondition:
     exact: bool
 
 
+def _finite(value, name):
+    """value as a float array; ValueError if any entry is NaN or inf.  A
+    single value is checked as a Python float, at a tenth of the cost of a
+    ufunc."""
+    value = np.asarray(value, dtype=float)
+    if not (math.isfinite(value.flat[0]) if value.size == 1
+            else np.isfinite(value).all()):
+        raise ValueError("%s must be finite" % name)
+    return value
+
+
+def _axis(values, name):
+    """values as a finite, nonempty, strictly increasing 1-d float array."""
+    values = _finite(values, name)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("%s must be a nonempty 1-d array" % name)
+    if np.any(np.diff(values) <= 0):
+        raise ValueError("%s must be strictly increasing" % name)
+    return values
+
+
 def kinetic_energies(p, k):
     """Bare kinetic energies (eps_c, eps_x) at dimensionless momentum k.
 
     eps_c = eps0 + delta + k**2, eps_x = eps0 + mass_ratio * k**2.
     """
-    k2 = np.asarray(k, dtype=float) ** 2
+    k2 = _finite(k, "k") ** 2
     eps_c = p.eps0 + p.delta + k2
     eps_x = p.eps0 + p.mass_ratio * k2
     if np.ndim(k) == 0:
@@ -236,6 +263,11 @@ class _Modes(NamedTuple):
     @property
     def z_c(self):
         return self.levels[3]
+
+    def block(self, rows):
+        """The modes at the momenta of the slice rows."""
+        return _Modes(self.levels[:, rows], self.g_tilde, self.disc[rows],
+                      self.center[rows], self.degenerate[rows])
 
 
 def _modes(p, k):
@@ -352,12 +384,7 @@ def track_branches(p, kgrid):
     degenerate.  Output is deterministic, and every branch equals
     eigen_branches(p, k) at its k.
     """
-    kgrid = np.asarray(kgrid, dtype=float)
-    if kgrid.ndim != 1 or kgrid.size == 0:
-        raise ValueError("kgrid must be a nonempty 1-d array")
-    if kgrid.size > 1 and np.any(np.diff(kgrid) <= 0):
-        raise ValueError("kgrid must be strictly increasing")
-
+    kgrid = _axis(kgrid, "k")
     m = _modes(p, kgrid)
     vec_l, vec_u = _eigvecs(m)
     # scores of keeping or swapping the labels of step i-1 -> i, for the
@@ -393,10 +420,11 @@ def detunings(p, k):
     d_eps is formed without eps0 (it cancels exactly), keeping EP/BiC
     condition checks at full precision.  For a k array, d_eps is an array.
     """
+    k = _finite(k, "k")
     # float_power is C pow(), as Python's k ** 2 on a float
     d_eps = p.delta + (1.0 - p.mass_ratio) * np.float_power(k, 2.0)
     d_gamma = (p.gamma_c + p.gamma_nr_c) - (p.gamma_x + p.gamma_nr_x)
-    return Detunings(float(d_eps) if np.ndim(k) == 0 else d_eps, d_gamma)
+    return Detunings(float(d_eps) if k.ndim == 0 else d_eps, d_gamma)
 
 
 def _solve_ring_radius(p, target):

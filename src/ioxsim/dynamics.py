@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONDITION_RTOL, bic_condition, complex_poles, detunings, eigen_branches
+from .core import (CONDITION_RTOL, _axis, _finite, _modes, bic_condition,
+                   complex_poles, detunings)
 from .errors import DegenerateModesError
 
 # Taylor degree and scaled 1-norm bound of the propagator (Moler and Van
@@ -72,29 +73,27 @@ def _branch_projection(p, k, initial):
     Decomposes the initial state on the spectral projectors of H_k;
     rejects coalesced branches where the decomposition is singular.
     """
-    low, up = eigen_branches(p, k)
-    if low.degenerate:
+    m = _modes(p, np.array([float(k)]))
+    if m.degenerate[0]:
         raise DegenerateModesError(
             "branches coalesce at k = %g; use evolve_ode" % k)
-    pole = complex_poles(p, k)
-    den = up.omega - low.omega
+    w_l, w_u, z_x, z_c = m.levels[:, 0].tolist()
+    den = w_u - w_l
     c0, x0 = initial.c, initial.x
-    gt = pole.g_tilde
+    gt = m.g_tilde
     # P_U psi0 and P_L psi0, written with omega_U - z = z - omega_L identities
-    cu = (c0 * (up.omega - pole.z_x) + gt * x0) / den
-    cl = (c0 * (up.omega - pole.z_c) - gt * x0) / den
-    xu = (x0 * (up.omega - pole.z_c) + gt * c0) / den
-    xl = (x0 * (up.omega - pole.z_x) - gt * c0) / den
-    return low.omega, up.omega, (cl, cu), (xl, xu)
+    cu = (c0 * (w_u - z_x) + gt * x0) / den
+    cl = (c0 * (w_u - z_c) - gt * x0) / den
+    xu = (x0 * (w_u - z_c) + gt * c0) / den
+    xl = (x0 * (w_u - z_x) - gt * c0) / den
+    return w_l, w_u, (cl, cu), (xl, xu)
 
 
 def _time_offsets(initial, t_grid):
-    """Offsets t_grid - initial.t; rejects non-finite input and past times."""
+    """Offsets t_grid - initial.t for a checked float t_grid; rejects a
+    non-finite initial state and past times."""
     if not np.all(np.isfinite([initial.c, initial.x, initial.t])):
         raise ValueError("initial state must be finite")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not np.all(np.isfinite(t_grid)):
-        raise ValueError("t_grid must be finite")
     dt = t_grid - initial.t
     if np.any(dt < 0):
         raise ValueError("t_grid must not precede the initial time")
@@ -103,7 +102,7 @@ def _time_offsets(initial, t_grid):
 
 def analytic_trajectory(p, k, initial, t_grid):
     """Closed-form (c, x) arrays over a time grid (measured from initial.t)."""
-    dt = _time_offsets(initial, t_grid)
+    dt = _time_offsets(initial, _finite(t_grid, "t_grid"))
     wl, wu, (cl, cu), (xl, xu) = _branch_projection(p, k, initial)
     el = np.exp(-1j * wl * dt)
     eu = np.exp(-1j * wu * dt)
@@ -132,7 +131,7 @@ def bic_amplitudes(p, t):
     if abs(d_eps - cond.d_eps_bic) > CONDITION_RTOL * max(
             1.0, abs(d_eps), abs(cond.d_eps_bic)):
         raise ValueError("parameters are off the undamped-pole condition")
-    t = np.asarray(t, dtype=float)
+    t = _finite(t, "t")
     gamma = p.gamma_c + p.gamma_x
     s = np.sqrt(p.gamma_c * p.gamma_x)
     omega_osc = p.g_rabi * gamma / s
@@ -157,12 +156,7 @@ def evolve_ode(p, k, initial, t_grid):
     exponentiated matrices scale with the physical linewidths rather than
     eps0.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-d array")
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
-    dt = _time_offsets(initial, t_grid)
+    dt = _time_offsets(initial, _axis(t_grid, "t_grid"))
     pole = complex_poles(p, k)
     shift = p.eps0
     h_rot = np.array([[pole.z_c - shift, pole.g_tilde],

@@ -10,15 +10,16 @@ the single-bath amplitude is exactly unimodular and R + A = 1.
 
 power_spectrum, absorption and absorption_components take k as a scalar
 or a 1-d array and return one row per k; the grid functions are the same
-call wrapped in a SpectrumGrid.  All of them evaluate the core kernel in
-blocks of k rows, so a grid row equals the scalar call at its k exactly.
+call wrapped in a SpectrumGrid.  All of them form the core kernel once
+over k and evaluate it in blocks of k rows, so a grid row equals the
+scalar call at its k exactly.
 Exactly on an undamped pole the scalar calls raise DivergentPointError
 and the grids flag the point in SpectrumGrid.divergent.
 
 Scattering has one path, S = 1 - 2i W G W^T at one k over an omega scalar
 or array: the single-bath amplitude is its S11, reflection |S11|^2 and
-scattering_matrix_three_bath all of S.  The spectra and the scattering
-functions raise ValueError for a NaN or inf k or omega.
+scattering_matrix_three_bath all of S.  k and omega obey the package's
+one input rule (see core).
 """
 
 import math
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _k_axis, _modes, _response_det
+from .core import _axis, _finite, _k_axis, _modes, _response_det
 from .errors import DivergentPointError
 
 # an omega closer than this (times local scale) to an undamped pole is
@@ -55,11 +56,11 @@ class InputOccupation:
             vals = float(n_of_omega)
             self._fn = lambda omega: np.full_like(omega, vals)
         else:
-            pts, vals = (np.asarray(a, dtype=float) for a in n_of_omega)
-            if pts.ndim != 1 or pts.shape != vals.shape:
+            pts, vals = n_of_omega
+            pts = _axis(pts, "tabulated omega points")
+            vals = np.asarray(vals, dtype=float)
+            if pts.shape != vals.shape:
                 raise ValueError("tabulated occupation needs matching 1-d arrays")
-            if not np.all(np.isfinite(pts)) or np.any(np.diff(pts) <= 0):
-                raise ValueError("tabulated omega points must be finite and increase")
             self._fn = lambda omega: np.interp(omega, pts, vals)
         if not np.all(np.isfinite(vals)):
             raise ValueError("occupation must be finite")
@@ -82,8 +83,8 @@ class SpectrumGrid:
 
     kind is "power" or "absorption".  divergent marks grid points sitting
     exactly on an undamped pole (intensity NaN there); the power and
-    absorption grids fill it.  Axes and intensity must be finite, except
-    NaN intensity on the points divergent marks.
+    absorption grids fill it.  The axes obey core._axis; the intensity has
+    no inf, and NaN exactly on the points divergent marks.
     """
 
     k_values: np.ndarray
@@ -93,48 +94,30 @@ class SpectrumGrid:
     divergent: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "k_values", np.asarray(self.k_values, float))
-        object.__setattr__(self, "omega_values",
-                           np.asarray(self.omega_values, float))
         object.__setattr__(self, "intensity", np.asarray(self.intensity, float))
         if self.kind not in _KINDS:
             raise ValueError("kind must be one of %s" % (_KINDS,))
-        for ax in (self.k_values, self.omega_values):
-            if ax.ndim != 1 or ax.size == 0:
-                raise ValueError("grid axes must be nonempty 1-d arrays")
-            if not np.isfinite(ax).all():
-                raise ValueError("grid axes must be finite")
-            if ax.size > 1 and np.any(np.diff(ax) <= 0):
-                raise ValueError("grid axes must be strictly increasing")
+        for name in ("k_values", "omega_values"):
+            object.__setattr__(self, name, _axis(getattr(self, name), name))
         if self.intensity.shape != (self.k_values.size, self.omega_values.size):
             raise ValueError("intensity shape does not match the axes")
+        flagged = False
         if self.divergent is not None:
-            object.__setattr__(self, "divergent",
-                               np.asarray(self.divergent, bool))
-            if self.divergent.shape != self.intensity.shape:
+            flagged = np.asarray(self.divergent, bool)
+            object.__setattr__(self, "divergent", flagged)
+            if flagged.shape != self.intensity.shape:
                 raise ValueError("divergent shape does not match the axes")
-        # range-check the finite values in place: masks, not a copy
+        # no inf, and NaN exactly on the divergent points; a comparison
+        # with NaN is False, so the range checks need no mask
         values = self.intensity
-        finite = np.isfinite(values)
-        if not finite.all():
-            stray = np.isnan(values)
-            if self.divergent is not None:
-                stray[self.divergent] = False
-            if stray.any() or np.isinf(values).any():
-                raise ValueError("intensity must be finite, or NaN on a "
-                                 "divergent point")
+        if np.isinf(values).any() or np.any(np.isnan(values) != flagged):
+            raise ValueError("intensity must be finite, with NaN exactly on "
+                             "the divergent points")
         if self.kind == "power":
-            if np.any(values < -1e-12, where=finite):
+            if np.any(values < -1e-12):
                 raise ValueError("power spectrum must be non-negative")
-        elif (np.any(values < -1e-9, where=finite)
-              or np.any(values > 1 + 1e-9, where=finite)):
+        elif np.any(values < -1e-9) or np.any(values > 1 + 1e-9):
             raise ValueError("absorption values must lie in [0, 1]")
-
-
-def _all_finite(a):
-    """Whether no entry of the float array a is NaN or inf.  A single entry
-    is checked as a Python float, at a tenth of the cost of a ufunc."""
-    return math.isfinite(a.flat[0]) if a.size == 1 else np.isfinite(a).all()
 
 
 def _on_grid(rows, p, k, omega, *args):
@@ -143,20 +126,17 @@ def _on_grid(rows, p, k, omega, *args):
 
     k is a scalar or a 1-d array and omega any shape; each returned array
     has shape np.shape(k) + np.shape(omega).  Scalar calls and grids share
-    this one path, so a grid row equals the scalar call at its k.  A NaN
-    or inf k or omega raises ValueError.
+    this one path, so a grid row equals the scalar call at its k.  The
+    modes of all momenta are formed once, where k is checked.
     """
     ks = _k_axis(k)
-    om = np.asarray(omega, dtype=float)
-    if not _all_finite(ks):
-        raise ValueError("k must be finite")
-    if not _all_finite(om):
-        raise ValueError("omega must be finite")
+    modes = _modes(p, ks)
+    om = _finite(omega, "omega")
     flat = om.reshape(-1)
     outs = None
     for start in range(0, max(ks.size, 1), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        parts = rows(p, _modes(p, ks[block]), flat, *args)
+        parts = rows(p, modes.block(block), flat, *args)
         if outs is None:
             outs = [np.empty((ks.size, flat.size), part.dtype)
                     for part in parts]
@@ -245,11 +225,8 @@ def _scattering(p, k, omega, full=True):
     the lines.  S11 = det(M - 2i Gamma) / det M with Gamma the common-bath
     damping; that bath alone gives M - 2i Gamma = conj(M), so |S11| = 1.
     """
-    om = np.asarray(omega, dtype=float)
-    if not math.isfinite(k):
-        raise ValueError("k must be finite")
-    if not _all_finite(om):
-        raise ValueError("omega must be finite")
+    _finite(k, "k")
+    om = _finite(omega, "omega")
     flat = om.reshape(-1)
     u = flat - p.eps0
     k2 = k * k
@@ -376,7 +353,7 @@ def lorentzian_pair_fit(omega, values, centers_guess, widths_guess=None):
     """
     from scipy.optimize import curve_fit
 
-    omega = np.asarray(omega, dtype=float)
+    omega = _finite(omega, "omega")
     values = np.asarray(values, dtype=float)
     c1, c2 = centers_guess
     if widths_guess is None:

@@ -433,6 +433,24 @@ class TestAbsorptionRun:
         assert rc == 3
         assert not (tmp_path / "out" / "absorption_map.csv").exists()
 
+    @pytest.mark.parametrize("value", [1.5, np.nan], ids=["above-1", "nan"])
+    def test_bad_value_is_numerical_failure(self, tmp_path, monkeypatch,
+                                            value):
+        # SpectrumGrid's own rules reject a value outside [0, 1] and an
+        # unflagged NaN, before anything is written
+        def rows(p, m, om):
+            shape = (m.levels.shape[1], om.size)
+            return np.full(shape, value), np.zeros(shape, bool)
+
+        monkeypatch.setattr(ioxsim.spectra, "_total_absorption_rows", rows)
+        doc = base_doc(**dispersion_scan())
+        doc["scan"]["kind"] = "absorption"
+        doc["scan"].pop("input_occupation", None)
+        doc["output"]["directory"] = str(tmp_path / "out")
+        rc = cli.main(["absorption", "--config", write_cfg(tmp_path, doc)])
+        assert rc == 3
+        assert not (tmp_path / "out").exists()
+
 
 class TestOracleCompareRun:
     def oracle_doc(self, tmp_path, **scan_extra):

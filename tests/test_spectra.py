@@ -425,7 +425,9 @@ class TestSpectrumGrid:
         ([np.inf, 1.0], None),
         ([0.5, -np.inf], None),
         ([0.5, np.inf], [[False, True]]),
-    ], ids=["nan", "nan-unflagged", "inf", "minus-inf", "inf-flagged"])
+        ([0.5, 0.5], [[True, False]]),
+    ], ids=["nan", "nan-unflagged", "inf", "minus-inf", "inf-flagged",
+            "flag-on-finite"])
     def test_rejects_non_finite_intensity(self, kind, row, flagged):
         with pytest.raises(ValueError, match="finite"):
             SpectrumGrid([0.0], [1.0, 2.0], [row], kind, flagged)
