@@ -102,7 +102,7 @@ def _time_offsets(initial, t_grid):
 
 def analytic_trajectory(p, k, initial, t_grid):
     """Closed-form (c, x) arrays over a time grid (measured from initial.t)."""
-    dt = _time_offsets(initial, _finite(t_grid, "t_grid"))
+    dt = _time_offsets(initial, _axis(t_grid, "t_grid"))
     wl, wu, (cl, cu), (xl, xu) = _branch_projection(p, k, initial)
     el = np.exp(-1j * wl * dt)
     eu = np.exp(-1j * wu * dt)

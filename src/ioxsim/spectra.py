@@ -209,8 +209,18 @@ def power_spectrum(p, k, omega, n=None):
     return out if np.ndim(out) else float(out)
 
 
+def _grid_axes(k_values, omega_values):
+    """The axes of a grid, checked before any of it is computed: first a
+    NaN or inf, named as k or omega as at every entry point, then the
+    rest of core._axis, named as the SpectrumGrid field."""
+    k_values = _finite(k_values, "k")
+    omega_values = _finite(omega_values, "omega")
+    return _axis(k_values, "k_values"), _axis(omega_values, "omega_values")
+
+
 def power_spectrum_grid(p, k_values, omega_values, n=None):
     """Power spectrum on a (k, omega) grid; on-pole points are flagged."""
+    k_values, omega_values = _grid_axes(k_values, omega_values)
     intensity, mask = _power_with_mask(p, k_values, omega_values, n)
     return SpectrumGrid(k_values, omega_values, intensity, "power", mask)
 
@@ -321,6 +331,7 @@ def absorption(p, k, omega):
 
 def absorption_grid(p, k_values, omega_values):
     """Absorption on a (k, omega) grid; on-pole points are flagged."""
+    k_values, omega_values = _grid_axes(k_values, omega_values)
     intensity, mask = _on_grid(_total_absorption_rows, p, k_values,
                                omega_values)
     return SpectrumGrid(k_values, omega_values, intensity, "absorption", mask)

@@ -285,6 +285,24 @@ class TestDispersionRun:
         assert "Traceback" not in err
 
 
+# a detuning family on a few momenta, for the scans that loop over
+# (detuning, k) jobs
+FAMILY_SYSTEM = {"eps0": 1000.0, "g_rabi": 3.0, "gamma_c": 1.0,
+                 "gamma_x": 0.3, "delta": [2.300434741521698, DELTA_BIC]}
+FAMILY_SCANS = {
+    "spectrum": {"kind": "spectrum", "k_grid": [-0.4, 0.0, 0.3],
+                 "omega_grid": {"start": 994.0, "stop": 1010.0, "num": 81}},
+    "dynamics": {"kind": "dynamics", "k_grid": [-0.4, 0.0, 0.3],
+                 "t_grid": {"start": 0.0, "stop": 5.0, "num": 51}}}
+
+
+def per_value_csv(header, rows):
+    """The bytes of a CSV written one cli._fmt call per cell."""
+    lines = [",".join(header)] + [",".join(cli._fmt(v) for v in row)
+                                  for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestSpectrumAndDynamicsRuns:
     def test_detuning_family_spectrum(self, tmp_path):
         doc = {
@@ -326,20 +344,11 @@ class TestSpectrumAndDynamicsRuns:
 
     def test_byte_identical_across_runs(self, tmp_path):
         # the two scans that loop over (detuning, k) jobs, each run twice
-        system = {"eps0": 1000.0, "g_rabi": 3.0, "gamma_c": 1.0,
-                  "gamma_x": 0.3, "delta": [2.300434741521698, DELTA_BIC]}
-        k_grid = [-0.4, 0.0, 0.3]
-        scans = {"spectrum": {"kind": "spectrum", "k_grid": k_grid,
-                              "omega_grid": {"start": 994.0, "stop": 1010.0,
-                                             "num": 81}},
-                 "dynamics": {"kind": "dynamics", "k_grid": k_grid,
-                              "t_grid": {"start": 0.0, "stop": 5.0,
-                                         "num": 51}}}
-        for kind, scan in scans.items():
+        for kind, scan in FAMILY_SCANS.items():
             outputs = []
             for run in ("a", "b"):
                 out = tmp_path / (kind + run)
-                doc = {"system": system, "scan": scan,
+                doc = {"system": FAMILY_SYSTEM, "scan": scan,
                        "output": {"directory": str(out)}}
                 cfg = write_cfg(tmp_path, doc, kind + run + ".json")
                 assert cli.main([kind, "--config", cfg]) == 0
@@ -347,6 +356,35 @@ class TestSpectrumAndDynamicsRuns:
                                 for name in sorted(os.listdir(out))})
             assert outputs[0] == outputs[1]
             assert len(outputs[0]) == 2  # the CSV and plot.gp
+
+    def test_family_csvs_match_the_per_value_path(self, tmp_path):
+        # each cell as cli._fmt formats one scalar of the library's output,
+        # |c|^2 as abs(c) ** 2 on one complex scalar: array abs and
+        # squaring round differently on some cells
+        for kind, scan in FAMILY_SCANS.items():
+            out = tmp_path / kind
+            doc = {"system": FAMILY_SYSTEM, "scan": scan,
+                   "output": {"directory": str(out)}}
+            cfg = cli.parse_config(doc)
+            assert cli.main([kind, "--config", write_cfg(tmp_path, doc)]) == 0
+            if kind == "spectrum":
+                name, header = "spectrum.csv", ("k", "delta", "omega",
+                                                "intensity")
+                rows = [(k, p.delta, w, v) for p in cfg.systems
+                        for k, col in zip(cfg.k_grid, cli.power_spectrum(
+                            p, cfg.k_grid, cfg.omega_grid, cfg.occupation))
+                        for w, v in zip(cfg.omega_grid, col)]
+            else:
+                name, header = "dynamics.csv", (
+                    "k", "delta", "t", "re_c", "im_c", "re_x", "im_x",
+                    "abs2_c", "abs2_x")
+                rows = [(k, p.delta, t, c.real, c.imag, x.real, x.imag,
+                         abs(c) ** 2, abs(x) ** 2)
+                        for p in cfg.systems for k in cfg.k_grid
+                        for t, c, x in zip(cfg.t_grid,
+                                           *cli._trajectory_with_check(
+                                               p, k, cfg.t_grid))]
+            assert (out / name).read_bytes() == per_value_csv(header, rows)
 
     def test_dynamics_at_coalescence_uses_ode(self, tmp_path):
         doc = {
@@ -589,6 +627,28 @@ class TestExitCodes:
             cli.acceptance, "run_all",
             lambda seed=None: [CheckResult("x", False, "", 0.0, 1.0)])
         assert cli.main(["acceptance"]) == 3
+
+
+class TestEmit:
+    def test_array_table_matches_row_tuples(self, tmp_path):
+        # more rows than one chunk, with the extreme and inexact values
+        n = cli._CHUNK_ROWS + 7
+        table = np.linspace(-1.0, 1.0, 4 * n).reshape(n, 4)
+        table[0] = (-0.0, 5e-324, 1e308, 1.0 / 3.0)
+        table[-1] = (1.0 / 3.0, -1e308, -5e-324, -0.0)
+        cfg = cli.parse_config(dict(kind_doc("ep-bic"),
+                                    output={"directory": str(tmp_path)}))
+        header = ("a", "b", "c", "d")
+        array_csv, tuple_csv = cli._emit(cfg, [
+            ("array.csv", header, table),
+            ("tuples.csv", header, [tuple(row) for row in table])])
+        with open(array_csv, "rb") as fh:
+            written = fh.read()
+        with open(tuple_csv, "rb") as fh:
+            assert written == fh.read()
+        assert written.split(b"\n")[1] == (
+            b"-0,4.9406564584124654e-324,1e+308,0.33333333333333331")
+        assert written.count(b"\n") == n + 1
 
 
 class TestGates:

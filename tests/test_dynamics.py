@@ -294,3 +294,18 @@ class TestPropagator:
 def test_rejects_non_finite_input(trajectory, state, t_grid):
     with pytest.raises(ValueError):
         trajectory(BIC, 0.0, state, t_grid)
+
+
+@pytest.mark.parametrize("t_grid, message", [
+    ([[0.0, 1.0], [2.0, 0.5]], "t_grid must be a nonempty 1-d array"),
+    ([], "t_grid must be a nonempty 1-d array"),
+    ([2.0, 1.0, 0.5], "t_grid must be strictly increasing"),
+], ids=["2-d", "empty", "decreasing"])
+def test_closed_form_and_reference_reject_the_same_grids(t_grid, message):
+    # the closed form takes exactly the grids its reference takes
+    raised = []
+    for trajectory in (analytic_trajectory, evolve_ode):
+        with pytest.raises(ValueError) as info:
+            trajectory(BIC, 0.0, X_START, t_grid)
+        raised.append(str(info.value))
+    assert raised == [message, message]

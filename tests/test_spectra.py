@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ioxsim import SystemParams, eigen_branches
+from ioxsim import SystemParams, eigen_branches, spectra
 from ioxsim.core import bic_condition
 from ioxsim.errors import DivergentPointError, SingularMatrixError
 from ioxsim.spectra import (
@@ -457,6 +457,27 @@ class TestSpectrumGrid:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * intensity.nbytes
+
+
+class TestGridAxesCheckedFirst:
+    K = np.linspace(-3.0, 3.0, 241)
+    W = np.linspace(990.0, 1010.0, 801)
+
+    @pytest.mark.parametrize("grid", [power_spectrum_grid, absorption_grid])
+    @pytest.mark.parametrize("k, omega, message", [
+        (K[::-1], W, "k_values must be strictly increasing"),
+        (K, W[::-1], "omega_values must be strictly increasing"),
+        (K.reshape(-1, 1), W, "k_values must be a nonempty 1-d array"),
+        (K, [], "omega_values must be a nonempty 1-d array"),
+    ], ids=["reversed-k", "reversed-omega", "2-d-k", "empty-omega"])
+    def test_bad_axis_raises_before_the_grid_is_computed(
+            self, monkeypatch, grid, k, omega, message):
+        def computed(*args):
+            raise AssertionError("the grid was computed")
+
+        monkeypatch.setattr(spectra, "_on_grid", computed)
+        with pytest.raises(ValueError, match=message):
+            grid(ATTRACT, k, omega)
 
 
 # each public spectra entry point as f(p, k, omega), with the array forms
