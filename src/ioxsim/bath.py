@@ -14,6 +14,13 @@ environment generates and independent baths cannot.  The discretized bath
 is the exact oracle for the closed forms; its dynamics comes from a
 secular-equation solver for the arrowhead Hamiltonian of a shared bath.
 
+Every sum over the bath modes runs in numpy's own single-threaded loops
+(np.einsum without optimize, np.sum), never through BLAS.  Threaded BLAS
+splits a long sum differently for each thread count, which moves its last
+bits, so the oracle's results, and the CSVs built from them, would depend
+on the core count; its helper thread also busy-waits between the secular
+solver's many short calls, burning as much CPU as the work itself.
+
 Work in units hbar = 1; energies are measured in units of a reference
 rate, the same convention as the rest of the package.
 """
@@ -283,9 +290,9 @@ def _secular_terms(poles, z2, origin, tau):
     r -= tau[:, None]
     np.reciprocal(r, out=r)
     r[np.arange(origin.size), origin] = 0.0
-    f = r @ z2
+    f = np.einsum("ij,j->i", r, z2)
     np.square(r, out=r)
-    return f, r @ z2
+    return f, np.einsum("ij,j->i", r, z2)
 
 
 def _secular_step(f_rest, fp_rest, lin, s, tau, far):
@@ -387,20 +394,23 @@ def _secular_roots(alpha, poles, z2):
 
 
 def _bright_direction(d):
-    """Unit vector u with (coupling_c[j], coupling_x[j]) = u * w[j] for all j."""
+    """Unit vector u and bright-mode weights w with (coupling_c[j],
+    coupling_x[j]) = u * w[j] for all j."""
     gc, gx = d.coupling_c, d.coupling_x
-    norm_c, norm_x = np.sqrt(gc @ gc), np.sqrt(gx @ gx)
+    # pairwise np.sum: an einsum dot is 1e-14 off in relative terms on the
+    # bundled 4000-mode bath, and Sigma(z) scales with u u^T
+    norm_c, norm_x = np.sqrt(np.sum(gc * gc)), np.sqrt(np.sum(gx * gx))
     kappa = np.hypot(norm_c, norm_x)
     if kappa == 0.0:
-        return np.array([1.0, 0.0])
-    u = np.array([norm_c, np.copysign(norm_x, gc @ gx)]) / kappa
+        return np.array([1.0, 0.0]), np.zeros(gc.size)
+    u = np.array([norm_c, np.copysign(norm_x, np.sum(gc * gx))]) / kappa
     if np.max(np.abs(u[0] * gx - u[1] * gc)) > 1e-12 * kappa:
         raise ValueError("oracle needs cavity and emitter couplings that are"
                          " proportional, as discretize_bath makes them")
-    return u
+    return u, u[0] * gc + u[1] * gx
 
 
-def _oracle_eigenpairs(h_sys, u, d):
+def _oracle_eigenpairs(h_sys, u, w, mode_freqs):
     """Eigenvalues of the (N+2) single-excitation Hamiltonian, ascending,
     and the (2, N+2) cavity and emitter rows of its eigenvectors.
 
@@ -416,8 +426,8 @@ def _oracle_eigenpairs(h_sys, u, d):
     """
     v = np.array([-u[1], u[0]])
     h_bb, h_bd, h_dd = u @ h_sys @ u, u @ h_sys @ v, v @ h_sys @ v
-    diag = np.concatenate(([h_dd], d.mode_freqs))
-    border = np.concatenate(([h_bd], u[0] * d.coupling_c + u[1] * d.coupling_x))
+    diag = np.concatenate(([h_dd], mode_freqs))
+    border = np.concatenate(([h_bd], w))
     order = np.argsort(diag, kind="stable")
     diag, border = diag[order], border[order]
     dark = int(np.flatnonzero(order == 0)[0])
@@ -471,7 +481,9 @@ class BathOracle:
     on first use.  Everything the memoryless theory predicts — branch
     positions, linewidths, the off-diagonal dissipative coupling, the
     undamped-state plateau — must emerge here from first principles, up to
-    the discretization itself.
+    the discretization itself.  Its sums over the modes run on one thread
+    without BLAS (see the module docstring), so its results are the same
+    bits on any number of cores.
     """
 
     def __init__(self, d, p, k=0.0, min_modes=2000):
@@ -489,12 +501,13 @@ class BathOracle:
         self.k = k
         self.bath = d
         self._h_sys = _bare_hamiltonian(p, k)
-        self._bright = _bright_direction(d)
+        self._bright, self._weights = _bright_direction(d)
         self._eigen = None
 
     def _eigenpairs(self):
         if self._eigen is None:
-            self._eigen = _oracle_eigenpairs(self._h_sys, self._bright, self.bath)
+            self._eigen = _oracle_eigenpairs(self._h_sys, self._bright,
+                                             self._weights, self.bath.mode_freqs)
         return self._eigen
 
     @property
@@ -513,15 +526,20 @@ class BathOracle:
         return 2.0 * np.pi / self.bath.spacing
 
     def _self_energy(self, z):
-        """Sigma(z) = sum_j g_j g_j^T/(z - omega_j), shape (M, 2, 2)."""
-        d = self.bath
-        gg = np.stack((d.coupling_c ** 2, d.coupling_c * d.coupling_x,
-                       d.coupling_x ** 2), axis=1)
-        sig = np.empty((z.size, 3), dtype=complex)
+        """Sigma(z) = sum_j g_j g_j^T/(z - omega_j), shape (M, 2, 2).
+
+        Every g_j is w_j along the bright direction u, so Sigma(z) =
+        u u^T * sum_j w_j^2/(z - omega_j) is rank one: Sigma_cx^2 =
+        Sigma_cc * Sigma_xx, the dissipative coupling sqrt(Gamma_cc *
+        Gamma_xx) of a common bath.
+        """
+        freqs, w2 = self.bath.mode_freqs, self._weights ** 2
+        sig = np.empty(z.size, dtype=complex)
         for start in range(0, z.size, SOLVER_CHUNK):
             block = z[start:start + SOLVER_CHUNK, None]
-            sig[start:start + SOLVER_CHUNK] = (1.0 / (block - d.mode_freqs)) @ gg
-        return sig[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+            sig[start:start + SOLVER_CHUNK] = np.einsum(
+                "ij,j->i", 1.0 / (block - freqs), w2)
+        return sig[:, None, None] * np.outer(self._bright, self._bright)
 
     def _frequencies(self, omega_grid, eta):
         """z = omega + i*eta, eta wide enough to hide the discrete mode comb;
@@ -554,13 +572,14 @@ class BathOracle:
         energies, rows = self._eigenpairs()
         c0, x0 = initial
         coeff = rows[0] * c0 + rows[1] * x0  # V^T psi0, bath empty
+        w_c, w_x = coeff * rows[0], coeff * rows[1]
         c_out = np.empty(t_grid.size, dtype=complex)
         x_out = np.empty(t_grid.size, dtype=complex)
         for start in range(0, t_grid.size, DYNAMICS_CHUNK):
             ts = t_grid[start:start + DYNAMICS_CHUNK]
-            phases = np.exp(-1j * np.outer(ts, energies)) * coeff
-            c_out[start:start + DYNAMICS_CHUNK] = phases @ rows[0]
-            x_out[start:start + DYNAMICS_CHUNK] = phases @ rows[1]
+            phases = np.exp(-1j * np.outer(ts, energies))
+            c_out[start:start + DYNAMICS_CHUNK] = np.einsum("ij,j->i", phases, w_c)
+            x_out[start:start + DYNAMICS_CHUNK] = np.einsum("ij,j->i", phases, w_x)
         return c_out, x_out
 
     def green_system(self, omega_grid, eta=None):

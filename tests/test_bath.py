@@ -38,6 +38,7 @@ from ioxsim.spectra import lorentzian_pair_fit
 WINDOW = (500.0, 1500.0)
 EPS0 = 1000.0
 PV_POINTS_DEFAULT = 4001
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +227,7 @@ class TestKernelFreq:
 
 
 PV_POINTS_DEFAULT = 4001
+EPS = np.finfo(float).eps
 
 
 PASSIVE = SystemParams(delta=2.0, g_rabi=1.0, gamma_c=1.0, gamma_x=0.8)
@@ -484,6 +486,40 @@ class TestOracleLevelAttraction:
         orc, _ = attract_oracle
         with pytest.raises(ValueError, match="must be finite"):
             orc.dynamics(initial, times)
+
+
+def _self_energies(orc, eta):
+    """Sigma(omega + i*eta) from the oracle, through effective_damping =
+    i*Sigma, and from the mode sum sum_j g_j g_j^T/(z - omega_j)."""
+    d = orc.bath
+    omega = orc.params.eps0 + np.linspace(-60.0, 60.0, 13)
+    got = -1j * orc.effective_damping(omega, eta)
+    pole = 1.0 / (omega[:, None] + 1j * eta - d.mode_freqs)
+    g = (d.coupling_c, d.coupling_x)
+    ref = np.array([[np.sum(pole * (g[a] * g[b]), axis=1) for b in range(2)]
+                    for a in range(2)]).transpose(2, 0, 1)
+    return got, ref
+
+
+@pytest.mark.parametrize("oracle", ["attract_oracle", "bic_oracle"])
+class TestOracleSelfEnergy:
+    @pytest.mark.parametrize("spacings", [2.0, 10.0])
+    def test_bright_mode_sum_matches_mode_sum(self, request, oracle, spacings):
+        orc, _ = request.getfixturevalue(oracle)
+        got, ref = _self_energies(orc, spacings * orc.bath.spacing)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_rank_one(self, request, oracle):
+        # a common bath: Sigma_cx^2 = Sigma_cc * Sigma_xx, so the damping's
+        # off-diagonal entry is the dissipative sqrt(Gamma_cc * Gamma_xx)
+        orc, _ = request.getfixturevalue(oracle)
+        sig, _ = _self_energies(orc, 10.0 * orc.bath.spacing)
+        cc, xx, cx = sig[:, 0, 0], sig[:, 1, 1], sig[:, 0, 1]
+        assert np.array_equal(cx, sig[:, 1, 0])
+        assert np.max(np.abs(cx * cx - cc * xx) / np.abs(cc * xx)) <= 8 * EPS
+        gam = (1j * sig).real
+        cross = np.sqrt(gam[:, 0, 0] * gam[:, 1, 1])
+        assert np.max(np.abs(gam[:, 0, 1] - cross) / cross) <= 8 * EPS
 
 
 class TestOracleBic:

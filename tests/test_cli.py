@@ -570,6 +570,54 @@ class TestOracleCompareRun:
         assert "fit failed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+        # threaded BLAS splits a long sum by thread count, which moves its
+        # last bits; the oracle's sums must not depend on it.  One fresh
+        # interpreter per setting, both at once: the bundled oracle-compare
+        # CSVs, then an N = 32000 oracle, whose ddot lengths are past
+        # OpenBLAS's threading threshold
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from ioxsim import SystemParams, cli\n"
+            "from ioxsim.bath import BathOracle, bath_for_rates,"
+            " discretize_bath\n"
+            "cfg, out = sys.argv[1:]\n"
+            "assert cli.main(['oracle-compare', '--config', cfg,"
+            " '--out', out]) == 0\n"
+            "p = SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8)\n"
+            "b = bath_for_rates(1.0, 1.8, 1000.0, (500.0, 1500.0))\n"
+            "orc = BathOracle(discretize_bath(b, 32000), p)\n"
+            "np.save(out + '/energies.npy', orc.energies)\n"
+            "np.save(out + '/system_rows.npy', orc.system_rows)\n"
+            "np.save(out + '/damping.npy',"
+            " orc.effective_damping(np.linspace(990.0, 1010.0, 5)))\n")
+        cfg = os.path.join(ROOT, "configs", "oracle_compare_attraction.json")
+        procs = {}
+        for threads in ("1", "2"):
+            env = src_env()
+            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+            procs[threads] = subprocess.Popen(
+                [sys.executable, "-c", script, cfg, str(tmp_path / threads)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=env)
+        outputs = []
+        try:
+            for threads, proc in procs.items():
+                _, err = proc.communicate(timeout=600)
+                assert proc.returncode == 0, err
+                out = tmp_path / threads
+                outputs.append({name: (out / name).read_bytes()
+                                for name in sorted(os.listdir(out))})
+        finally:
+            for proc in procs.values():
+                proc.kill()
+        assert sorted(outputs[0]) == [
+            "damping.npy", "energies.npy", "oracle_damping.csv",
+            "oracle_dynamics.csv", "oracle_spectrum.csv", "summary.csv",
+            "system_rows.npy"]
+        assert outputs[0] == outputs[1]
+
     def test_raised_error_writes_nothing(self, tmp_path):
         # the recurrence guard of this bath sits at t = 15.7
         doc = self.oracle_doc(tmp_path)
