@@ -15,11 +15,12 @@ is the exact oracle for the closed forms; its dynamics comes from a
 secular-equation solver for the arrowhead Hamiltonian of a shared bath.
 
 Every sum over the bath modes runs in numpy's own single-threaded loops
-(np.einsum without optimize, np.sum), never through BLAS.  Threaded BLAS
-splits a long sum differently for each thread count, which moves its last
-bits, so the oracle's results, and the CSVs built from them, would depend
-on the core count; its helper thread also busy-waits between the secular
-solver's many short calls, burning as much CPU as the work itself.
+(the pairwise np.sum), never through BLAS.  Threaded BLAS splits a long
+sum differently for each thread count, which moves its last bits, so the
+oracle's results, and the CSVs built from them, would depend on the core
+count; its helper thread also busy-waits between short calls, burning as
+much CPU as the work itself.  The secular solver's far-field sums come
+from np.fft, which is pocketfft: it calls no BLAS and starts no thread.
 
 Work in units hbar = 1; energies are measured in units of a reference
 rate, the same convention as the rest of the package.
@@ -40,8 +41,10 @@ from .errors import (
 PV_GRID_POINTS = 4001
 RECURRENCE_SAFETY = 0.5
 WINDOW_MARGIN = 50.0      # total rates the system lines keep from the window ends
-DYNAMICS_CHUNK = 256      # times per block of the oracle dynamics
-SOLVER_CHUNK = 128        # roots or frequencies per block of the oracle
+DYNAMICS_CHUNK = 128      # times per block of the oracle dynamics
+SELF_ENERGY_CHUNK = 128   # frequencies per block of the oracle self-energy
+NEAR_FIELD = 7            # grid steps each side that the solver sums directly
+FAR_TERMS = 15            # Taylor terms of its far field, |tau/(m*dw)| <= 1/16
 SOLVER_STEP_TOL = 1e-12   # relative step that ends a secular iteration
 SOLVER_MAXIT = 100
 FLOAT_EPS = np.finfo(float).eps
@@ -279,20 +282,118 @@ def discretize_bath(b, n_modes, k=0.0):
     return DiscretizedBath(freqs, b.kappa_c * root_weight, b.kappa_x * root_weight)
 
 
+def _grid_spacing(freqs):
+    """Spacing dw of mode frequencies freqs[0] + j*dw, uniform to rounding;
+    ValueError for any other grid."""
+    dw = (freqs[-1] - freqs[0]) / max(freqs.size - 1, 1)
+    ref = freqs[0] + dw * np.arange(freqs.size)
+    if not (freqs.size > 1 and dw > 0.0 and np.max(np.abs(freqs - ref))
+            <= 8.0 * FLOAT_EPS * np.max(np.abs(freqs))):
+        raise ValueError("oracle needs bath modes on a uniform grid, as"
+                         " discretize_bath makes them")
+    return dw
+
+
+def _inverse_sums(gaps, z2):
+    """Row sums of z2/gaps and z2/gaps^2, pairwise; gaps is overwritten."""
+    r = np.reciprocal(gaps, out=gaps)
+    terms = r * z2
+    f = terms.sum(axis=1)
+    terms *= r
+    return f, terms.sum(axis=1)
+
+
 def _secular_terms(poles, z2, origin, tau):
     """Sums over i != origin of z2_i/(d_i - lam) and z2_i/(d_i - lam)^2.
 
-    lam = d_origin + tau, one root per row.  Each difference is formed as
-    (d_i - d_origin) - tau, so the distance from a root to the poles that
-    bracket it keeps full relative accuracy however close they are.
+    lam = d_origin + tau, one root per row, in O(n) per root.  Each
+    difference is formed as (d_i - d_origin) - tau, so the distance from a
+    root to the poles that bracket it keeps full relative accuracy however
+    close they are.
     """
-    r = poles - poles[origin, None]
-    r -= tau[:, None]
-    np.reciprocal(r, out=r)
-    r[np.arange(origin.size), origin] = 0.0
-    f = np.einsum("ij,j->i", r, z2)
-    np.square(r, out=r)
-    return f, np.einsum("ij,j->i", r, z2)
+    gaps = poles - poles[origin, None]
+    gaps -= tau[:, None]
+    gaps[np.arange(origin.size), origin] = np.inf
+    return _inverse_sums(gaps, z2)
+
+
+class _PoleSums:
+    """The sums of _secular_terms, in O(1) per root on the uniform mode grid.
+
+    Poles on the grid d_j = grid[0] + j*dw carry their weights W_j on it;
+    every other pole (the dark pole h_dd, unless it falls on a mode) is one
+    explicit term for every root.  For a root d_o + tau whose bracketing
+    gap is one grid step, |tau| <= dw/2, and each grid sum splits in two:
+    - near field, 0 < |m| <= NEAR_FIELD: summed directly in shifted
+      coordinates, as _secular_terms does;
+    - far field: with x = tau/dw, sum W_{o+m}/(m dw - tau) =
+      sum_p x^p C_p[o]/dw and sum W_{o+m}/(m dw - tau)^2 =
+      sum_p (p+1) x^p C_{p+1}[o]/dw^2, where C_p is W correlated with
+      m^-(p+1) over |m| > NEAR_FIELD.  Since |x/m| <= 1/16, FAR_TERMS
+      terms reach 2^-53; all C_p come from one batched FFT in
+      O(N log N).
+    The far field treats the grid as exactly uniform, which moves a far
+    pole by at most the grid's rounding.  The outer roots and the roots in
+    any other gap (next to an off-grid pole or to deflated modes) take the
+    direct O(n) sum of _secular_terms; fast marks the roots that do not.
+    Root j lies between poles j - 1 and j.
+    """
+
+    def __init__(self, poles, z2, grid):
+        self.poles, self.z2 = poles, z2
+        self.dw = dw = _grid_spacing(grid)
+        n_grid = grid.size
+        index = np.clip(np.rint((poles - grid[0]) / dw).astype(int), 0,
+                        n_grid - 1)
+        on = grid[index] == poles
+        self.index = index
+        self.fast = np.zeros(poles.size + 1, dtype=bool)
+        self.fast[1:-1] = on[:-1] & on[1:] & (np.diff(index) == 1)
+        self.off_poles, self.off_z2 = poles[~on], z2[~on]
+        near = NEAR_FIELD
+        weight = np.zeros(n_grid + 2 * near)
+        weight[near + index[on]] = z2[on]
+        step = np.arange(1, near + 1) * dw
+        padded = np.concatenate((grid[0] - step[::-1], grid, grid[-1] + step))
+        rows = np.arange(n_grid)[:, None] + np.delete(
+            np.arange(2 * near + 1), near)
+        self.near_d = padded[rows] - grid[:, None]
+        self.near_z2 = weight[rows]
+        # C_p by FFT convolution with the kernel k_p[q] = (-q)^-(p+1),
+        # zero-padded so that the circular convolution does not wrap
+        size = 1 << (2 * n_grid - 2).bit_length()
+        power = np.arange(1, FAR_TERMS + 2)[:, None]
+        kern = np.zeros((FAR_TERMS + 1, size))
+        dist = np.arange(near + 1, n_grid, dtype=float)
+        kern[:, near + 1:n_grid] = (-1.0) ** power * dist ** -power
+        kern[:, size - near - 1:size - n_grid:-1] = dist ** -power
+        coef = np.fft.irfft(np.fft.rfft(weight[near:n_grid + near], size)
+                            * np.fft.rfft(kern), size)[:, :n_grid]
+        self.far = np.stack((coef[:-1] / dw,
+                             power[:-1] * coef[1:] / dw ** 2), axis=-1)
+
+    def __call__(self, j, origin, tau):
+        """The two sums at roots j, each poles[origin] + tau."""
+        f, fp = np.empty(tau.size), np.empty(tau.size)
+        fast = self.fast[j]
+        f[~fast], fp[~fast] = _secular_terms(self.poles, self.z2,
+                                             origin[~fast], tau[~fast])
+        origin, tau = origin[fast], tau[fast]
+        o = self.index[origin]
+        f_sum, fp_sum = _inverse_sums(self.near_d[o] - tau[:, None],
+                                      self.near_z2[o])
+        # far field by Horner's rule in x, f and f' side by side
+        coef = np.take(self.far, o, axis=1)
+        x = (tau / self.dw)[:, None]
+        far = coef[-1]
+        for c in coef[-2::-1]:
+            far = far * x + c
+        gaps = self.off_poles - self.poles[origin, None]
+        gaps -= tau[:, None]
+        off_f, off_fp = _inverse_sums(gaps, self.off_z2)
+        f[fast] = f_sum + far[:, 0] + off_f
+        fp[fast] = fp_sum + far[:, 1] + off_fp
+        return f, fp
 
 
 def _secular_step(f_rest, fp_rest, lin, s, tau, far):
@@ -322,75 +423,81 @@ def _secular_step(f_rest, fp_rest, lin, s, tau, far):
     return np.where(far != 0.0, inner, outer)
 
 
-def _secular_roots(alpha, poles, z2):
+def _secular_roots(alpha, poles, z2, grid):
     """All n + 1 roots of f(lam) = lam - alpha + sum_i z2_i/(d_i - lam).
 
     poles d_i must increase strictly and the weights z2_i be positive; f
     then rises monotonically across each gap between poles and beyond
     either end, so it has one root in every gap plus one on each side.
-    Returns (origin, tau, fp): root j is poles[origin[j]] + tau[j] with
-    origin the pole nearest to it, and fp = f'(root).  Roots are found in
-    blocks of SOLVER_CHUNK, so the working memory is O(n * SOLVER_CHUNK).
+    The poles are modes of the uniform grid, apart from a few off it, and
+    _PoleSums sums over them.  Returns (origin, tau, fp, residual): root j
+    is poles[origin[j]] + tau[j] with origin the pole nearest to it,
+    fp = f'(root), and residual = |f(root)|/sqrt(fp) is the residual norm
+    of its eigenpair (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
+    All roots iterate together, in O(n) memory per step.
     """
     n = poles.size
+    sums = _PoleSums(poles, z2, grid)
     reach = np.sqrt(z2.sum())
     origin_out = np.empty(n + 1, dtype=int)
     tau_out = np.empty(n + 1)
-    fp_out = np.empty(n + 1)
-    for start in range(0, n + 1, SOLVER_CHUNK):
-        j = np.arange(start, min(start + SOLVER_CHUNK, n + 1))
-        origin = np.clip(j - 1, 0, n - 1)
-        inner = (j > 0) & (j < n)
-        half = np.where(inner,
-                        0.5 * (poles[np.minimum(j, n - 1)] - poles[origin]), 0.0)
-        # first probe: mid-gap for inner roots; for the outer roots the
-        # bound min(alpha, d_0) - |z| (or max(alpha, d_n) + |z|), past which
-        # the pole sum is at most |z| and cannot cancel lam - alpha
-        tau = np.where(inner, half, np.where(
-            j == 0, min(alpha - poles[0], 0.0) - reach,
-            max(alpha - poles[-1], 0.0) + reach))
-        f_rest, fp_rest = _secular_terms(poles, z2, origin, tau)
-        f = f_rest + (poles[origin] - alpha + tau) - z2[origin] / tau
-        fp = 1.0 + fp_rest + z2[origin] / tau ** 2
-        # mid-gap sign picks the nearer pole as origin for the rest
-        right = inner & (f < 0.0)
-        origin = origin + right
-        tau = np.where(right, -half, tau)
-        far = np.where(right, -2.0 * half, 2.0 * half)
-        lo = np.where(inner, np.where(right, -half, 0.0), np.minimum(tau, 0.0))
-        hi = np.where(inner, np.where(right, 0.0, half), np.maximum(tau, 0.0))
-        s = z2[origin]
+    j = np.arange(n + 1)
+    origin = np.clip(j - 1, 0, n - 1)
+    inner = (j > 0) & (j < n)
+    half = np.where(inner,
+                    0.5 * (poles[np.minimum(j, n - 1)] - poles[origin]), 0.0)
+    # first probe: mid-gap for inner roots; for the outer roots the
+    # bound min(alpha, d_0) - |z| (or max(alpha, d_n) + |z|), past which
+    # the pole sum is at most |z| and cannot cancel lam - alpha
+    tau = np.where(inner, half, np.where(
+        j == 0, min(alpha - poles[0], 0.0) - reach,
+        max(alpha - poles[-1], 0.0) + reach))
+    f_rest, fp_rest = sums(j, origin, tau)
+    f = f_rest + (poles[origin] - alpha + tau) - z2[origin] / tau
+    fp = 1.0 + fp_rest + z2[origin] / tau ** 2
+    # mid-gap sign picks the nearer pole as origin for the rest
+    right = inner & (f < 0.0)
+    origin = origin + right
+    tau = np.where(right, -half, tau)
+    far = np.where(right, -2.0 * half, 2.0 * half)
+    lo = np.where(inner, np.where(right, -half, 0.0), np.minimum(tau, 0.0))
+    hi = np.where(inner, np.where(right, 0.0, half), np.maximum(tau, 0.0))
+    s = z2[origin]
+    lin = poles[origin] - alpha + tau
+    fp_rest = fp - s / tau ** 2
+    f_rest = f - lin + s / tau
+    for _ in range(SOLVER_MAXIT):
+        f = f_rest + lin - s / tau
+        hi = np.where(f > 0.0, tau, hi)
+        lo = np.where(f < 0.0, tau, lo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = _secular_step(f_rest, fp_rest, lin, s, tau, far)
+        # stop on a tiny step, or once f is down to its rounding noise;
+        # either may have put the step just outside the bracket
+        small = np.abs(new - tau) <= SOLVER_STEP_TOL * np.abs(tau)
+        noise = 16.0 * FLOAT_EPS * (np.abs(lin) + np.abs(f_rest)
+                                    + s / np.abs(tau))
+        done = small | (np.abs(f) <= noise)
+        bad = ~(done | ((new >= lo) & (new <= hi) & (new != 0.0)))
+        new = np.where(bad, 0.5 * (lo + hi), new)
+        origin_out[j[done]] = origin[done]
+        tau_out[j[done]] = np.where(small, new, tau)[done]
+        keep = ~done
+        if not keep.any():
+            break
+        j, origin, far, s = j[keep], origin[keep], far[keep], s[keep]
+        lo, hi, tau = lo[keep], hi[keep], new[keep]
         lin = poles[origin] - alpha + tau
-        fp_rest = fp - s / tau ** 2
-        f_rest = f - lin + s / tau
-        for _ in range(SOLVER_MAXIT):
-            f = f_rest + lin - s / tau
-            hi = np.where(f > 0.0, tau, hi)
-            lo = np.where(f < 0.0, tau, lo)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                new = _secular_step(f_rest, fp_rest, lin, s, tau, far)
-            # stop on a tiny step, or once f is down to its rounding noise;
-            # either may have put the step just outside the bracket
-            small = np.abs(new - tau) <= SOLVER_STEP_TOL * np.abs(tau)
-            noise = 16.0 * FLOAT_EPS * (np.abs(lin) + np.abs(f_rest)
-                                        + s / np.abs(tau))
-            done = small | (np.abs(f) <= noise)
-            bad = ~(done | ((new >= lo) & (new <= hi) & (new != 0.0)))
-            new = np.where(bad, 0.5 * (lo + hi), new)
-            origin_out[j[done]] = origin[done]
-            tau_out[j[done]] = np.where(small, new, tau)[done]
-            fp_out[j[done]] = fp_rest[done] + s[done] / tau[done] ** 2
-            keep = ~done
-            if not keep.any():
-                break
-            j, origin, far, s = j[keep], origin[keep], far[keep], s[keep]
-            lo, hi, tau = lo[keep], hi[keep], new[keep]
-            lin = poles[origin] - alpha + tau
-            f_rest, fp_rest = _secular_terms(poles, z2, origin, tau)
-            fp_rest += 1.0
-        else:
-            raise ArithmeticError("secular equation did not converge")
-    return origin_out, tau_out, fp_out
+        f_rest, fp_rest = sums(j, origin, tau)
+        fp_rest += 1.0
+    else:
+        raise ArithmeticError("secular equation did not converge")
+    # one more sweep at the roots themselves gives f' and the residuals
+    f_rest, fp_rest = sums(np.arange(n + 1), origin_out, tau_out)
+    s = z2[origin_out]
+    f = f_rest + (poles[origin_out] - alpha + tau_out) - s / tau_out
+    fp = 1.0 + fp_rest + s / tau_out ** 2
+    return origin_out, tau_out, fp, np.abs(f) / np.sqrt(fp)
 
 
 def _bright_direction(d):
@@ -412,7 +519,8 @@ def _bright_direction(d):
 
 def _oracle_eigenpairs(h_sys, u, w, mode_freqs):
     """Eigenvalues of the (N+2) single-excitation Hamiltonian, ascending,
-    and the (2, N+2) cavity and emitter rows of its eigenvectors.
+    the (2, N+2) cavity and emitter rows of its eigenvectors, and the
+    largest eigenpair residual norm.
 
     In the basis (bright u, dark u-perp, bath modes) only the bright mode
     couples to the bath, so the matrix is an arrowhead: tip h_bb, diagonal
@@ -422,7 +530,9 @@ def _oracle_eigenpairs(h_sys, u, w, mode_freqs):
     the secular equation f(lam) = 0, and its eigenvector is
     (1, z_i/(lam - d_i)) / sqrt(f'(lam)), so its bright amplitude is
     1/sqrt(f') and its dark amplitude h_bd / ((lam - h_dd) sqrt(f')).
-    The full eigenvector matrix is never formed.
+    The full eigenvector matrix is never formed.  The residual norm
+    |f(lam)|/sqrt(f'(lam)) of each secular eigenpair certifies it without
+    a dense reference; the deflated eigenpairs are exact.
     """
     v = np.array([-u[1], u[0]])
     h_bb, h_bd, h_dd = u @ h_sys @ u, u @ h_sys @ v, v @ h_sys @ v
@@ -444,11 +554,11 @@ def _oracle_eigenpairs(h_sys, u, w, mode_freqs):
     deflated = np.setdiff1d(np.arange(diag.size), live[first])
     deflated_dark = np.zeros(deflated.size)
     if poles.size:
-        origin, tau, fp = _secular_roots(h_bb, poles, z2)
+        origin, tau, fp, residual = _secular_roots(h_bb, poles, z2, mode_freqs)
         energies = poles[origin] + tau
         bright = 1.0 / np.sqrt(fp)
     else:
-        energies, bright = np.array([h_bb]), np.ones(1)
+        energies, bright, residual = np.array([h_bb]), np.ones(1), np.zeros(1)
     dark_amp = np.zeros(energies.size)
     if not is_live[dark]:
         deflated_dark[np.searchsorted(deflated, dark)] = 1.0
@@ -467,7 +577,7 @@ def _oracle_eigenpairs(h_sys, u, w, mode_freqs):
     dark_amp = np.concatenate((dark_amp, deflated_dark))
     order = np.argsort(energies, kind="stable")
     rows = np.outer(u, bright[order]) + np.outer(v, dark_amp[order])
-    return energies[order], rows
+    return energies[order], rows, float(residual.max())
 
 
 class BathOracle:
@@ -477,11 +587,12 @@ class BathOracle:
     emitter, bath modes) is never stored.  Spectra and the Green's matrix
     come from the discrete self-energy Sigma(z) = sum_j g_j g_j^T/(z - w_j)
     in O(N) per frequency; dynamics uses the eigenvalues and the two system
-    rows of the eigenvectors, found in O(N^2) by a secular-equation solver
-    on first use.  Everything the memoryless theory predicts — branch
-    positions, linewidths, the off-diagonal dissipative coupling, the
-    undamped-state plateau — must emerge here from first principles, up to
-    the discretization itself.  Its sums over the modes run on one thread
+    rows of the eigenvectors, found in O(N log N) by a secular-equation
+    solver on first use, which needs the modes on a uniform grid.
+    Everything the memoryless theory predicts — branch positions,
+    linewidths, the off-diagonal dissipative coupling, the undamped-state
+    plateau — must emerge here from first principles, up to the
+    discretization itself.  Its sums over the modes run on one thread
     without BLAS (see the module docstring), so its results are the same
     bits on any number of cores.
     """
@@ -492,6 +603,7 @@ class BathOracle:
                 "oracle needs >= %d bath modes for converged rates" % min_modes)
         for v in (d.mode_freqs, d.coupling_c, d.coupling_x):
             _finite(v, "bath")
+        _grid_spacing(d.mode_freqs)
         eps_c, eps_x = kinetic_energies(p, k)
         lo, hi = d.mode_freqs[0], d.mode_freqs[-1]
         margin = WINDOW_MARGIN * max(p.total_rate, 1e-12)
@@ -505,6 +617,7 @@ class BathOracle:
         self._eigen = None
 
     def _eigenpairs(self):
+        """(energies, system rows, largest eigenpair residual norm)."""
         if self._eigen is None:
             self._eigen = _oracle_eigenpairs(self._h_sys, self._bright,
                                              self._weights, self.bath.mode_freqs)
@@ -535,10 +648,10 @@ class BathOracle:
         """
         freqs, w2 = self.bath.mode_freqs, self._weights ** 2
         sig = np.empty(z.size, dtype=complex)
-        for start in range(0, z.size, SOLVER_CHUNK):
-            block = z[start:start + SOLVER_CHUNK, None]
-            sig[start:start + SOLVER_CHUNK] = np.einsum(
-                "ij,j->i", 1.0 / (block - freqs), w2)
+        for start in range(0, z.size, SELF_ENERGY_CHUNK):
+            block = z[start:start + SELF_ENERGY_CHUNK, None]
+            sig[start:start + SELF_ENERGY_CHUNK] = np.sum(
+                w2 / (block - freqs), axis=1)
         return sig[:, None, None] * np.outer(self._bright, self._bright)
 
     def _frequencies(self, omega_grid, eta):
@@ -569,7 +682,7 @@ class BathOracle:
             raise RecurrenceLimitError(
                 "requested times exceed %.0f%% of the recurrence time %.3g"
                 % (100 * RECURRENCE_SAFETY, self.recurrence_time))
-        energies, rows = self._eigenpairs()
+        energies, rows, _ = self._eigenpairs()
         c0, x0 = initial
         coeff = rows[0] * c0 + rows[1] * x0  # V^T psi0, bath empty
         w_c, w_x = coeff * rows[0], coeff * rows[1]
@@ -578,8 +691,8 @@ class BathOracle:
         for start in range(0, t_grid.size, DYNAMICS_CHUNK):
             ts = t_grid[start:start + DYNAMICS_CHUNK]
             phases = np.exp(-1j * np.outer(ts, energies))
-            c_out[start:start + DYNAMICS_CHUNK] = np.einsum("ij,j->i", phases, w_c)
-            x_out[start:start + DYNAMICS_CHUNK] = np.einsum("ij,j->i", phases, w_x)
+            c_out[start:start + DYNAMICS_CHUNK] = np.sum(phases * w_c, axis=1)
+            x_out[start:start + DYNAMICS_CHUNK] = np.sum(phases * w_x, axis=1)
         return c_out, x_out
 
     def green_system(self, omega_grid, eta=None):

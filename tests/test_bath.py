@@ -6,6 +6,8 @@ are checked against a dense np.linalg.eigh of the full Hamiltonian on
 baths of a few hundred modes, where eigh is cheap.
 """
 
+import math
+import os
 import warnings
 from functools import partial
 
@@ -14,11 +16,14 @@ import pytest
 from scipy import optimize
 
 from ioxsim import SystemParams, eigen_branches, effective_hamiltonian
+from ioxsim import bath, cli
 from ioxsim.bath import (
     BathOracle,
     BathSpec,
     DiscretizedBath,
+    _bright_direction,
     _green,
+    _PoleSums,
     bath_for_rates,
     discretize_bath,
     env_density_of_states,
@@ -399,6 +404,18 @@ class TestDiscretizedBath:
             BathOracle(DiscretizedBath(d.mode_freqs, d.coupling_c, twisted),
                        SystemParams(gamma_c=1.0, gamma_x=0.5))
 
+    @pytest.mark.parametrize("shift", [1e-9, 0.25])
+    def test_oracle_rejects_non_uniform_grid(self, shift):
+        # the secular solver sums the far field on the uniform mode grid;
+        # a mode moved off it, by a part of the spacing or by far more
+        # than rounding, is refused
+        d = discretize_bath(bath_for_rates(1.0, 0.5, EPS0, WINDOW), 2000)
+        freqs = d.mode_freqs.copy()
+        freqs[1234] += shift * d.spacing
+        with pytest.raises(ValueError, match="uniform grid"):
+            BathOracle(DiscretizedBath(freqs, d.coupling_c, d.coupling_x),
+                       SystemParams(gamma_c=1.0, gamma_x=0.5))
+
     def test_oracle_rejects_narrow_window(self):
         b = bath_for_rates(1.0, 0.0, EPS0, (990.0, 1010.0))
         p = SystemParams(gamma_c=1.0)
@@ -590,12 +607,19 @@ def _small_oracle(case):
         p = SystemParams(delta=2.0, g_rabi=0.5, mass_ratio=0.3,
                          gamma_c=1.0, gamma_x=0.7)
         b = bath_for_rates(1.0, 0.7, EPS0, WINDOW)
+    elif case == "light-cone":
+        # c|k| = 700 inside the window: the modes below it carry no weight
+        # and deflate, so the live poles start mid-window
+        k = 3.0
+        p = SystemParams(delta=2.0, g_rabi=0.5, mass_ratio=0.3,
+                         gamma_c=1.0, gamma_x=0.7)
+        b = bath_for_rates(1.0, 0.7, EPS0, WINDOW, c_light=700.0 / k)
     return BathOracle(discretize_bath(b, SMALL_N, k=k), p, k=k,
                       min_modes=SMALL_N)
 
 
 SMALL_CASES = ("attraction", "dark-exciton", "uncoupled", "dark-mode-point",
-               "emitter-on-mode", "finite-k")
+               "emitter-on-mode", "finite-k", "light-cone")
 
 
 def _bare(orc):
@@ -677,3 +701,70 @@ def test_emitter_on_bath_mode_keeps_its_weight():
     at = np.flatnonzero(orc.energies == on)
     assert at.size == 1
     assert orc.system_rows[1, at[0]] ** 2 > 1e-3
+
+
+def _secular_problems(monkeypatch, oracle):
+    """The (alpha, poles, z2, grid) of every secular solve that building
+    oracle's eigenpairs runs."""
+    problems = []
+    solve = bath._secular_roots
+
+    def spy(*args):
+        problems.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(bath, "_secular_roots", spy)
+    oracle.energies
+    return problems
+
+
+@pytest.mark.parametrize("case", SMALL_CASES)
+def test_few_roots_take_the_direct_sum(monkeypatch, case):
+    # the outer roots and the two next to an off-grid dark pole; the
+    # deflated modes below a light cone leave every inner gap one step
+    problems = _secular_problems(monkeypatch, _small_oracle(case))
+    direct = sum(np.count_nonzero(~_PoleSums(*args[1:]).fast)
+                 for args in problems)
+    assert direct <= 4
+    if case == "light-cone":
+        _, poles, _, grid = problems[0]
+        assert poles[0] > grid[50]
+
+
+@pytest.mark.parametrize("n_modes", [4000, 32000])
+def test_pole_sums_match_exact_sums(n_modes):
+    # f and f' at 64 seeded roots on the grid plus an off-grid pole,
+    # against math.fsum of the same terms, each formed as in the direct
+    # sum; the error is relative to sum |terms|
+    d = discretize_bath(bath_for_rates(1.0, 1.8, EPS0, WINDOW), n_modes)
+    _, w = _bright_direction(d)
+    poles = np.append(d.mode_freqs, 1000.3)
+    z2 = np.append(w ** 2, 0.7)
+    order = np.argsort(poles)
+    poles, z2 = poles[order], z2[order]
+    sums = _PoleSums(poles, z2, d.mode_freqs)
+    rng = np.random.default_rng(16)
+    roots = rng.choice(np.flatnonzero(sums.fast), 64, replace=False)
+    right = rng.random(64) < 0.5
+    origin = roots - 1 + right
+    tau = np.where(right, -1.0, 1.0) * rng.uniform(0.0, 0.5, 64) * d.spacing
+    f, fp = sums(roots, origin, tau)
+    for i in range(64):
+        r = 1.0 / np.delete((poles - poles[origin[i]]) - tau[i], origin[i])
+        terms = np.delete(z2, origin[i]) * r
+        assert abs(f[i] - math.fsum(terms)) <= 4 * EPS * np.sum(np.abs(terms))
+        terms *= r
+        assert abs(fp[i] - math.fsum(terms)) <= 4 * EPS * np.sum(terms)
+
+
+def test_residual_certificate_on_bundled_bath():
+    # |f(lam)|/sqrt(f'(lam)) is the residual norm of each eigenpair of the
+    # arrowhead (Parlett, ch. 4); its maximum over all roots bounds every
+    # eigenvalue's error without a dense reference
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = cli.load_config(
+        os.path.join(root, "configs", "oracle_compare_attraction.json"))
+    orc = BathOracle(discretize_bath(cfg.bath, cfg.n_modes), cfg.systems[0])
+    energies, _, residual = orc._eigenpairs()
+    assert energies.size == cfg.n_modes + 2
+    assert 0.0 < residual < 1e-12
