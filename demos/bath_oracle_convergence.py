@@ -18,7 +18,6 @@ from ioxsim import (
     SystemParams,
     eigen_branches,
     bath_for_rates,
-    discretize_bath,
     BathOracle,
     kernel_freq,
     power_spectrum,
@@ -29,10 +28,9 @@ from ioxsim import (
 
 p = SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8)
 spec = bath_for_rates(p.gamma_c, p.gamma_x, p.eps0, (600.0, 1400.0))
-modes = discretize_bath(spec, 2000)
-oracle = BathOracle(modes, p, k=0.0)
+oracle = BathOracle(spec, 2000, p, k=0.0)
 print("bath: %d modes on (%.0f, %.0f), spacing %.3f"
-      % (modes.mode_freqs.size, 600.0, 1400.0, oracle.bath.spacing))
+      % (oracle.mode_freqs.size, 600.0, 1400.0, oracle.spacing))
 print("recurrence time %.1f" % oracle.recurrence_time)
 
 # -- damping matrix recovered from the resolvent -------------------------
@@ -59,7 +57,7 @@ ref = kernel_freq(wide, 0.0, sweep_probe)
 print("\ndamping matrix vs continuum kernel on (500, 1500), max relative error:")
 prev = None
 for n in (2000, 4000, 8000, 16000, 32000):
-    sweep = BathOracle(discretize_bath(wide, n), p).effective_damping(sweep_probe)
+    sweep = BathOracle(wide, n, p).effective_damping(sweep_probe)
     err = np.max(np.abs(sweep - ref) / np.abs(ref))
     order = "" if prev is None else "  (order %.3f)" % np.log2(prev / err)
     print("  N = %5d  %.2e%s" % (n, err, order))
@@ -68,7 +66,7 @@ for n in (2000, 4000, 8000, 16000, 32000):
 # -- spectrum peaks land on the closed-form branch positions -------------
 lo, up = eigen_branches(p, 0.0)
 w = np.arange(995.0, 1011.0 + 1e-9, 0.05)
-ldos = oracle.spectrum(w, eta=2.0 * oracle.bath.spacing)
+ldos = oracle.spectrum(w, eta=2.0 * oracle.spacing)
 intensity = power_spectrum(p, 0.0, w)
 guesses = (lo.omega.real, up.omega.real)
 cen_orc, _, _ = lorentzian_pair_fit(w, ldos, guesses)

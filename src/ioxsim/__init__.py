@@ -40,13 +40,11 @@ from .dynamics import (
 )
 from .bath import (
     BathSpec,
-    DiscretizedBath,
     BathOracle,
     env_density_of_states,
     kernel_freq,
     full_matrix,
     bath_for_rates,
-    discretize_bath,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathOracle, _green, bath_for_rates, discretize_bath, full_matrix
+from .bath import BathOracle, _green, bath_for_rates, full_matrix
 from .core import (
     SystemParams,
     bic_condition,
@@ -137,7 +137,7 @@ def check_undamped_pole():
                          np.abs(np.abs(x_traj) ** 2 - x_inf)])
 
     b = bath_for_rates(p.gamma_c, p.gamma_x, p.eps0, (750.0, 1250.0))
-    orc = BathOracle(discretize_bath(b, 4000), p)
+    orc = BathOracle(b, 4000, p)
     t_orc = np.linspace(18.0, 24.0, 61)
     c_orc, x_orc = orc.dynamics((0.0, 1.0), t_orc)
     orc_err = np.max([abs(np.mean(np.abs(c_orc) ** 2) - c_inf) / c_inf,
@@ -258,7 +258,7 @@ def check_rate_emergence():
     t0 = time.perf_counter()
     p = SystemParams(delta=3.0, gamma_x=1.8)
     b = bath_for_rates(p.gamma_c, p.gamma_x, p.eps0, (500.0, 1500.0))
-    orc = BathOracle(discretize_bath(b, 4000), p)
+    orc = BathOracle(b, 4000, p)
 
     probe = np.linspace(985.0, 1015.0, 7)
     gam = orc.effective_damping(probe)

@@ -11,8 +11,11 @@ carrier (Markov), the continuum kernel -i*Gamma~(omega), or the mode sum
 Sigma(z) = sum_j g_j g_j^T/(z - omega_j) of a discretized bath.  Each
 carries the dissipative coupling sqrt(gamma_c*gamma_x) that a common
 environment generates and independent baths cannot.  The discretized bath
-is the exact oracle for the closed forms; its dynamics comes from a
-secular-equation solver for the arrowhead Hamiltonian of a shared bath.
+is the exact oracle for the closed forms.  The oracle builds it itself, at
+its own momentum, on a uniform grid of modes that all couple to one bright
+combination of cavity and emitter; its dynamics comes from a
+secular-equation solver for the arrowhead Hamiltonian of that shared bath,
+which sums over the uniform grid in O(N log N).
 
 Every sum over the bath modes runs in numpy's own single-threaded loops
 (the pairwise np.sum), never through BLAS.  Threaded BLAS splits a long
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemParams, _finite, _response_det, kinetic_energies
+from .core import _finite, _response_det, kinetic_energies
 from .errors import (
     EvanescentRegionError,
     KernelAccuracyError,
@@ -248,52 +251,6 @@ def full_matrix(b, p, k, omega, npoints=PV_GRID_POINTS, memoryless=False):
     return _response(h, omega, -1j * gam)
 
 
-@dataclass(frozen=True)
-class DiscretizedBath:
-    """Uniform-grid realization of a BathSpec with N discrete modes.
-
-    Couplings g_j = kappa * taper(omega_j) * sqrt(rho(omega_j) * dw)
-    make the Fermi-golden-rule decay rate of the discrete bath equal to
-    the continuum rate by construction.
-    """
-
-    mode_freqs: np.ndarray
-    coupling_c: np.ndarray
-    coupling_x: np.ndarray
-
-    @property
-    def n_modes(self):
-        return self.mode_freqs.size
-
-    @property
-    def spacing(self):
-        return float(self.mode_freqs[1] - self.mode_freqs[0])
-
-
-def discretize_bath(b, n_modes, k=0.0):
-    """Midpoint discretization of the window into n_modes bath modes."""
-    if n_modes < 2:
-        raise ValueError("need at least two bath modes")
-    _finite(k, "k")
-    lo, hi = b.omega_window
-    dw = (hi - lo) / n_modes
-    freqs = lo + (np.arange(n_modes) + 0.5) * dw
-    root_weight = np.sqrt(_spectral_weight(b, k, freqs) * dw)
-    return DiscretizedBath(freqs, b.kappa_c * root_weight, b.kappa_x * root_weight)
-
-
-def _grid_spacing(freqs):
-    """Spacing dw of mode frequencies freqs[0] + j*dw, uniform to rounding;
-    ValueError for any other grid."""
-    dw = (freqs[-1] - freqs[0]) / max(freqs.size - 1, 1)
-    ref = freqs[0] + dw * np.arange(freqs.size)
-    if not (freqs.size > 1 and dw > 0.0 and np.max(np.abs(freqs - ref))
-            <= 8.0 * FLOAT_EPS * np.max(np.abs(freqs))):
-        raise ValueError("oracle needs bath modes on a uniform grid, as"
-                         " discretize_bath makes them")
-    return dw
-
-
 def _inverse_sums(gaps, z2):
     """Row sums of z2/gaps and z2/gaps^2, pairwise; gaps is overwritten."""
     r = np.reciprocal(gaps, out=gaps)
@@ -320,10 +277,12 @@ def _secular_terms(poles, z2, origin, tau):
 class _PoleSums:
     """The sums of _secular_terms, in O(1) per root on the uniform mode grid.
 
-    Poles on the grid d_j = grid[0] + j*dw carry their weights W_j on it;
-    every other pole (the dark pole h_dd, unless it falls on a mode) is one
-    explicit term for every root.  For a root d_o + tau whose bracketing
-    gap is one grid step, |tau| <= dw/2, and each grid sum splits in two:
+    The oracle builds its modes on the grid d_j = grid[0] + j*dw, to
+    rounding, and passes its spacing dw.  Poles on the grid carry their
+    weights W_j on it; every other pole (the dark pole h_dd, unless it
+    falls on a mode) is one explicit term for every root.  For a root
+    d_o + tau whose bracketing gap is one grid step, |tau| <= dw/2, and
+    each grid sum splits in two:
     - near field, 0 < |m| <= NEAR_FIELD: summed directly in shifted
       coordinates, as _secular_terms does;
     - far field: with x = tau/dw, sum W_{o+m}/(m dw - tau) =
@@ -339,9 +298,9 @@ class _PoleSums:
     Root j lies between poles j - 1 and j.
     """
 
-    def __init__(self, poles, z2, grid):
+    def __init__(self, poles, z2, grid, dw):
         self.poles, self.z2 = poles, z2
-        self.dw = dw = _grid_spacing(grid)
+        self.dw = dw
         n_grid = grid.size
         index = np.clip(np.rint((poles - grid[0]) / dw).astype(int), 0,
                         n_grid - 1)
@@ -423,21 +382,22 @@ def _secular_step(f_rest, fp_rest, lin, s, tau, far):
     return np.where(far != 0.0, inner, outer)
 
 
-def _secular_roots(alpha, poles, z2, grid):
+def _secular_roots(alpha, poles, z2, grid, dw):
     """All n + 1 roots of f(lam) = lam - alpha + sum_i z2_i/(d_i - lam).
 
     poles d_i must increase strictly and the weights z2_i be positive; f
     then rises monotonically across each gap between poles and beyond
     either end, so it has one root in every gap plus one on each side.
-    The poles are modes of the uniform grid, apart from a few off it, and
-    _PoleSums sums over them.  Returns (origin, tau, fp, residual): root j
-    is poles[origin[j]] + tau[j] with origin the pole nearest to it,
-    fp = f'(root), and residual = |f(root)|/sqrt(fp) is the residual norm
-    of its eigenpair (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
+    The poles are modes of the uniform grid of spacing dw, apart from a
+    few off it, and _PoleSums sums over them.  Returns (origin, tau, fp,
+    residual): root j is poles[origin[j]] + tau[j] with origin the pole
+    nearest to it, fp = f'(root), and residual = |f(root)|/sqrt(fp) is the
+    residual norm of its eigenpair (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 4).
     All roots iterate together, in O(n) memory per step.
     """
     n = poles.size
-    sums = _PoleSums(poles, z2, grid)
+    sums = _PoleSums(poles, z2, grid, dw)
     reach = np.sqrt(z2.sum())
     origin_out = np.empty(n + 1, dtype=int)
     tau_out = np.empty(n + 1)
@@ -500,24 +460,7 @@ def _secular_roots(alpha, poles, z2, grid):
     return origin_out, tau_out, fp, np.abs(f) / np.sqrt(fp)
 
 
-def _bright_direction(d):
-    """Unit vector u and bright-mode weights w with (coupling_c[j],
-    coupling_x[j]) = u * w[j] for all j."""
-    gc, gx = d.coupling_c, d.coupling_x
-    # pairwise np.sum: an einsum dot is 1e-14 off in relative terms on the
-    # bundled 4000-mode bath, and Sigma(z) scales with u u^T
-    norm_c, norm_x = np.sqrt(np.sum(gc * gc)), np.sqrt(np.sum(gx * gx))
-    kappa = np.hypot(norm_c, norm_x)
-    if kappa == 0.0:
-        return np.array([1.0, 0.0]), np.zeros(gc.size)
-    u = np.array([norm_c, np.copysign(norm_x, np.sum(gc * gx))]) / kappa
-    if np.max(np.abs(u[0] * gx - u[1] * gc)) > 1e-12 * kappa:
-        raise ValueError("oracle needs cavity and emitter couplings that are"
-                         " proportional, as discretize_bath makes them")
-    return u, u[0] * gc + u[1] * gx
-
-
-def _oracle_eigenpairs(h_sys, u, w, mode_freqs):
+def _oracle_eigenpairs(h_sys, u, w, mode_freqs, dw):
     """Eigenvalues of the (N+2) single-excitation Hamiltonian, ascending,
     the (2, N+2) cavity and emitter rows of its eigenvectors, and the
     largest eigenpair residual norm.
@@ -554,7 +497,8 @@ def _oracle_eigenpairs(h_sys, u, w, mode_freqs):
     deflated = np.setdiff1d(np.arange(diag.size), live[first])
     deflated_dark = np.zeros(deflated.size)
     if poles.size:
-        origin, tau, fp, residual = _secular_roots(h_bb, poles, z2, mode_freqs)
+        origin, tau, fp, residual = _secular_roots(h_bb, poles, z2,
+                                                   mode_freqs, dw)
         energies = poles[origin] + tau
         bright = 1.0 / np.sqrt(fp)
     else:
@@ -583,12 +527,21 @@ def _oracle_eigenpairs(h_sys, u, w, mode_freqs):
 class BathOracle:
     """Exact single-excitation model of the system plus a discretized bath.
 
+    The oracle discretizes the bath b itself, at its own momentum k: n_modes
+    modes at the midpoints omega_j = lo + (j + 1/2)*dw of the window, a
+    uniform grid of spacing dw = (hi - lo)/n_modes.  A shared bath couples
+    to one bright combination u = (kappa_c, kappa_x)/|kappa| of cavity and
+    emitter, (1, 0) when both couplings vanish, with the weight
+    w_j = |kappa| * taper(omega_j) * sqrt(rho_k(omega_j) * dw), zero below
+    the light cone; the golden-rule rate of the discrete bath then equals
+    the continuum rate by construction.
+
     The (N+2)-dimensional real symmetric Hamiltonian in the basis (cavity,
     emitter, bath modes) is never stored.  Spectra and the Green's matrix
     come from the discrete self-energy Sigma(z) = sum_j g_j g_j^T/(z - w_j)
     in O(N) per frequency; dynamics uses the eigenvalues and the two system
-    rows of the eigenvectors, found in O(N log N) by a secular-equation
-    solver on first use, which needs the modes on a uniform grid.
+    rows of the eigenvectors, found in O(N log N) on first use by a
+    secular-equation solver that sums over the uniform grid.
     Everything the memoryless theory predicts — branch positions,
     linewidths, the off-diagonal dissipative coupling, the undamped-state
     plateau — must emerge here from first principles, up to the
@@ -597,30 +550,36 @@ class BathOracle:
     bits on any number of cores.
     """
 
-    def __init__(self, d, p, k=0.0, min_modes=2000):
-        if d.n_modes < min_modes:
-            raise ValueError(
-                "oracle needs >= %d bath modes for converged rates" % min_modes)
-        for v in (d.mode_freqs, d.coupling_c, d.coupling_x):
-            _finite(v, "bath")
-        _grid_spacing(d.mode_freqs)
+    def __init__(self, b, n_modes, p, k=0.0, min_modes=2000):
+        if n_modes < max(min_modes, 2):
+            raise ValueError("oracle needs >= %d bath modes for converged"
+                             " rates" % max(min_modes, 2))
         eps_c, eps_x = kinetic_energies(p, k)
-        lo, hi = d.mode_freqs[0], d.mode_freqs[-1]
+        lo, hi = b.omega_window
+        self.spacing = dw = (hi - lo) / n_modes
+        self.mode_freqs = freqs = lo + (np.arange(n_modes) + 0.5) * dw
         margin = WINDOW_MARGIN * max(p.total_rate, 1e-12)
-        if min(eps_c, eps_x) - margin < lo or max(eps_c, eps_x) + margin > hi:
+        if (min(eps_c, eps_x) - margin < freqs[0]
+                or max(eps_c, eps_x) + margin > freqs[-1]):
             raise ValueError("bath window too narrow around the system lines")
         self.params = p
         self.k = k
-        self.bath = d
+        self.bath = b
         self._h_sys = _bare_hamiltonian(p, k)
-        self._bright, self._weights = _bright_direction(d)
+        kappa = math.hypot(b.kappa_c, b.kappa_x)
+        self._bright = u = (np.array([b.kappa_c, b.kappa_x]) / kappa if kappa
+                            else np.array([1.0, 0.0]))
+        # w_j = u . g_j, the bright part of the couplings g_j = kappa * root_j
+        root = np.sqrt(_spectral_weight(b, k, freqs) * dw)
+        self._weights = u[0] * (b.kappa_c * root) + u[1] * (b.kappa_x * root)
         self._eigen = None
 
     def _eigenpairs(self):
         """(energies, system rows, largest eigenpair residual norm)."""
         if self._eigen is None:
             self._eigen = _oracle_eigenpairs(self._h_sys, self._bright,
-                                             self._weights, self.bath.mode_freqs)
+                                             self._weights, self.mode_freqs,
+                                             self.spacing)
         return self._eigen
 
     @property
@@ -636,7 +595,7 @@ class BathOracle:
 
     @property
     def recurrence_time(self):
-        return 2.0 * np.pi / self.bath.spacing
+        return 2.0 * np.pi / self.spacing
 
     def _self_energy(self, z):
         """Sigma(z) = sum_j g_j g_j^T/(z - omega_j), shape (M, 2, 2).
@@ -646,7 +605,7 @@ class BathOracle:
         Sigma_cc * Sigma_xx, the dissipative coupling sqrt(Gamma_cc *
         Gamma_xx) of a common bath.
         """
-        freqs, w2 = self.bath.mode_freqs, self._weights ** 2
+        freqs, w2 = self.mode_freqs, self._weights ** 2
         sig = np.empty(z.size, dtype=complex)
         for start in range(0, z.size, SELF_ENERGY_CHUNK):
             block = z[start:start + SELF_ENERGY_CHUNK, None]
@@ -657,8 +616,8 @@ class BathOracle:
     def _frequencies(self, omega_grid, eta):
         """z = omega + i*eta, eta wide enough to hide the discrete mode comb;
         the default, ten level spacings, washes it out."""
-        eta = 10.0 * self.bath.spacing if eta is None else float(eta)
-        if not 2.0 * self.bath.spacing <= eta < np.inf:
+        eta = 10.0 * self.spacing if eta is None else float(eta)
+        if not 2.0 * self.spacing <= eta < np.inf:
             raise KernelAccuracyError(
                 "broadening must be finite and at least twice the level spacing")
         omega = _finite(omega_grid, "omega_grid")
@@ -688,11 +647,21 @@ class BathOracle:
         w_c, w_x = coeff * rows[0], coeff * rows[1]
         c_out = np.empty(t_grid.size, dtype=complex)
         x_out = np.empty(t_grid.size, dtype=complex)
+        rate = -1j * energies
+        # every block of exp(-i t E) and of its product with the weights is
+        # formed in these two buffers: two blocks live at a time, and no
+        # block allocates
+        phases = np.empty((min(DYNAMICS_CHUNK, t_grid.size), energies.size),
+                          dtype=complex)
+        terms = np.empty_like(phases)
         for start in range(0, t_grid.size, DYNAMICS_CHUNK):
-            ts = t_grid[start:start + DYNAMICS_CHUNK]
-            phases = np.exp(-1j * np.outer(ts, energies))
-            c_out[start:start + DYNAMICS_CHUNK] = np.sum(phases * w_c, axis=1)
-            x_out[start:start + DYNAMICS_CHUNK] = np.sum(phases * w_x, axis=1)
+            ts = t_grid[start:start + DYNAMICS_CHUNK, None]
+            block, prod = phases[:ts.shape[0]], terms[:ts.shape[0]]
+            np.exp(np.multiply(ts, rate, out=block), out=block)
+            c_out[start:start + DYNAMICS_CHUNK] = np.sum(
+                np.multiply(block, w_c, out=prod), axis=1)
+            x_out[start:start + DYNAMICS_CHUNK] = np.sum(
+                np.multiply(block, w_x, out=prod), axis=1)
         return c_out, x_out
 
     def green_system(self, omega_grid, eta=None):

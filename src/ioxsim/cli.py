@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import acceptance
-from .bath import BathOracle, BathSpec, discretize_bath
+from .bath import BathOracle, BathSpec
 from .core import (
     SystemParams,
     bic_condition,
@@ -616,7 +616,7 @@ def run_oracle_compare(cfg):
     p = cfg.systems[0]
     k = float(cfg.k_grid[0]) if cfg.k_grid is not None else 0.0
     try:
-        oracle = BathOracle(discretize_bath(cfg.bath, cfg.n_modes), p, k=k)
+        oracle = BathOracle(cfg.bath, cfg.n_modes, p, k=k)
     except ValueError as exc:
         raise NumericalCheckError(str(exc))
 
@@ -638,7 +638,7 @@ def run_oracle_compare(cfg):
 
     if cfg.omega_grid is not None:
         # sharpest broadening the comb guard admits, for clean peak centers
-        ldos = oracle.spectrum(cfg.omega_grid, eta=2.0 * oracle.bath.spacing)
+        ldos = oracle.spectrum(cfg.omega_grid, eta=2.0 * oracle.spacing)
         intensity = power_spectrum(p, k, cfg.omega_grid)
         low, up = eigen_branches(p, k)
         guesses = (low.omega.real, up.omega.real)

@@ -8,6 +8,7 @@ baths of a few hundred modes, where eigh is cheap.
 
 import math
 import os
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -20,12 +21,9 @@ from ioxsim import bath, cli
 from ioxsim.bath import (
     BathOracle,
     BathSpec,
-    DiscretizedBath,
-    _bright_direction,
     _green,
     _PoleSums,
     bath_for_rates,
-    discretize_bath,
     env_density_of_states,
     full_matrix,
     kernel_freq,
@@ -50,7 +48,7 @@ EPS = np.finfo(float).eps
 def attract_oracle():
     p = SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8)
     b = bath_for_rates(1.0, 1.8, EPS0, WINDOW)
-    return BathOracle(discretize_bath(b, 4000), p), p
+    return BathOracle(b, 4000, p), p
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +56,7 @@ def bic_oracle():
     p = SystemParams(delta=2.1 / np.sqrt(0.3), g_rabi=3.0,
                      gamma_c=1.0, gamma_x=0.3)
     b = bath_for_rates(1.0, 0.3, EPS0, (800.0, 1200.0))
-    return BathOracle(discretize_bath(b, 2000), p), p
+    return BathOracle(b, 2000, p), p
 
 
 class TestBathSpec:
@@ -257,8 +255,10 @@ class TestKernelInputs:
         pytest.param(full_matrix, (PASSIVE, np.nan, EPS0), id="full-k-nan"),
         pytest.param(partial(full_matrix, memoryless=True),
                      (PASSIVE, np.nan, EPS0), id="memoryless-k-nan"),
-        pytest.param(discretize_bath, (2000, np.nan), id="discretize-k-nan"),
-        pytest.param(discretize_bath, (2000, np.inf), id="discretize-k-inf"),
+        pytest.param(BathOracle, (2000, PASSIVE, np.nan),
+                     id="discretize-k-nan"),
+        pytest.param(BathOracle, (2000, PASSIVE, np.inf),
+                     id="discretize-k-inf"),
     ])
     def test_non_finite_rejected(self, fn, args):
         with pytest.raises(ValueError, match="must be finite"):
@@ -365,62 +365,38 @@ class TestFullMatrixAndGreen:
 class TestDiscretizedBath:
     def test_golden_rule_exact_at_center(self):
         b = bath_for_rates(1.0, 1.8, EPS0, WINDOW)
-        d = discretize_bath(b, 2000)
-        j = np.argmin(np.abs(d.mode_freqs - EPS0))
-        rate_c = np.pi * d.coupling_c[j] ** 2 / d.spacing
-        rate_x = np.pi * d.coupling_x[j] ** 2 / d.spacing
+        orc = BathOracle(b, 2000, SystemParams(gamma_c=1.0, gamma_x=1.8))
+        j = np.argmin(np.abs(orc.mode_freqs - EPS0))
+        # the cavity and emitter couplings of mode j are u * w_j
+        g = orc._bright * orc._weights[j]
+        rate_c, rate_x = np.pi * g ** 2 / orc.spacing
         assert rate_c == pytest.approx(1.0, rel=1e-6)
         assert rate_x == pytest.approx(1.8, rel=1e-6)
 
     def test_needs_two_modes(self):
         b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
         with pytest.raises(ValueError):
-            discretize_bath(b, 1)
+            BathOracle(b, 1, SystemParams(gamma_c=1.0), min_modes=1)
 
     def test_oracle_rejects_sparse_bath(self):
         b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
         p = SystemParams(gamma_c=1.0)
         with pytest.raises(ValueError):
-            BathOracle(discretize_bath(b, 200), p)
+            BathOracle(b, 200, p)
 
-    @pytest.mark.parametrize("bad", ["k", "coupling"])
+    @pytest.mark.parametrize("bad", ["k"])
     def test_oracle_rejects_non_finite_input(self, bad):
-        # SystemParams rejects NaN and inf itself
-        d = discretize_bath(bath_for_rates(1.0, 0.5, EPS0, WINDOW), 2000)
+        # SystemParams and BathSpec reject NaN and inf themselves
+        b = bath_for_rates(1.0, 0.5, EPS0, WINDOW)
         p = SystemParams(delta=1.0, gamma_c=1.0, gamma_x=0.5)
-        k = np.inf if bad == "k" else 0.0
-        if bad == "coupling":
-            gc = d.coupling_c.copy()
-            gc[7] = np.nan
-            d = DiscretizedBath(d.mode_freqs, gc, d.coupling_x)
-        with pytest.raises(ValueError):
-            BathOracle(d, p, k=k)
-
-    def test_oracle_rejects_unshared_couplings(self):
-        # couplings that are not proportional cannot share one bright mode
-        d = discretize_bath(bath_for_rates(1.0, 0.5, EPS0, WINDOW), 2000)
-        twisted = d.coupling_x * np.linspace(0.5, 1.5, d.n_modes)
-        with pytest.raises(ValueError):
-            BathOracle(DiscretizedBath(d.mode_freqs, d.coupling_c, twisted),
-                       SystemParams(gamma_c=1.0, gamma_x=0.5))
-
-    @pytest.mark.parametrize("shift", [1e-9, 0.25])
-    def test_oracle_rejects_non_uniform_grid(self, shift):
-        # the secular solver sums the far field on the uniform mode grid;
-        # a mode moved off it, by a part of the spacing or by far more
-        # than rounding, is refused
-        d = discretize_bath(bath_for_rates(1.0, 0.5, EPS0, WINDOW), 2000)
-        freqs = d.mode_freqs.copy()
-        freqs[1234] += shift * d.spacing
-        with pytest.raises(ValueError, match="uniform grid"):
-            BathOracle(DiscretizedBath(freqs, d.coupling_c, d.coupling_x),
-                       SystemParams(gamma_c=1.0, gamma_x=0.5))
+        with pytest.raises(ValueError, match="k must be finite"):
+            BathOracle(b, 2000, p, **{bad: np.inf})
 
     def test_oracle_rejects_narrow_window(self):
         b = bath_for_rates(1.0, 0.0, EPS0, (990.0, 1010.0))
         p = SystemParams(gamma_c=1.0)
         with pytest.raises(ValueError):
-            BathOracle(discretize_bath(b, 2000), p)
+            BathOracle(b, 2000, p)
 
 
 class TestOracleWignerWeisskopf:
@@ -428,7 +404,7 @@ class TestOracleWignerWeisskopf:
         # g_R = 0, kappa_x = 0: photon decays at gamma_c, exciton frozen
         b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
         p = SystemParams(delta=0.0, gamma_c=1.0, gamma_x=0.0)
-        orc = BathOracle(discretize_bath(b, 2000), p)
+        orc = BathOracle(b, 2000, p)
         t = np.linspace(0.0, 3.0, 61)
         c, _ = orc.dynamics((1.0, 0.0), t)
         rate = -np.polyfit(t, np.log(np.abs(c)), 1)[0]
@@ -469,7 +445,7 @@ class TestOracleLevelAttraction:
     def test_spectrum_guard_against_mode_comb(self, attract_oracle):
         orc, _ = attract_oracle
         with pytest.raises(KernelAccuracyError):
-            orc.spectrum(np.array([1000.0]), eta=0.1 * orc.bath.spacing)
+            orc.spectrum(np.array([1000.0]), eta=0.1 * orc.spacing)
 
     @pytest.mark.parametrize("method", ["spectrum", "green_system",
                                         "effective_damping"])
@@ -486,7 +462,21 @@ class TestOracleLevelAttraction:
             with pytest.raises(ValueError):
                 call(bad)
         # the bound itself is allowed
-        assert np.all(np.isfinite(call(w, eta=2.0 * orc.bath.spacing)))
+        assert np.all(np.isfinite(call(w, eta=2.0 * orc.spacing)))
+
+    def test_dynamics_frees_each_time_block(self, attract_oracle):
+        # one (128, N+2) complex block of phases lives at a time, 8.2 MB at
+        # N = 4000, beside its product with the weights; keeping the last
+        # block alive while np.exp forms the next took 24.7 MB
+        orc, _ = attract_oracle
+        orc.energies  # solve first: only the time loop is measured
+        tracemalloc.start()
+        try:
+            orc.dynamics((0.0, 1.0), np.linspace(0.0, 10.0, 401))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18e6
 
     def test_recurrence_guard(self, attract_oracle):
         orc, _ = attract_oracle
@@ -505,14 +495,29 @@ class TestOracleLevelAttraction:
             orc.dynamics(initial, times)
 
 
+def _mode_couplings(b, k, n_modes):
+    """Reference discretization from the BathSpec alone: the midpoint
+    modes of the window and their cavity and emitter couplings
+    kappa * taper(omega_j) * sqrt(rho_k(omega_j) * dw), zero below the
+    light cone."""
+    lo, hi = b.omega_window
+    dw = (hi - lo) / n_modes
+    freqs = lo + (np.arange(n_modes) + 0.5) * dw
+    radiative = freqs > b.c_light * abs(k)
+    root = np.zeros(n_modes)
+    root[radiative] = b.taper(freqs[radiative]) * np.sqrt(
+        env_density_of_states(b, k, freqs[radiative]) * dw)
+    return freqs, b.kappa_c * root, b.kappa_x * root
+
+
 def _self_energies(orc, eta):
     """Sigma(omega + i*eta) from the oracle, through effective_damping =
-    i*Sigma, and from the mode sum sum_j g_j g_j^T/(z - omega_j)."""
-    d = orc.bath
+    i*Sigma, and from the mode sum sum_j g_j g_j^T/(z - omega_j) of the
+    reference discretization."""
+    freqs, *g = _mode_couplings(orc.bath, orc.k, orc.mode_freqs.size)
     omega = orc.params.eps0 + np.linspace(-60.0, 60.0, 13)
     got = -1j * orc.effective_damping(omega, eta)
-    pole = 1.0 / (omega[:, None] + 1j * eta - d.mode_freqs)
-    g = (d.coupling_c, d.coupling_x)
+    pole = 1.0 / (omega[:, None] + 1j * eta - freqs)
     ref = np.array([[np.sum(pole * (g[a] * g[b]), axis=1) for b in range(2)]
                     for a in range(2)]).transpose(2, 0, 1)
     return got, ref
@@ -523,14 +528,14 @@ class TestOracleSelfEnergy:
     @pytest.mark.parametrize("spacings", [2.0, 10.0])
     def test_bright_mode_sum_matches_mode_sum(self, request, oracle, spacings):
         orc, _ = request.getfixturevalue(oracle)
-        got, ref = _self_energies(orc, spacings * orc.bath.spacing)
+        got, ref = _self_energies(orc, spacings * orc.spacing)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_rank_one(self, request, oracle):
         # a common bath: Sigma_cx^2 = Sigma_cc * Sigma_xx, so the damping's
         # off-diagonal entry is the dissipative sqrt(Gamma_cc * Gamma_xx)
         orc, _ = request.getfixturevalue(oracle)
-        sig, _ = _self_energies(orc, 10.0 * orc.bath.spacing)
+        sig, _ = _self_energies(orc, 10.0 * orc.spacing)
         cc, xx, cx = sig[:, 0, 0], sig[:, 1, 1], sig[:, 0, 1]
         assert np.array_equal(cx, sig[:, 1, 0])
         assert np.max(np.abs(cx * cx - cc * xx) / np.abs(cc * xx)) <= 8 * EPS
@@ -567,9 +572,8 @@ class TestOracleSpectrum:
     def test_spectrum_normalizes(self):
         b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
         p = SystemParams(gamma_c=1.0)
-        d = discretize_bath(b, 2000)
         w = np.linspace(900.0, 1100.0, 2001)
-        ldos = BathOracle(d, p).spectrum(w)
+        ldos = BathOracle(b, 2000, p).spectrum(w)
         # two system levels' worth of weight, most of it inside the window
         assert np.trapezoid(ldos, w) == pytest.approx(2.0, rel=0.05)
 
@@ -598,7 +602,7 @@ def _small_oracle(case):
         # kappa_x = 0 makes the emitter the dark mode; put its energy
         # exactly on a bath frequency
         b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
-        freqs = discretize_bath(b, SMALL_N).mode_freqs
+        freqs = _mode_couplings(b, 0.0, SMALL_N)[0]
         on = float(freqs[np.argmin(np.abs(freqs - 1001.0))])
         p = SystemParams(eps0=on, delta=EPS0 + 0.7 - on, g_rabi=0.8,
                          gamma_c=1.0, gamma_x=0.0)
@@ -614,8 +618,7 @@ def _small_oracle(case):
         p = SystemParams(delta=2.0, g_rabi=0.5, mass_ratio=0.3,
                          gamma_c=1.0, gamma_x=0.7)
         b = bath_for_rates(1.0, 0.7, EPS0, WINDOW, c_light=700.0 / k)
-    return BathOracle(discretize_bath(b, SMALL_N, k=k), p, k=k,
-                      min_modes=SMALL_N)
+    return BathOracle(b, SMALL_N, p, k=k, min_modes=SMALL_N)
 
 
 SMALL_CASES = ("attraction", "dark-exciton", "uncoupled", "dark-mode-point",
@@ -629,14 +632,15 @@ def _bare(orc):
 
 def _dense_eigh(orc):
     """Reference: dense eigh of the full (N+2) Hamiltonian (cavity,
-    emitter, bath modes); returns energies and the two system rows."""
-    d = orc.bath
-    n = d.n_modes
+    emitter, bath modes), discretized from the oracle's BathSpec, not read
+    from the oracle; returns energies and the two system rows."""
+    freqs, g_c, g_x = _mode_couplings(orc.bath, orc.k, SMALL_N)
+    n = SMALL_N
     h = np.zeros((n + 2, n + 2))
     h[:2, :2] = _bare(orc)
-    h[0, 2:] = h[2:, 0] = d.coupling_c
-    h[1, 2:] = h[2:, 1] = d.coupling_x
-    h[2:, 2:][np.diag_indices(n)] = d.mode_freqs
+    h[0, 2:] = h[2:, 0] = g_c
+    h[1, 2:] = h[2:, 1] = g_x
+    h[2:, 2:][np.diag_indices(n)] = freqs
     energies, states = np.linalg.eigh(h)
     return energies, states[:2]
 
@@ -681,7 +685,7 @@ class TestOracleAgainstDenseEigh:
     def test_resolvent_quantities(self, case):
         orc = _small_oracle(case)
         energies, rows = _dense_eigh(orc)
-        eta = 2.0 * orc.bath.spacing
+        eta = 2.0 * orc.spacing
         omega = np.linspace(orc.params.eps0 - 40.0, orc.params.eps0 + 40.0, 81)
         g_ref = _green_from_eigenpairs(energies, rows, omega, eta)
         _assert_rel(orc.green_system(omega, eta), g_ref, 1e-11)
@@ -704,7 +708,7 @@ def test_emitter_on_bath_mode_keeps_its_weight():
 
 
 def _secular_problems(monkeypatch, oracle):
-    """The (alpha, poles, z2, grid) of every secular solve that building
+    """The (alpha, poles, z2, grid, dw) of every secular solve that building
     oracle's eigenpairs runs."""
     problems = []
     solve = bath._secular_roots
@@ -727,7 +731,7 @@ def test_few_roots_take_the_direct_sum(monkeypatch, case):
                  for args in problems)
     assert direct <= 4
     if case == "light-cone":
-        _, poles, _, grid = problems[0]
+        _, poles, _, grid, _ = problems[0]
         assert poles[0] > grid[50]
 
 
@@ -736,18 +740,18 @@ def test_pole_sums_match_exact_sums(n_modes):
     # f and f' at 64 seeded roots on the grid plus an off-grid pole,
     # against math.fsum of the same terms, each formed as in the direct
     # sum; the error is relative to sum |terms|
-    d = discretize_bath(bath_for_rates(1.0, 1.8, EPS0, WINDOW), n_modes)
-    _, w = _bright_direction(d)
-    poles = np.append(d.mode_freqs, 1000.3)
-    z2 = np.append(w ** 2, 0.7)
+    orc = BathOracle(bath_for_rates(1.0, 1.8, EPS0, WINDOW), n_modes,
+                     SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8))
+    poles = np.append(orc.mode_freqs, 1000.3)
+    z2 = np.append(orc._weights ** 2, 0.7)
     order = np.argsort(poles)
     poles, z2 = poles[order], z2[order]
-    sums = _PoleSums(poles, z2, d.mode_freqs)
+    sums = _PoleSums(poles, z2, orc.mode_freqs, orc.spacing)
     rng = np.random.default_rng(16)
     roots = rng.choice(np.flatnonzero(sums.fast), 64, replace=False)
     right = rng.random(64) < 0.5
     origin = roots - 1 + right
-    tau = np.where(right, -1.0, 1.0) * rng.uniform(0.0, 0.5, 64) * d.spacing
+    tau = np.where(right, -1.0, 1.0) * rng.uniform(0.0, 0.5, 64) * orc.spacing
     f, fp = sums(roots, origin, tau)
     for i in range(64):
         r = 1.0 / np.delete((poles - poles[origin[i]]) - tau[i], origin[i])
@@ -764,7 +768,7 @@ def test_residual_certificate_on_bundled_bath():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     cfg = cli.load_config(
         os.path.join(root, "configs", "oracle_compare_attraction.json"))
-    orc = BathOracle(discretize_bath(cfg.bath, cfg.n_modes), cfg.systems[0])
+    orc = BathOracle(cfg.bath, cfg.n_modes, cfg.systems[0])
     energies, _, residual = orc._eigenpairs()
     assert energies.size == cfg.n_modes + 2
     assert 0.0 < residual < 1e-12

@@ -16,6 +16,7 @@ import pytest
 import ioxsim
 from ioxsim import cli
 from ioxsim.acceptance import CheckResult
+from ioxsim.bath import bath_for_rates, kernel_freq
 from ioxsim.core import SystemParams, eigen_branches
 from ioxsim.errors import ConfigError
 
@@ -543,6 +544,23 @@ class TestOracleCompareRun:
                          write_cfg(tmp_path, doc)]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_bath_discretized_at_the_scan_momentum(self, tmp_path):
+        # c|k| = 300 puts rho_k 4.8% above rho_0 at the carrier: a bath
+        # discretized at k = 0 misses the k = 3 kernel by about that much
+        b = bath_for_rates(1.0, 1.8, 1000.0, (500.0, 1500.0), c_light=100.0)
+        doc = self.oracle_doc(tmp_path, k_grid=[3.0])
+        doc["bath"] = {"kappa_c": b.kappa_c, "kappa_x": b.kappa_x,
+                       "omega_window": [500.0, 1500.0], "c_light": 100.0}
+        doc["scan"].pop("omega_grid")
+        doc["scan"]["t_grid"] = {"start": 0.0, "stop": 2.0, "num": 21}
+        path = write_cfg(tmp_path, doc)
+        assert cli.main(["oracle-compare", "--config", path]) == 0
+        _, rows = read_csv(tmp_path / "out" / "oracle_damping.csv")
+        table = np.array(rows, dtype=float)
+        ref = kernel_freq(cli.load_config(path).bath, 3.0, table[:, 0]).real
+        ref = np.column_stack((ref[:, 0, 0], ref[:, 1, 1], ref[:, 0, 1]))
+        assert np.max(np.abs(table[:, 1:] - ref) / ref) <= 1e-2
+
     def test_single_k_accepted(self, tmp_path):
         doc = self.oracle_doc(tmp_path, k_grid=[0.2])
         assert cli.parse_config(doc).k_grid.tolist() == [0.2]
@@ -580,14 +598,13 @@ class TestOracleCompareRun:
             "import sys\n"
             "import numpy as np\n"
             "from ioxsim import SystemParams, cli\n"
-            "from ioxsim.bath import BathOracle, bath_for_rates,"
-            " discretize_bath\n"
+            "from ioxsim.bath import BathOracle, bath_for_rates\n"
             "cfg, out = sys.argv[1:]\n"
             "assert cli.main(['oracle-compare', '--config', cfg,"
             " '--out', out]) == 0\n"
             "p = SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8)\n"
             "b = bath_for_rates(1.0, 1.8, 1000.0, (500.0, 1500.0))\n"
-            "orc = BathOracle(discretize_bath(b, 32000), p)\n"
+            "orc = BathOracle(b, 32000, p)\n"
             "np.save(out + '/energies.npy', orc.energies)\n"
             "np.save(out + '/system_rows.npy', orc.system_rows)\n"
             "np.save(out + '/damping.npy',"

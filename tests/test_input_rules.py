@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ioxsim
-from ioxsim import AmplitudeState, SystemParams, bath_for_rates
+from ioxsim import AmplitudeState, BathOracle, SystemParams, bath_for_rates
 from ioxsim.core import discriminant, track_branches
 
 CHECKED = ("k", "omega", "t", "t_grid")
@@ -30,7 +30,6 @@ ARGS = {
     "t": 1.0,
     "t_grid": [0.0, 1.0],
     "initial": AmplitudeState(0.0, 1.0),
-    "n_modes": 2000,
     "values": np.ones(8),
     "centers_guess": (999.0, 1001.0),
 }
@@ -80,3 +79,16 @@ def test_non_finite_argument_rejected(fn, arg, bad):
 def test_non_finite_k_rejected_off_the_export_list(call, bad):
     with pytest.raises(ValueError, match=r"\bk must be finite"):
         call(ARGS["p"], bad)
+
+
+@pytest.mark.parametrize("bad", BAD, ids=BAD_IDS)
+@pytest.mark.parametrize("call, arg", [
+    pytest.param(lambda b, p, v: BathOracle(b, 2000, p, k=v), "k",
+                 id="BathOracle-k"),
+    pytest.param(lambda b, p, v: BathOracle(b, 2000, p).dynamics(
+        (0.0, 1.0), [0.0, v]), "t_grid", id="BathOracle.dynamics-t_grid"),
+])
+def test_non_finite_oracle_input_rejected(call, arg, bad):
+    # a class and a method: the signature scan above sees neither
+    with pytest.raises(ValueError, match=r"\b%s must be finite" % arg):
+        call(ARGS["b"], ARGS["p"], bad)
