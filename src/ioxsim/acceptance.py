@@ -88,8 +88,7 @@ def check_anomalous_dispersion():
     omega = np.linspace(p.eps0 - 8.0, p.eps0 + 8.0, 1601)
     intensity = power_spectrum(p, 0.0, omega)
     centers, _, _ = lorentzian_pair_fit(
-        omega, intensity, (low.omega.real, up.omega.real),
-        (-low.omega.imag, -up.omega.imag))
+        omega, intensity, (low.omega.real, up.omega.real))
     sep = centers[1] - centers[0]
 
     ok = curv < 0.0 and sep < 2.0 * p.gamma_c

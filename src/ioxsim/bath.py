@@ -50,6 +50,7 @@ NEAR_FIELD = 7            # grid steps each side that the solver sums directly
 FAR_TERMS = 15            # Taylor terms of its far field, |tau/(m*dw)| <= 1/16
 SOLVER_STEP_TOL = 1e-12   # relative step that ends a secular iteration
 SOLVER_MAXIT = 100
+MIN_MODES = 2000          # fewest bath modes for converged golden-rule rates
 FLOAT_EPS = np.finfo(float).eps
 
 
@@ -550,7 +551,7 @@ class BathOracle:
     bits on any number of cores.
     """
 
-    def __init__(self, b, n_modes, p, k=0.0, min_modes=2000):
+    def __init__(self, b, n_modes, p, k=0.0, min_modes=MIN_MODES):
         if n_modes < max(min_modes, 2):
             raise ValueError("oracle needs >= %d bath modes for converged"
                              " rates" % max(min_modes, 2))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import acceptance
-from .bath import BathOracle, BathSpec
+from .bath import MIN_MODES, BathOracle, BathSpec
 from .core import (
     SystemParams,
     bic_condition,
@@ -248,8 +248,8 @@ def parse_config(doc):
                        for i, v in enumerate(window))
         if "n_modes" in bath_block:
             n_modes = _int(bath_block["n_modes"], "bath.n_modes")
-            if n_modes < 2:
-                _fail("bath.n_modes", "must be >= 2")
+            if n_modes < MIN_MODES:
+                _fail("bath.n_modes", "must be >= %d" % MIN_MODES)
         try:
             bath = BathSpec(
                 _number(bath_block["kappa_c"], "bath.kappa_c"),

@@ -43,6 +43,18 @@ _BLOCK_ROWS = 8
 
 _KINDS = ("power", "absorption")
 
+# lorentzian_pair_fit: a step shorter than _FIT_XTOL |theta| ends the fit
+# and more than _FIT_MAX_STEPS trial steps fail it; a trial point whose
+# second basis column keeps less than _FIT_RANK_TOL of its norm outside
+# the first is never accepted.  The start tries _FIT_START_WIDTHS
+# half-widths per component, then _FIT_WIDTH_STEPS trial steps in the
+# widths alone
+_FIT_XTOL = 1e-15
+_FIT_MAX_STEPS = 100
+_FIT_RANK_TOL = 1e-8
+_FIT_START_WIDTHS = 11
+_FIT_WIDTH_STEPS = 10
+
 
 class InputOccupation:
     """Input photon distribution n(omega), dimensionless, finite and >= 0.
@@ -352,35 +364,144 @@ def default_omega_window(p):
     return p.eps0 - span, p.eps0 + span
 
 
-def lorentzian_pair_fit(omega, values, centers_guess, widths_guess=None):
+def _lorentzian_projection(x, y, theta):
+    """Variable projection of y onto a1 L1 + a2 L2 at fixed
+    theta = (x1, g1, x2, g2), L_i = g_i^2 / ((x - x_i)^2 + g_i^2).
+
+    Returns (residual, Kaufman Jacobian (4, n), amplitudes), or None where
+    the two columns are not independent.  The QR of the two columns is
+    Gram-Schmidt applied twice, in numpy reductions, so no BLAS call (and
+    no thread count) enters the result.
+    """
+    u = x - theta[0::2, None]
+    gg = theta[1::2, None] ** 2
+    if not np.all(gg > 0.0):
+        return None
+    den = u * u + gg
+    phi = gg / den
+    n1 = np.sqrt((phi[0] * phi[0]).sum())
+    q1 = phi[0] / n1
+    c = (q1 * phi[1]).sum()
+    v = phi[1] - c * q1
+    c2 = (q1 * v).sum()
+    v -= c2 * q1
+    c += c2
+    n2 = np.sqrt((v * v).sum())
+    if not n2 > _FIT_RANK_TOL * np.sqrt((phi[1] * phi[1]).sum()):
+        return None
+    q = np.stack((q1, v / n2))
+    b = (q * y).sum(axis=1)
+    amps = np.array([(b[0] - c * b[1] / n2) / n1, b[1] / n2])
+    # (dPhi/dtheta_k) a for k = x1, g1, x2, g2, then -P_perp of each
+    scale = 2.0 * amps[:, None] * theta[1::2, None] * u / (den * den)
+    d = np.stack((scale[0] * theta[1], scale[0] * u[0],
+                  scale[1] * theta[3], scale[1] * u[1]))
+    coef = (d[:, None, :] * q[None]).sum(axis=2)
+    jac = (coef[:, :, None] * q[None]).sum(axis=1) - d
+    return y - (b[:, None] * q).sum(axis=0), jac, amps
+
+
+def _start_widths(x, y, centers):
+    """The pair of half-widths, from a log grid between a quarter of the
+    mean grid step and a quarter of the sampled range, whose two
+    Lorentzians at the guessed centers leave the least least-squares
+    residual.  Each pair is ranked from its 2x2 normal equations: the
+    explained norm is b^T G^-1 b with G_ij = L_i . L_j and b_i = L_i . y.
+    The grid reaches below the grid step because a branch narrows toward
+    an undamped pole."""
+    span = np.ptp(x)
+    widths = np.geomspace(span / (4.0 * (x.size - 1)), span / 4.0,
+                          _FIT_START_WIDTHS)[:, None]
+    u = x - centers[:, None, None]
+    phi = widths ** 2 / (u * u + widths ** 2)
+    g11 = (phi[0] * phi[0]).sum(axis=1)[:, None]
+    g22 = (phi[1] * phi[1]).sum(axis=1)[None]
+    g12 = (phi[0][:, None] * phi[1][None]).sum(axis=2)
+    b1 = (phi[0] * y).sum(axis=1)[:, None]
+    b2 = (phi[1] * y).sum(axis=1)[None]
+    det = g11 * g22 - g12 * g12
+    explained = np.full(det.shape, -np.inf)
+    ok = det > _FIT_RANK_TOL ** 2 * g11 * g22
+    explained[ok] = ((g22 * b1 * b1 - 2.0 * g12 * b1 * b2 + g11 * b2 * b2)
+                     [ok] / det[ok])
+    i, j = np.unravel_index(np.argmax(explained), det.shape)
+    return widths[i, 0], widths[j, 0]
+
+
+def _lm_steps(x, y, theta, state, free, max_steps):
+    """Levenberg-Marquardt on the parameters theta[free], at most max_steps
+    trial steps.  Returns (theta, state, converged): converged once a step
+    is shorter than _FIT_XTOL |theta|.  A trial point is accepted only if
+    it lowers the residual and no half-width exceeds the sampled range."""
+    widest = np.ptp(x)
+    damping = 1e-3
+    for _ in range(max_steps):
+        res, jac, _ = state
+        jac = jac[free]
+        cost = (res * res).sum()
+        jtj = (jac[:, None, :] * jac[None]).sum(axis=2)
+        try:
+            part = np.linalg.solve(jtj + damping * np.diag(np.diag(jtj)),
+                                   -(jac * res).sum(axis=1))
+        except np.linalg.LinAlgError:
+            raise RuntimeError("a component dropped out of the fit")
+        step = np.zeros(4)
+        step[free] = part
+        if np.sqrt((step * step).sum()) <= _FIT_XTOL * np.sqrt(
+                (theta * theta).sum()):
+            return theta, state, True
+        trial = theta + step
+        new = (_lorentzian_projection(x, y, trial)
+               if np.all(np.abs(trial[1::2]) <= widest) else None)
+        if new is not None and (new[0] * new[0]).sum() < cost:
+            theta, state = trial, new
+            damping /= 10.0
+        else:
+            damping *= 10.0
+    return theta, state, False
+
+
+def lorentzian_pair_fit(omega, values, centers_guess):
     """Least-squares fit of a gridded spectrum to two Lorentzian components.
 
     Returns (centers, half_widths, amplitudes) with centers sorted
-    ascending.  This is the standard way to quote "peak positions" for
-    overlapping resonances; with level attraction the two components merge
-    into a single visible maximum, but the fit still recovers both centers
-    (the memoryless lineshapes are exactly rational with two pole pairs).
-    Deterministic for a deterministic initial guess.
+    ascending; the model is sum_i a_i g_i^2 / ((omega - x_i)^2 + g_i^2).
+    This is the standard way to quote "peak positions" for overlapping
+    resonances; with level attraction the two components merge into a
+    single visible maximum.  The memoryless lineshapes are exactly rational
+    with two pole pairs, and from guesses at the branch energies the fit
+    returns both.
+
+    Variable projection (Golub & Pereyra 1973): the amplitudes are solved
+    in closed form at each (x1, g1, x2, g2), and Levenberg-Marquardt runs
+    on those four with the Jacobian of Kaufman (1975).  From a start far
+    off in width it drifts to two coinciding components with huge
+    cancelling amplitudes, or to one flat background, both worse fits
+    than the true pair.  So it starts at the guessed centers with the
+    half-widths of _start_widths, first steps in the widths alone, and
+    never accepts a half-width beyond the sampled range.
+
+    Deterministic.  RuntimeError when the fit fails: no step shorter than
+    _FIT_XTOL |theta| within _FIT_MAX_STEPS trial steps, singular damped
+    normal equations (a component has dropped out), or a fitted center
+    outside the sampled omega range, which is no peak of this spectrum.
     """
-    from scipy.optimize import curve_fit
-
     omega = _finite(omega, "omega")
-    values = np.asarray(values, dtype=float)
-    c1, c2 = centers_guess
-    if widths_guess is None:
-        widths_guess = (1.0, 1.0)
-    w1, w2 = widths_guess
-    top = values.max()
+    values = _finite(values, "values")
+    theta = _finite(centers_guess, "centers_guess").repeat(2)
+    theta[1::2] = _start_widths(omega, values, theta[0::2])
+    state = _lorentzian_projection(omega, values, theta)
+    if state is None:
+        raise RuntimeError("the two guessed components coincide")
+    theta, state, _ = _lm_steps(omega, values, theta, state, [1, 3],
+                                _FIT_WIDTH_STEPS)
+    theta, state, converged = _lm_steps(omega, values, theta, state,
+                                        [0, 1, 2, 3], _FIT_MAX_STEPS)
+    if not converged:
+        raise RuntimeError("no convergence in %d steps" % _FIT_MAX_STEPS)
 
-    def model(x, a1, x1, g1, a2, x2, g2):
-        return (a1 * g1 ** 2 / ((x - x1) ** 2 + g1 ** 2)
-                + a2 * g2 ** 2 / ((x - x2) ** 2 + g2 ** 2))
-
-    p0 = [top, c1, w1, top, c2, w2]
-    popt, _ = curve_fit(model, omega, values, p0=p0, maxfev=20000)
-    comps = sorted([(popt[1], abs(popt[2]), popt[0]),
-                    (popt[4], abs(popt[5]), popt[3])])
-    centers = np.array([comps[0][0], comps[1][0]])
-    widths = np.array([comps[0][1], comps[1][1]])
-    amps = np.array([comps[0][2], comps[1][2]])
-    return centers, widths, amps
+    order = np.argsort(theta[0::2], kind="stable")
+    centers = theta[0::2][order]
+    if centers[0] < omega.min() or centers[1] > omega.max():
+        raise RuntimeError("fitted center outside the sampled omega range")
+    return centers, np.abs(theta[1::2])[order], state[2][order]

@@ -576,9 +576,22 @@ class TestOracleCompareRun:
                          write_cfg(tmp_path, doc)]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_too_few_bath_modes_is_a_config_error(self, tmp_path, capsys):
+        # the oracle's minimum is a config rule, not a numerical failure
+        with open(os.path.join(ROOT, "configs",
+                               "oracle_compare_attraction.json")) as fh:
+            doc = json.load(fh)
+        doc["bath"]["n_modes"] = 100
+        doc["output"]["directory"] = str(tmp_path / "out")
+        rc = cli.main(["oracle-compare", "--config",
+                       write_cfg(tmp_path, doc)])
+        assert rc == 2
+        assert "bath.n_modes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_fit_exits_3_and_writes_nothing(self, tmp_path, capsys):
-        # far above both lines the spectra hold no peaks to fit, and the
-        # fit stops at its evaluation limit
+        # far above both lines the spectra hold no peaks to fit; here the
+        # oracle's spectrum runs into the fit's step limit
         doc = self.oracle_doc(tmp_path)
         doc["scan"].pop("t_grid")
         doc["scan"]["omega_grid"] = {"start": 1100, "stop": 1150, "num": 50}
@@ -779,18 +792,7 @@ class TestModuleEntryPoint:
 
 
 class TestImportCost:
-    def test_import_does_not_load_optimizers(self):
-        # scipy.optimize is loaded only by the fit that needs it
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, ioxsim, ioxsim.cli; "
-             "print('scipy.optimize' in sys.modules)"],
-            capture_output=True, text=True, env=src_env())
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
-
     def test_import_loads_no_scipy(self):
-        # the propagator is numpy-only; scipy waits for lorentzian_pair_fit
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, ioxsim, ioxsim.cli; "
@@ -798,6 +800,27 @@ class TestImportCost:
             capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_runs_load_no_scipy(self, tmp_path):
+        # numpy is the only run-time dependency: every bundled config,
+        # oracle-compare and its peak fit included, then the acceptance
+        # checks, in one fresh interpreter
+        script = (
+            "import glob, os, sys\n"
+            "from ioxsim import cli\n"
+            "root, out = sys.argv[1:]\n"
+            "for path in sorted(glob.glob(os.path.join(root, 'configs',"
+            " '*.json'))):\n"
+            "    kind = cli.load_config(path).kind\n"
+            "    dest = os.path.join(out, os.path.basename(path))\n"
+            "    assert cli.main([kind, '--config', path, '--out', dest]) == 0\n"
+            "assert cli.main(['acceptance', '--seed', '1234']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, ROOT, str(tmp_path)],
+            capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestBundledConfigs:
