@@ -17,7 +17,7 @@ import numpy as np
 from ioxsim import (
     SystemParams,
     eigen_branches,
-    bath_for_rates,
+    BathSpec,
     BathOracle,
     kernel_freq,
     power_spectrum,
@@ -27,8 +27,7 @@ from ioxsim import (
 )
 
 p = SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8)
-spec = bath_for_rates(p.gamma_c, p.gamma_x, p.eps0, (600.0, 1400.0))
-oracle = BathOracle(spec, 2000, p, k=0.0)
+oracle = BathOracle(BathSpec((600.0, 1400.0)), 2000, p, k=0.0)
 print("bath: %d modes on (%.0f, %.0f), spacing %.3f"
       % (oracle.mode_freqs.size, 600.0, 1400.0, oracle.spacing))
 print("recurrence time %.1f" % oracle.recurrence_time)
@@ -51,9 +50,9 @@ print("  cross    %.4f  (%.2f%%)" % (mean[0, 1], 100 * rel[0, 1]))
 # rate-emergence acceptance check: at a fixed broadening eta the error
 # does not move with N, it is the broadening itself, so it falls at first
 # order as the default eta (ten level spacings) does
-wide = bath_for_rates(p.gamma_c, p.gamma_x, p.eps0, (500.0, 1500.0))
+wide = BathSpec((500.0, 1500.0))
 sweep_probe = np.linspace(900.0, 1100.0, 9)
-ref = kernel_freq(wide, 0.0, sweep_probe)
+ref = kernel_freq(wide, p, 0.0, sweep_probe)
 print("\ndamping matrix vs continuum kernel on (500, 1500), max relative error:")
 prev = None
 for n in (2000, 4000, 8000, 16000, 32000):

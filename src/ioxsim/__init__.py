@@ -44,7 +44,6 @@ from .bath import (
     env_density_of_states,
     kernel_freq,
     full_matrix,
-    bath_for_rates,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathOracle, _green, bath_for_rates, full_matrix
+from .bath import BathOracle, BathSpec, _green, full_matrix
 from .core import (
     SystemParams,
     bic_condition,
@@ -135,8 +135,7 @@ def check_undamped_pole():
                          np.abs(np.abs(c_traj) ** 2 - c_inf),
                          np.abs(np.abs(x_traj) ** 2 - x_inf)])
 
-    b = bath_for_rates(p.gamma_c, p.gamma_x, p.eps0, (750.0, 1250.0))
-    orc = BathOracle(b, 4000, p)
+    orc = BathOracle(BathSpec((750.0, 1250.0)), 4000, p)
     t_orc = np.linspace(18.0, 24.0, 61)
     c_orc, x_orc = orc.dynamics((0.0, 1.0), t_orc)
     orc_err = np.max([abs(np.mean(np.abs(c_orc) ** 2) - c_inf) / c_inf,
@@ -231,6 +230,7 @@ def check_green_identity(seed=None):
     t0 = time.perf_counter()
     rng = np.random.default_rng(resolve_seed(seed))
     ident = np.eye(2)
+    b = BathSpec((500.0, 1500.0))
     worst = 0.0
     for i in range(1000):
         gc, gx = rng.uniform(0.1, 2.0, size=2)
@@ -238,7 +238,6 @@ def check_green_identity(seed=None):
                          g_rabi=rng.uniform(0.0, 3.0),
                          mass_ratio=rng.uniform(0.0, 1.0),
                          gamma_c=gc, gamma_x=gx)
-        b = bath_for_rates(gc, gx, 1000.0, (500.0, 1500.0))
         k = rng.uniform(0.0, 2.0)
         w = 1000.0 + rng.uniform(-20.0, 20.0)
         memoryless = i % 2 == 0
@@ -256,8 +255,7 @@ def check_rate_emergence():
     on the branch energies (one grid step)."""
     t0 = time.perf_counter()
     p = SystemParams(delta=3.0, gamma_x=1.8)
-    b = bath_for_rates(p.gamma_c, p.gamma_x, p.eps0, (500.0, 1500.0))
-    orc = BathOracle(b, 4000, p)
+    orc = BathOracle(BathSpec((500.0, 1500.0)), 4000, p)
 
     probe = np.linspace(985.0, 1015.0, 7)
     gam = orc.effective_damping(probe)

@@ -10,7 +10,8 @@ Collett, Phys. Rev. A 31, 3761 (1985)): the golden rule frozen at the
 carrier (Markov), the continuum kernel -i*Gamma~(omega), or the mode sum
 Sigma(z) = sum_j g_j g_j^T/(z - omega_j) of a discretized bath.  Each
 carries the dissipative coupling sqrt(gamma_c*gamma_x) that a common
-environment generates and independent baths cannot.  The discretized bath
+environment generates and independent baths cannot, with couplings that
+give the system its own radiative rates.  The discretized bath
 is the exact oracle for the closed forms.  The oracle builds it itself, at
 its own momentum, on a uniform grid of modes that all couple to one bright
 combination of cavity and emitter; its dynamics comes from a
@@ -58,25 +59,20 @@ FLOAT_EPS = np.finfo(float).eps
 class BathSpec:
     """Flat-coupling photonic environment on a frequency window.
 
-    kappa_c, kappa_x are the (real, non-negative) coupling amplitudes of
-    the cavity mode and the emitter to each environment mode; the
-    relative phase is zero because both sit at the same location.  The
-    window restricts quadrature and discretization to omega in
+    The window restricts quadrature and discretization to omega in
     [omega_window[0], omega_window[1]]; coupling amplitudes roll off
     smoothly (half-cosine) over taper_frac of the window at each end to
-    suppress hard-edge ringing.
+    suppress hard-edge ringing.  The coupling strengths come from the
+    system's radiative rates (_couplings).
     """
 
-    kappa_c: float
-    kappa_x: float
     omega_window: tuple
     c_light: float = 1.0
     taper_frac: float = 0.05
 
     def __post_init__(self):
-        for name in ("kappa_c", "kappa_x", "c_light"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError("%s must be finite" % name)
+        if not math.isfinite(self.c_light):
+            raise ValueError("c_light must be finite")
         lo, hi = self.omega_window
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError("omega_window must be a finite increasing pair")
@@ -84,8 +80,6 @@ class BathSpec:
             raise ValueError("omega_window must be positive")
         if self.c_light <= 0.0:
             raise ValueError("c_light must be positive")
-        if self.kappa_c < 0.0 or self.kappa_x < 0.0:
-            raise ValueError("couplings must be non-negative")
         if not 0.0 <= self.taper_frac < 0.5:
             raise ValueError("taper_frac must lie in [0, 0.5)")
 
@@ -120,11 +114,6 @@ def env_density_of_states(b, k, omega):
             "no radiative environment modes at omega <= c|k| = %g" % ck)
     out = omega / (b.c_light * np.sqrt(omega * omega - ck * ck))
     return out if out.ndim else float(out)
-
-
-def _coupling_matrix(b):
-    kap = np.array([b.kappa_c, b.kappa_x])
-    return np.outer(kap, kap)
 
 
 def _spectral_weight(b, k, omega):
@@ -176,19 +165,39 @@ def _pv_integral(grid, f, omega):
     return float(np.trapezoid(regular, grid) + f_at * np.log((omega - a) / (b_end - omega)))
 
 
-def _golden_rule(b, k, omega):
+def _couplings(b, p):
+    """Coupling amplitudes (kappa_c, kappa_x) of cavity and emitter to
+    every mode of b, the golden rule gamma = pi kappa^2 rho taper^2
+    inverted at k = 0 and the carrier p.eps0, so that the bath gives the
+    system its own radiative rates.  The relative phase is zero because
+    both sit at the same location.  ValueError for nonradiative rates,
+    which need private loss baths that b does not model, and for a
+    carrier where b has no modes."""
+    for name in ("gamma_nr_c", "gamma_nr_x"):
+        if getattr(p, name):
+            raise ValueError("%s = %g: the shared bath models no"
+                             " nonradiative loss" % (name, getattr(p, name)))
+    scale = np.pi * _spectral_weight(b, 0.0, p.eps0)
+    if scale <= 0.0:
+        raise ValueError("eps0 = %g lies outside the bath window" % p.eps0)
+    return np.sqrt(np.array([p.gamma_c, p.gamma_x]) / scale)
+
+
+def _golden_rule(b, p, k, omega):
     """pi * rho(omega) * taper(omega)^2 * kappa kappa^T, shape omega.shape + (2, 2)."""
     weight = np.pi * _spectral_weight(b, k, omega)
-    return weight[..., None, None] * _coupling_matrix(b)
+    kap = _couplings(b, p)
+    return weight[..., None, None] * np.outer(kap, kap)
 
 
-def kernel_freq(b, k, omega, npoints=PV_GRID_POINTS):
+def kernel_freq(b, p, k, omega, npoints=PV_GRID_POINTS):
     """Frequency-domain kernel Gamma~(omega), a 2x2 complex matrix per omega.
 
     Real part: pi * kappa^A kappa^B rho(omega) taper(omega)^2 on the
     radiative zone inside the window, zero elsewhere (no modes to emit
-    into).  Imaginary part: principal-value integral of the spectral
-    weight against 1/(omega - omega'), evaluated by pole subtraction.
+    into), kappa from p's rates (_couplings).  Imaginary part:
+    principal-value integral of the spectral weight against
+    1/(omega - omega'), evaluated by pole subtraction.
     Raises KernelAccuracyError when the pole sits within one grid cell
     of a window endpoint, where the subtraction loses accuracy, and
     ValueError for NaN or inf omega or k.
@@ -197,21 +206,9 @@ def kernel_freq(b, k, omega, npoints=PV_GRID_POINTS):
     grid = _window_grid(b, k, npoints)
     weight = _spectral_weight(b, k, grid)
     pv = np.array([_pv_integral(grid, weight, w) for w in omega.ravel().tolist()])
-    return (_golden_rule(b, k, omega)
-            + 1j * pv.reshape(omega.shape + (1, 1)) * _coupling_matrix(b))
-
-
-def bath_for_rates(gamma_c, gamma_x, omega0, omega_window,
-                   c_light=1.0, taper_frac=0.05):
-    """Invert the golden rule: couplings that realize target rates at omega0."""
-    if gamma_c < 0.0 or gamma_x < 0.0:
-        raise ValueError("rates must be non-negative")
-    unit = BathSpec(1.0, 1.0, omega_window, c_light, taper_frac)
-    scale = _golden_rule(unit, 0.0, omega0)[0, 0]
-    if scale <= 0.0:
-        raise ValueError("omega0 must sit inside the untapered window interior")
-    return BathSpec(np.sqrt(gamma_c / scale), np.sqrt(gamma_x / scale),
-                    omega_window, c_light, taper_frac)
+    kap = _couplings(b, p)
+    return (_golden_rule(b, p, k, omega)
+            + 1j * pv.reshape(omega.shape + (1, 1)) * np.outer(kap, kap))
 
 
 def _bare_hamiltonian(p, k):
@@ -238,7 +235,8 @@ def full_matrix(b, p, k, omega, npoints=PV_GRID_POINTS, memoryless=False):
     """Response matrix M(k, omega) = omega*1 - H_bare - Sigma, one 2x2 per
     entry of omega, with the continuum self-energy Sigma = -i*Gamma~(omega).
 
-    Damping comes entirely from the bath b; p supplies only the kinetic
+    Damping comes entirely from the bath b, coupled so that it gives p
+    its radiative rates at the carrier; p also supplies the kinetic
     energies and Rabi coupling.  memoryless=True freezes the kernel at the
     carrier p.eps0 and drops its principal-value part, which reproduces
     the closed-form theory exactly; NaN or inf omega or k raises ValueError.
@@ -246,9 +244,9 @@ def full_matrix(b, p, k, omega, npoints=PV_GRID_POINTS, memoryless=False):
     omega = _finite(omega, "omega")
     h = _bare_hamiltonian(p, k)  # kinetic_energies rejects a NaN or inf k
     if memoryless:
-        gam = _golden_rule(b, k, p.eps0)
+        gam = _golden_rule(b, p, k, p.eps0)
     else:
-        gam = kernel_freq(b, k, omega, npoints)
+        gam = kernel_freq(b, p, k, omega, npoints)
     return _response(h, omega, -1j * gam)
 
 
@@ -530,9 +528,10 @@ class BathOracle:
 
     The oracle discretizes the bath b itself, at its own momentum k: n_modes
     modes at the midpoints omega_j = lo + (j + 1/2)*dw of the window, a
-    uniform grid of spacing dw = (hi - lo)/n_modes.  A shared bath couples
-    to one bright combination u = (kappa_c, kappa_x)/|kappa| of cavity and
-    emitter, (1, 0) when both couplings vanish, with the weight
+    uniform grid of spacing dw = (hi - lo)/n_modes.  The couplings kappa
+    are those that give p its radiative rates (_couplings).  A shared bath
+    couples to one bright combination u = (kappa_c, kappa_x)/|kappa| of
+    cavity and emitter, (1, 0) when both couplings vanish, with the weight
     w_j = |kappa| * taper(omega_j) * sqrt(rho_k(omega_j) * dw), zero below
     the light cone; the golden-rule rate of the discrete bath then equals
     the continuum rate by construction.
@@ -567,12 +566,13 @@ class BathOracle:
         self.k = k
         self.bath = b
         self._h_sys = _bare_hamiltonian(p, k)
-        kappa = math.hypot(b.kappa_c, b.kappa_x)
-        self._bright = u = (np.array([b.kappa_c, b.kappa_x]) / kappa if kappa
+        kappa_c, kappa_x = _couplings(b, p)
+        kappa = math.hypot(kappa_c, kappa_x)
+        self._bright = u = (np.array([kappa_c, kappa_x]) / kappa if kappa
                             else np.array([1.0, 0.0]))
         # w_j = u . g_j, the bright part of the couplings g_j = kappa * root_j
         root = np.sqrt(_spectral_weight(b, k, freqs) * dw)
-        self._weights = u[0] * (b.kappa_c * root) + u[1] * (b.kappa_x * root)
+        self._weights = u[0] * (kappa_c * root) + u[1] * (kappa_x * root)
         self._eigen = None
 
     def _eigenpairs(self):

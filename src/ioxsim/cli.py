@@ -63,8 +63,7 @@ FLOAT_FMT = "%.17g"
 _TOP_KEYS = ("system", "bath", "scan", "output")
 _SYSTEM_KEYS = ("eps0", "delta", "g_rabi", "mass_ratio",
                 "gamma_c", "gamma_x", "gamma_nr_c", "gamma_nr_x")
-_BATH_KEYS = ("kappa_c", "kappa_x", "omega_window", "c_light",
-              "taper_frac", "n_modes")
+_BATH_KEYS = ("omega_window", "c_light", "taper_frac", "n_modes")
 _SCAN_KEYS = ("kind", "k_grid", "omega_grid", "t_grid",
               "input_occupation", "max_deviation")
 _OUTPUT_KEYS = ("directory", "formats")
@@ -239,8 +238,7 @@ def parse_config(doc):
     n_modes = 4000
     if record.bath:
         bath_block = _mapping(doc["bath"], "bath")
-        _check_keys(bath_block, _BATH_KEYS,
-                    ("kappa_c", "kappa_x", "omega_window"), "bath")
+        _check_keys(bath_block, _BATH_KEYS, ("omega_window",), "bath")
         window = bath_block["omega_window"]
         if not isinstance(window, list) or len(window) != 2:
             _fail("bath.omega_window", "must be a [lo, hi] pair")
@@ -252,8 +250,6 @@ def parse_config(doc):
                 _fail("bath.n_modes", "must be >= %d" % MIN_MODES)
         try:
             bath = BathSpec(
-                _number(bath_block["kappa_c"], "bath.kappa_c"),
-                _number(bath_block["kappa_x"], "bath.kappa_x"),
                 window,
                 _number(bath_block.get("c_light", 1.0), "bath.c_light"),
                 _number(bath_block.get("taper_frac", 0.05), "bath.taper_frac"))
@@ -262,12 +258,14 @@ def parse_config(doc):
 
     grids = {name: _grid(scan[name], "scan." + name) if name in scan else None
              for name in ("k_grid", "omega_grid", "t_grid")}
+    if grids["k_grid"] is None and "k_grid" in record.needs + record.takes:
+        grids["k_grid"] = np.array([0.0])
     if grids["t_grid"] is not None and grids["t_grid"][0] < 0.0:
         _fail("scan.t_grid", "times must be non-negative")
     if kind == "oracle-compare":
         if grids["omega_grid"] is None and grids["t_grid"] is None:
             _fail("scan", "oracle-compare needs omega_grid and/or t_grid")
-        if grids["k_grid"] is not None and grids["k_grid"].size > 1:
+        if grids["k_grid"].size > 1:
             _fail("scan.k_grid", "oracle-compare takes a single momentum")
         # the two-Lorentzian peak fit has six parameters
         if grids["omega_grid"] is not None and grids["omega_grid"].size < 6:
@@ -480,22 +478,21 @@ def run_dispersion(cfg):
 
 def run_spectrum(cfg):
     """Emission spectra over (detuning family) x k_grid x omega_grid."""
-    k_grid = cfg.k_grid if cfg.k_grid is not None else np.array([0.0])
     # one row per k, bit for bit the scalar call at that k
-    maps = np.array([power_spectrum(p, k_grid, cfg.omega_grid, cfg.occupation)
-                     for p in cfg.systems])
+    maps = np.array([power_spectrum(p, cfg.k_grid, cfg.omega_grid,
+                                    cfg.occupation) for p in cfg.systems])
     deltas = np.array([p.delta for p in cfg.systems])[:, None, None]
     for p in cfg.systems:
         mid = cfg.omega_grid[cfg.omega_grid.size // 2]
         _gate("emission/absorption identity residual",
-              power_absorption_relation_check(p, k_grid[0], mid,
+              power_absorption_relation_check(p, cfg.k_grid[0], mid,
                                                cfg.occupation), 1e-10)
 
     return _emit(cfg, [
         ("spectrum.csv", ("k", "delta", "omega", "intensity"),
-         _grid_table(k_grid[:, None], deltas, cfg.omega_grid, maps))],
+         _grid_table(cfg.k_grid[:, None], deltas, cfg.omega_grid, maps))],
         _family_script("emission spectra", "omega", "intensity",
-                       "spectrum.csv", 4, k_grid[0], cfg.systems))
+                       "spectrum.csv", 4, cfg.k_grid[0], cfg.systems))
 
 
 def _trajectory_with_check(p, k, t_grid):
@@ -517,21 +514,20 @@ def _trajectory_with_check(p, k, t_grid):
 
 def run_dynamics(cfg):
     """Amplitude dynamics from x(0) = 1, c(0) = 0 (vacuum environment)."""
-    k_grid = cfg.k_grid if cfg.k_grid is not None else np.array([0.0])
     deltas = np.array([p.delta for p in cfg.systems])[:, None, None]
     # c and x indexed (detuning, k, t), the order of the rows
     c, x = np.moveaxis(np.array([[_trajectory_with_check(p, k, cfg.t_grid)
-                                  for k in k_grid] for p in cfg.systems]),
+                                  for k in cfg.k_grid] for p in cfg.systems]),
                        2, 0)
 
     return _emit(cfg, [
         ("dynamics.csv",
          ("k", "delta", "t", "re_c", "im_c", "re_x", "im_x",
           "abs2_c", "abs2_x"),
-         _grid_table(k_grid[:, None], deltas, cfg.t_grid,
+         _grid_table(cfg.k_grid[:, None], deltas, cfg.t_grid,
                      c.real, c.imag, x.real, x.imag, _abs2(c), _abs2(x)))],
         _family_script("amplitude dynamics from x(0) = 1", "t", "|x|^2",
-                       "dynamics.csv", 9, k_grid[0], cfg.systems))
+                       "dynamics.csv", 9, cfg.k_grid[0], cfg.systems))
 
 
 def run_ep_bic(cfg):
@@ -614,11 +610,12 @@ def run_oracle_compare(cfg):
     all files are written.
     """
     p = cfg.systems[0]
-    k = float(cfg.k_grid[0]) if cfg.k_grid is not None else 0.0
+    k = float(cfg.k_grid[0])
     try:
         oracle = BathOracle(cfg.bath, cfg.n_modes, p, k=k)
     except ValueError as exc:
-        raise NumericalCheckError(str(exc))
+        # the window and the system come from the config
+        _fail("bath", str(exc))
 
     tables = []
     metrics = []

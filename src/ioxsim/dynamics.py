@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CONDITION_RTOL, _axis, _finite, _modes, bic_condition,
-                   complex_poles, detunings)
+                   detunings, effective_hamiltonian)
 from .errors import DegenerateModesError
 
 # Taylor degree and scaled 1-norm bound of the propagator (Moler and Van
@@ -157,11 +157,8 @@ def evolve_ode(p, k, initial, t_grid):
     eps0.
     """
     dt = _time_offsets(initial, _axis(t_grid, "t_grid"))
-    pole = complex_poles(p, k)
-    shift = p.eps0
-    h_rot = np.array([[pole.z_c - shift, pole.g_tilde],
-                      [pole.g_tilde, pole.z_x - shift]])
+    h_rot = effective_hamiltonian(p, k) - p.eps0 * np.eye(2)
     y0 = np.array([initial.c, initial.x], dtype=complex)
     y = _expm2(-1j * dt[:, None, None] * h_rot) @ y0
-    phase = np.exp(-1j * shift * dt)
+    phase = np.exp(-1j * p.eps0 * dt)
     return y[:, 0] * phase, y[:, 1] * phase

@@ -23,7 +23,6 @@ from ioxsim.bath import (
     BathSpec,
     _green,
     _PoleSums,
-    bath_for_rates,
     env_density_of_states,
     full_matrix,
     kernel_freq,
@@ -47,41 +46,37 @@ EPS = np.finfo(float).eps
 @pytest.fixture(scope="module")
 def attract_oracle():
     p = SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8)
-    b = bath_for_rates(1.0, 1.8, EPS0, WINDOW)
-    return BathOracle(b, 4000, p), p
+    return BathOracle(BathSpec(WINDOW), 4000, p), p
 
 
 @pytest.fixture(scope="module")
 def bic_oracle():
     p = SystemParams(delta=2.1 / np.sqrt(0.3), g_rabi=3.0,
                      gamma_c=1.0, gamma_x=0.3)
-    b = bath_for_rates(1.0, 0.3, EPS0, (800.0, 1200.0))
-    return BathOracle(b, 2000, p), p
+    return BathOracle(BathSpec((800.0, 1200.0)), 2000, p), p
 
 
 class TestBathSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            BathSpec(1.0, 1.0, (1500.0, 500.0))
+            BathSpec((1500.0, 500.0))
         with pytest.raises(ValueError):
-            BathSpec(1.0, 1.0, (-5.0, 500.0))
+            BathSpec((-5.0, 500.0))
         with pytest.raises(ValueError):
-            BathSpec(-1.0, 1.0, WINDOW)
+            BathSpec(WINDOW, c_light=0.0)
         with pytest.raises(ValueError):
-            BathSpec(1.0, 1.0, WINDOW, c_light=0.0)
-        with pytest.raises(ValueError):
-            BathSpec(1.0, 1.0, WINDOW, taper_frac=0.5)
+            BathSpec(WINDOW, taper_frac=0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("field", ["kappa_c", "kappa_x", "c_light"])
+    @pytest.mark.parametrize("field", ["c_light"])
     def test_rejects_non_finite(self, field, bad):
-        kwargs = dict(kappa_c=1.0, kappa_x=1.0, omega_window=WINDOW)
+        kwargs = dict(omega_window=WINDOW)
         kwargs[field] = bad
         with pytest.raises(ValueError, match="%s must be finite" % field):
             BathSpec(**kwargs)
 
     def test_taper_profile(self):
-        b = BathSpec(1.0, 1.0, (100.0, 1100.0), taper_frac=0.1)
+        b = BathSpec((100.0, 1100.0), taper_frac=0.1)
         lo, hi = b.omega_window
         assert b.taper(600.0) == 1.0
         assert b.taper(lo) == 0.0 and b.taper(hi) == 0.0
@@ -90,7 +85,7 @@ class TestBathSpec:
         assert float(b.taper(lo - 1.0)) == 0.0
 
     def test_zero_taper_is_hard_window(self):
-        b = BathSpec(1.0, 1.0, WINDOW, taper_frac=0.0)
+        b = BathSpec(WINDOW, taper_frac=0.0)
         assert float(b.taper(WINDOW[0] + 1.0)) == 1.0
         assert float(b.taper(WINDOW[0] - 1.0)) == 0.0
 
@@ -98,26 +93,26 @@ class TestBathSpec:
                                        np.array([1000.0, np.nan])])
     @pytest.mark.parametrize("taper_frac", [0.05, 0.0])
     def test_taper_rejects_non_finite(self, omega, taper_frac):
-        b = BathSpec(1.0, 1.0, WINDOW, taper_frac=taper_frac)
+        b = BathSpec(WINDOW, taper_frac=taper_frac)
         with pytest.raises(ValueError, match="omega must be finite"):
             b.taper(omega)
 
 
 class TestDensityOfStates:
     def test_k_zero_flat(self):
-        b = BathSpec(1.0, 1.0, WINDOW, c_light=2.0)
+        b = BathSpec(WINDOW, c_light=2.0)
         w = np.array([10.0, 500.0, 1500.0])
         assert np.allclose(env_density_of_states(b, 0.0, w), 0.5)
 
     def test_sqrt2_point(self):
-        b = BathSpec(1.0, 1.0, WINDOW)
+        b = BathSpec(WINDOW)
         k = 600.0
         assert env_density_of_states(b, k, np.sqrt(2.0) * k) == pytest.approx(
             np.sqrt(2.0), rel=1e-14)
 
     def test_matches_finite_difference(self):
         # rho = (d omega/dq)^{-1} along omega(q) = c sqrt(k^2 + q^2)
-        b = BathSpec(1.0, 1.0, WINDOW, c_light=1.7)
+        b = BathSpec(WINDOW, c_light=1.7)
         k, q, h = 300.0, 440.0, 1e-4
         wq = lambda qq: b.c_light * np.hypot(k, qq)
         slope = (wq(q + h) - wq(q - h)) / (2.0 * h)
@@ -125,7 +120,7 @@ class TestDensityOfStates:
             1.0 / slope, rel=1e-8)
 
     def test_light_cone_divergence(self):
-        b = BathSpec(1.0, 1.0, WINDOW)
+        b = BathSpec(WINDOW)
         k = 700.0
         vals = [env_density_of_states(b, k, k * (1.0 + 10.0 ** -m))
                 for m in range(2, 8)]
@@ -135,7 +130,7 @@ class TestDensityOfStates:
         assert vals[-1] > 100.0 * vals[0]
 
     def test_evanescent_rejected(self):
-        b = BathSpec(1.0, 1.0, WINDOW)
+        b = BathSpec(WINDOW)
         with pytest.raises(EvanescentRegionError):
             env_density_of_states(b, 700.0, 650.0)
 
@@ -150,7 +145,7 @@ class TestDensityOfStates:
     def test_non_finite_rejected(self, k, omega):
         # a NaN density, or an evanescent verdict for a NaN input, would
         # look like an answer
-        b = bath_for_rates(1.0, 0.8, EPS0, WINDOW)
+        b = BathSpec(WINDOW)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="must be finite"):
@@ -161,8 +156,8 @@ class TestKernelFreq:
     def test_center_reproduces_markov_rates(self):
         # at the carrier the real part is the golden-rule rate matrix the
         # bath was built for: gamma_c, gamma_x and sqrt(gamma_c gamma_x)
-        b = bath_for_rates(1.0, 1.8, EPS0, WINDOW)
-        g = kernel_freq(b, 0.0, EPS0)
+        p = SystemParams(gamma_c=1.0, gamma_x=1.8)
+        g = kernel_freq(BathSpec(WINDOW), p, 0.0, EPS0)
         assert g[0, 0].real == pytest.approx(1.0, rel=1e-12)
         assert g[1, 1].real == pytest.approx(1.8, rel=1e-12)
         assert g[0, 1].real == pytest.approx(np.sqrt(1.8), rel=1e-12)
@@ -172,60 +167,66 @@ class TestKernelFreq:
 
     def test_flat_window_closed_form(self):
         # taper off, k=0: spectral weight is exactly kappa^2 on the window,
-        # so Im = kappa^2 log((w-a)/(b-w)) with no regular remainder
-        b = BathSpec(0.4, 0.0, WINDOW, taper_frac=0.0)
+        # so Im = kappa^2 log((w-a)/(b-w)) with no regular remainder, and
+        # the real part is the rate pi kappa^2 everywhere on it
+        b = BathSpec(WINDOW, taper_frac=0.0)
+        p = SystemParams(gamma_c=np.pi * 0.4 ** 2)
         w = 1200.0
-        g = kernel_freq(b, 0.0, w)
+        g = kernel_freq(b, p, 0.0, w)
         expect = 0.4 ** 2 * np.log((w - WINDOW[0]) / (WINDOW[1] - w))
         assert g[0, 0].imag == pytest.approx(expect, rel=1e-9)
         assert g[0, 0].real == pytest.approx(np.pi * 0.4 ** 2, rel=1e-12)
 
     def test_below_light_cone_no_emission(self):
-        b = BathSpec(0.5, 0.5, (700.0, 1500.0))
+        b = BathSpec((700.0, 1500.0))
+        p = SystemParams(gamma_c=0.5, gamma_x=0.5)
         k = 600.0  # ck = 600 < window start, omega below the cone
-        g = kernel_freq(b, k, 550.0)
+        g = kernel_freq(b, p, k, 550.0)
         assert np.all(g.real == 0.0)
         assert np.all(np.isfinite(g.imag))
 
     def test_pole_near_endpoint_rejected(self):
-        b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
         cell = (WINDOW[1] - WINDOW[0]) / (PV_POINTS_DEFAULT - 1)
         with pytest.raises(KernelAccuracyError):
-            kernel_freq(b, 0.0, WINDOW[0] + 0.5 * cell)
+            kernel_freq(BathSpec(WINDOW), SystemParams(gamma_c=1.0), 0.0,
+                        WINDOW[0] + 0.5 * cell)
 
     def test_kramers_kronig_staggered(self):
         # Im from the principal value agrees with the Hilbert transform of
         # Re over the window, summed on a grid staggered around each probe
         # frequency so the pole cell cancels by symmetry
-        b = bath_for_rates(1.0, 0.7, EPS0, WINDOW)
+        b = BathSpec(WINDOW)
+        p = SystemParams(gamma_c=1.0, gamma_x=0.7)
         sub = np.linspace(*WINDOW, 201)
         # Re Gamma~_cc = pi kappa_c^2 rho taper^2, written out: the kernel's
-        # own principal value is undefined at the window endpoints
-        re_cc = (np.pi * b.kappa_c ** 2 * env_density_of_states(b, 0.0, sub)
-                 * b.taper(sub) ** 2)
+        # own principal value is undefined at the window endpoints.  At k = 0
+        # rho is flat and the carrier untapered, so pi kappa_c^2 rho = gamma_c
+        re_cc = p.gamma_c * b.taper(sub) ** 2
         mids = 0.5 * (sub[:-1] + sub[1:])[40:-40:20]
         for w in mids:
             hil = np.trapezoid(re_cc / np.pi / (w - sub), sub)
-            im = kernel_freq(b, 0.0, float(w))[0, 0].imag
+            im = kernel_freq(b, p, 0.0, float(w))[0, 0].imag
             assert im == pytest.approx(hil, abs=2e-3 * np.pi)
 
     def test_array_omega_matches_scalar(self):
-        b = bath_for_rates(1.0, 0.7, EPS0, WINDOW)
+        b = BathSpec(WINDOW)
+        p = SystemParams(gamma_c=1.0, gamma_x=0.7)
         grid = np.linspace(995.0, 1005.0, 11)
-        kern = kernel_freq(b, 0.0, grid, npoints=801)
+        kern = kernel_freq(b, p, 0.0, grid, npoints=801)
         assert kern.shape == (11, 2, 2)
         assert np.allclose(kern[:, 0, 1], kern[:, 1, 0])
-        direct = kernel_freq(b, 0.0, 1000.0, npoints=801)
+        direct = kernel_freq(b, p, 0.0, 1000.0, npoints=801)
         assert np.allclose(kern[5], direct)
 
     def test_memoryless_limit_wide_window(self):
         # kernel flattens to the rate matrix near the carrier as the
         # window widens; the log tail keeps this just under 1% only for
         # windows somewhat beyond +-500 rates, so probe +-700
-        b = bath_for_rates(1.0, 1.8, EPS0, (EPS0 - 700.0, EPS0 + 700.0))
+        b = BathSpec((EPS0 - 700.0, EPS0 + 700.0))
+        p = SystemParams(gamma_c=1.0, gamma_x=1.8)
         gmat = np.array([[1.0, np.sqrt(1.8)], [np.sqrt(1.8), 1.8]])
         for w in np.linspace(EPS0 - 10.0, EPS0 + 10.0, 9):
-            g = kernel_freq(b, 0.0, float(w))
+            g = kernel_freq(b, p, 0.0, float(w))
             assert np.max(np.abs(g - gmat)) < 0.01 * (1.0 + 1.8)
 
 
@@ -241,17 +242,71 @@ def green_of(b, p, k, omega, **kwargs):
     return _green(full_matrix(b, p, k, omega, **kwargs), omega)
 
 
+class TestCouplings:
+    """The bath takes its coupling strengths from the system's radiative
+    rates, through bath._couplings alone."""
+
+    def test_bundled_system(self):
+        # bit for bit the amplitudes the bundled oracle config used to
+        # carry as bath.kappa_c and bath.kappa_x
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cfg = cli.load_config(
+            os.path.join(root, "configs", "oracle_compare_attraction.json"))
+        kappa = bath._couplings(cfg.bath, cfg.systems[0])
+        assert kappa.tolist() == [0.5641895835477563, 0.7569397566060481]
+
+    @pytest.mark.parametrize("eps0", [EPS0, 520.0], ids=["centre", "ramp"])
+    @pytest.mark.parametrize("taper_frac", [0.05, 0.0], ids=["taper", "hard"])
+    def test_golden_rule_gives_the_rates_at_the_carrier(self, taper_frac,
+                                                        eps0):
+        # 520 sits on the tapered window's ramp, where taper^2 < 1 enters
+        b = BathSpec(WINDOW, c_light=1.7, taper_frac=taper_frac)
+        p = SystemParams(eps0=eps0, gamma_c=0.3, gamma_x=2.5)
+        for gam in (bath._golden_rule(b, p, 0.0, eps0),
+                    kernel_freq(b, p, 0.0, eps0).real):
+            assert gam[0, 0] == pytest.approx(p.gamma_c, rel=4 * EPS)
+            assert gam[1, 1] == pytest.approx(p.gamma_x, rel=4 * EPS)
+            assert gam[0, 1] == pytest.approx(np.sqrt(0.3 * 2.5), rel=4 * EPS)
+
+    def test_zero_rates_give_zero_weights(self):
+        p = SystemParams(gamma_c=0.0, gamma_x=0.0)
+        assert bath._couplings(BathSpec(WINDOW), p).tolist() == [0.0, 0.0]
+        orc = BathOracle(BathSpec(WINDOW), 2000, p)
+        assert np.all(orc._weights == 0.0)
+        assert orc._bright.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda b, p: BathOracle(b, 2000, p), id="oracle"),
+        pytest.param(lambda b, p: kernel_freq(b, p, 0.0, EPS0), id="kernel"),
+        pytest.param(lambda b, p: full_matrix(b, p, 0.0, EPS0,
+                                              memoryless=True),
+                     id="memoryless"),
+    ])
+    @pytest.mark.parametrize("rate", ["gamma_nr_c", "gamma_nr_x"])
+    def test_nonradiative_rates_rejected(self, rate, call):
+        # the oracle has no private loss baths; ignoring the rates would
+        # compare it with a different system
+        p = SystemParams(gamma_c=1.0, gamma_x=0.8, **{rate: 0.5})
+        with pytest.raises(ValueError, match=rate):
+            call(BathSpec(WINDOW), p)
+
+    def test_carrier_outside_the_window_rejected(self):
+        with pytest.raises(ValueError, match="outside the bath window"):
+            kernel_freq(BathSpec(WINDOW), SystemParams(eps0=1600.0), 0.0,
+                        EPS0)
+
+
 class TestKernelInputs:
     """NaN or inf frequencies and momenta are rejected, not turned into
     zero kernels or zero couplings that look like a valid answer."""
 
     @pytest.mark.parametrize("fn, args", [
-        pytest.param(kernel_freq, (0.0, np.inf), id="freq-inf"),
-        pytest.param(kernel_freq, (0.0, np.nan), id="freq-nan"),
-        pytest.param(kernel_freq, (0.0, np.array([EPS0, -np.inf])),
+        pytest.param(kernel_freq, (PASSIVE, 0.0, np.inf), id="freq-inf"),
+        pytest.param(kernel_freq, (PASSIVE, 0.0, np.nan), id="freq-nan"),
+        pytest.param(kernel_freq, (PASSIVE, 0.0, np.array([EPS0, -np.inf])),
                      id="freq-array"),
-        pytest.param(kernel_freq, (np.nan, EPS0), id="freq-k-nan"),
-        pytest.param(kernel_freq, (np.inf, EPS0), id="freq-k-inf"),
+        pytest.param(kernel_freq, (PASSIVE, np.nan, EPS0), id="freq-k-nan"),
+        pytest.param(kernel_freq, (PASSIVE, np.inf, EPS0), id="freq-k-inf"),
         pytest.param(full_matrix, (PASSIVE, np.nan, EPS0), id="full-k-nan"),
         pytest.param(partial(full_matrix, memoryless=True),
                      (PASSIVE, np.nan, EPS0), id="memoryless-k-nan"),
@@ -262,13 +317,13 @@ class TestKernelInputs:
     ])
     def test_non_finite_rejected(self, fn, args):
         with pytest.raises(ValueError, match="must be finite"):
-            fn(bath_for_rates(1.0, 0.8, EPS0, WINDOW), *args)
+            fn(BathSpec(WINDOW), *args)
 
 
 class TestFullMatrixAndGreen:
     def test_memoryless_equals_core(self):
         p = SystemParams(delta=3.0, g_rabi=0.4, gamma_c=1.0, gamma_x=1.8)
-        b = bath_for_rates(1.0, 1.8, EPS0, WINDOW)
+        b = BathSpec(WINDOW)
         for w in (995.0, 1000.0, 1004.2):
             m = full_matrix(b, p, 0.0, w, memoryless=True)
             m_core = w * np.eye(2) - effective_hamiltonian(p, 0.0)
@@ -276,8 +331,7 @@ class TestFullMatrixAndGreen:
 
     def test_uncoupled_bath_is_bare_problem(self):
         p = SystemParams(delta=1.0, g_rabi=2.0, gamma_c=0.0, gamma_x=0.0)
-        b = BathSpec(0.0, 0.0, WINDOW)
-        m = full_matrix(b, p, 0.0, 1001.0)
+        m = full_matrix(BathSpec(WINDOW), p, 0.0, 1001.0)
         assert np.allclose(m.imag, 0.0)
         assert np.allclose(m, 1001.0 * np.eye(2) - effective_hamiltonian(p, 0.0))
 
@@ -285,7 +339,7 @@ class TestFullMatrixAndGreen:
         # complex roots of det M with the kernel frozen at Re omega agree
         # with the closed-form branches deep in the Markov regime
         p = SystemParams(delta=3.0, g_rabi=0.7, gamma_c=1.0, gamma_x=1.8)
-        b = bath_for_rates(1.0, 1.8, EPS0, WINDOW)
+        b = BathSpec(WINDOW)
 
         def det(v):
             m = full_matrix(b, p, 0.0, v[0], npoints=1001)
@@ -303,7 +357,7 @@ class TestFullMatrixAndGreen:
     def test_green_identity_sampled(self):
         rng = np.random.default_rng(41)
         p = SystemParams(delta=2.0, g_rabi=1.0, gamma_c=1.0, gamma_x=0.8)
-        b = bath_for_rates(1.0, 0.8, EPS0, WINDOW)
+        b = BathSpec(WINDOW)
         worst = 0.0
         for _ in range(300):
             w = float(rng.uniform(940.0, 1060.0))
@@ -314,7 +368,7 @@ class TestFullMatrixAndGreen:
 
     def test_green_retarded_sign(self):
         p = SystemParams(delta=2.0, g_rabi=1.0, gamma_c=1.0, gamma_x=0.8)
-        b = bath_for_rates(1.0, 0.8, EPS0, WINDOW)
+        b = BathSpec(WINDOW)
         for w in np.linspace(960.0, 1040.0, 17):
             g = green_of(b, p, 0.0, float(w), npoints=801)
             assert g[0, 0].imag <= 0.0
@@ -323,7 +377,7 @@ class TestFullMatrixAndGreen:
     def test_singular_response_raises(self):
         # no bath, no Rabi coupling: M is diagonal and vanishes at eps_x
         p = SystemParams(delta=1.0, g_rabi=0.0, gamma_c=0.0, gamma_x=0.0)
-        b = BathSpec(0.0, 0.0, WINDOW)
+        b = BathSpec(WINDOW)
         with pytest.raises(SingularMatrixError):
             green_of(b, p, 0.0, p.eps0)
         # on a frequency stack the error names the first singular entry
@@ -332,8 +386,7 @@ class TestFullMatrixAndGreen:
 
     def test_decoupled_green_diagonal(self):
         p = SystemParams(delta=2.0, g_rabi=0.0, gamma_c=1.0, gamma_x=0.0)
-        b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
-        g = green_of(b, p, 0.0, 998.5)
+        g = green_of(BathSpec(WINDOW), p, 0.0, 998.5)
         assert g[0, 1] == 0.0 and g[1, 0] == 0.0
 
     @pytest.mark.parametrize("memoryless", [True, False])
@@ -341,7 +394,7 @@ class TestFullMatrixAndGreen:
                                        [999.0, 1001.0, 1003.5]])
     def test_omega_array_matches_scalar(self, omega, memoryless):
         p = SystemParams(delta=2.0, g_rabi=1.0, gamma_c=1.0, gamma_x=0.8)
-        b = bath_for_rates(1.0, 0.8, EPS0, WINDOW)
+        b = BathSpec(WINDOW)
         for fn in (full_matrix, green_of):
             out = fn(b, p, 0.0, np.array(omega), npoints=801,
                      memoryless=memoryless)
@@ -355,7 +408,7 @@ class TestFullMatrixAndGreen:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_omega_rejected(self, bad, memoryless):
         p = SystemParams(delta=2.0, g_rabi=1.0, gamma_c=1.0, gamma_x=0.8)
-        b = bath_for_rates(1.0, 0.8, EPS0, WINDOW)
+        b = BathSpec(WINDOW)
         for fn in (full_matrix, green_of):
             for omega in (bad, np.array([1000.0, bad])):
                 with pytest.raises(ValueError):
@@ -364,8 +417,8 @@ class TestFullMatrixAndGreen:
 
 class TestDiscretizedBath:
     def test_golden_rule_exact_at_center(self):
-        b = bath_for_rates(1.0, 1.8, EPS0, WINDOW)
-        orc = BathOracle(b, 2000, SystemParams(gamma_c=1.0, gamma_x=1.8))
+        orc = BathOracle(BathSpec(WINDOW), 2000,
+                         SystemParams(gamma_c=1.0, gamma_x=1.8))
         j = np.argmin(np.abs(orc.mode_freqs - EPS0))
         # the cavity and emitter couplings of mode j are u * w_j
         g = orc._bright * orc._weights[j]
@@ -374,37 +427,32 @@ class TestDiscretizedBath:
         assert rate_x == pytest.approx(1.8, rel=1e-6)
 
     def test_needs_two_modes(self):
-        b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
         with pytest.raises(ValueError):
-            BathOracle(b, 1, SystemParams(gamma_c=1.0), min_modes=1)
+            BathOracle(BathSpec(WINDOW), 1, SystemParams(gamma_c=1.0),
+                       min_modes=1)
 
     def test_oracle_rejects_sparse_bath(self):
-        b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
-        p = SystemParams(gamma_c=1.0)
         with pytest.raises(ValueError):
-            BathOracle(b, 200, p)
+            BathOracle(BathSpec(WINDOW), 200, SystemParams(gamma_c=1.0))
 
     @pytest.mark.parametrize("bad", ["k"])
     def test_oracle_rejects_non_finite_input(self, bad):
         # SystemParams and BathSpec reject NaN and inf themselves
-        b = bath_for_rates(1.0, 0.5, EPS0, WINDOW)
         p = SystemParams(delta=1.0, gamma_c=1.0, gamma_x=0.5)
         with pytest.raises(ValueError, match="k must be finite"):
-            BathOracle(b, 2000, p, **{bad: np.inf})
+            BathOracle(BathSpec(WINDOW), 2000, p, **{bad: np.inf})
 
     def test_oracle_rejects_narrow_window(self):
-        b = bath_for_rates(1.0, 0.0, EPS0, (990.0, 1010.0))
-        p = SystemParams(gamma_c=1.0)
-        with pytest.raises(ValueError):
-            BathOracle(b, 2000, p)
+        with pytest.raises(ValueError, match="too narrow"):
+            BathOracle(BathSpec((990.0, 1010.0)), 2000,
+                       SystemParams(gamma_c=1.0))
 
 
 class TestOracleWignerWeisskopf:
     def test_photon_decay_and_dark_exciton(self):
-        # g_R = 0, kappa_x = 0: photon decays at gamma_c, exciton frozen
-        b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
+        # g_R = 0, gamma_x = 0: photon decays at gamma_c, exciton frozen
         p = SystemParams(delta=0.0, gamma_c=1.0, gamma_x=0.0)
-        orc = BathOracle(b, 2000, p)
+        orc = BathOracle(BathSpec(WINDOW), 2000, p)
         t = np.linspace(0.0, 3.0, 61)
         c, _ = orc.dynamics((1.0, 0.0), t)
         rate = -np.polyfit(t, np.log(np.abs(c)), 1)[0]
@@ -495,11 +543,11 @@ class TestOracleLevelAttraction:
             orc.dynamics(initial, times)
 
 
-def _mode_couplings(b, k, n_modes):
-    """Reference discretization from the BathSpec alone: the midpoint
-    modes of the window and their cavity and emitter couplings
-    kappa * taper(omega_j) * sqrt(rho_k(omega_j) * dw), zero below the
-    light cone."""
+def _mode_couplings(b, p, k, n_modes):
+    """Reference discretization from the BathSpec and the system's
+    rates: the midpoint modes of the window and their cavity and emitter
+    couplings kappa * taper(omega_j) * sqrt(rho_k(omega_j) * dw), zero
+    below the light cone."""
     lo, hi = b.omega_window
     dw = (hi - lo) / n_modes
     freqs = lo + (np.arange(n_modes) + 0.5) * dw
@@ -507,14 +555,16 @@ def _mode_couplings(b, k, n_modes):
     root = np.zeros(n_modes)
     root[radiative] = b.taper(freqs[radiative]) * np.sqrt(
         env_density_of_states(b, k, freqs[radiative]) * dw)
-    return freqs, b.kappa_c * root, b.kappa_x * root
+    kappa_c, kappa_x = bath._couplings(b, p)
+    return freqs, kappa_c * root, kappa_x * root
 
 
 def _self_energies(orc, eta):
     """Sigma(omega + i*eta) from the oracle, through effective_damping =
     i*Sigma, and from the mode sum sum_j g_j g_j^T/(z - omega_j) of the
     reference discretization."""
-    freqs, *g = _mode_couplings(orc.bath, orc.k, orc.mode_freqs.size)
+    freqs, *g = _mode_couplings(orc.bath, orc.params, orc.k,
+                                orc.mode_freqs.size)
     omega = orc.params.eps0 + np.linspace(-60.0, 60.0, 13)
     got = -1j * orc.effective_damping(omega, eta)
     pole = 1.0 / (omega[:, None] + 1j * eta - freqs)
@@ -570,10 +620,9 @@ class TestOracleBic:
 
 class TestOracleSpectrum:
     def test_spectrum_normalizes(self):
-        b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
         p = SystemParams(gamma_c=1.0)
         w = np.linspace(900.0, 1100.0, 2001)
-        ldos = BathOracle(b, 2000, p).spectrum(w)
+        ldos = BathOracle(BathSpec(WINDOW), 2000, p).spectrum(w)
         # two system levels' worth of weight, most of it inside the window
         assert np.trapezoid(ldos, w) == pytest.approx(2.0, rel=0.05)
 
@@ -584,25 +633,23 @@ SMALL_N = 300
 def _small_oracle(case):
     """Oracle on a SMALL_N-mode bath for one named parameter regime."""
     k = 0.0
+    b = BathSpec(WINDOW)
     if case == "attraction":
         p = SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8)
-        b = bath_for_rates(1.0, 1.8, EPS0, WINDOW)
     elif case == "dark-exciton":
-        # kappa_x = 0 and g_R = 0: the emitter's border entry is zero
+        # gamma_x = 0 and g_R = 0: the emitter's border entry is zero
         p = SystemParams(delta=0.0, gamma_c=1.0, gamma_x=0.0)
-        b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
     elif case == "uncoupled":
         p = SystemParams(delta=1.0, g_rabi=2.0, gamma_c=0.0, gamma_x=0.0)
-        b = BathSpec(0.0, 0.0, WINDOW)
     elif case == "dark-mode-point":
         delta = bic_condition(SystemParams(g_rabi=3.0, gamma_x=0.3)).d_eps_bic
         p = SystemParams(delta=delta, g_rabi=3.0, gamma_c=1.0, gamma_x=0.3)
-        b = bath_for_rates(1.0, 0.3, EPS0, (800.0, 1200.0))
+        b = BathSpec((800.0, 1200.0))
     elif case == "emitter-on-mode":
-        # kappa_x = 0 makes the emitter the dark mode; put its energy
+        # gamma_x = 0 makes the emitter the dark mode; put its energy
         # exactly on a bath frequency
-        b = bath_for_rates(1.0, 0.0, EPS0, WINDOW)
-        freqs = _mode_couplings(b, 0.0, SMALL_N)[0]
+        lo, hi = WINDOW
+        freqs = lo + (np.arange(SMALL_N) + 0.5) * (hi - lo) / SMALL_N
         on = float(freqs[np.argmin(np.abs(freqs - 1001.0))])
         p = SystemParams(eps0=on, delta=EPS0 + 0.7 - on, g_rabi=0.8,
                          gamma_c=1.0, gamma_x=0.0)
@@ -610,14 +657,13 @@ def _small_oracle(case):
         k = 3.0
         p = SystemParams(delta=2.0, g_rabi=0.5, mass_ratio=0.3,
                          gamma_c=1.0, gamma_x=0.7)
-        b = bath_for_rates(1.0, 0.7, EPS0, WINDOW)
     elif case == "light-cone":
         # c|k| = 700 inside the window: the modes below it carry no weight
         # and deflate, so the live poles start mid-window
         k = 3.0
         p = SystemParams(delta=2.0, g_rabi=0.5, mass_ratio=0.3,
                          gamma_c=1.0, gamma_x=0.7)
-        b = bath_for_rates(1.0, 0.7, EPS0, WINDOW, c_light=700.0 / k)
+        b = BathSpec(WINDOW, c_light=700.0 / k)
     return BathOracle(b, SMALL_N, p, k=k, min_modes=SMALL_N)
 
 
@@ -632,9 +678,10 @@ def _bare(orc):
 
 def _dense_eigh(orc):
     """Reference: dense eigh of the full (N+2) Hamiltonian (cavity,
-    emitter, bath modes), discretized from the oracle's BathSpec, not read
-    from the oracle; returns energies and the two system rows."""
-    freqs, g_c, g_x = _mode_couplings(orc.bath, orc.k, SMALL_N)
+    emitter, bath modes), discretized from the oracle's BathSpec and
+    rates, not read from the oracle; returns energies and the two system
+    rows."""
+    freqs, g_c, g_x = _mode_couplings(orc.bath, orc.params, orc.k, SMALL_N)
     n = SMALL_N
     h = np.zeros((n + 2, n + 2))
     h[:2, :2] = _bare(orc)
@@ -740,7 +787,7 @@ def test_pole_sums_match_exact_sums(n_modes):
     # f and f' at 64 seeded roots on the grid plus an off-grid pole,
     # against math.fsum of the same terms, each formed as in the direct
     # sum; the error is relative to sum |terms|
-    orc = BathOracle(bath_for_rates(1.0, 1.8, EPS0, WINDOW), n_modes,
+    orc = BathOracle(BathSpec(WINDOW), n_modes,
                      SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8))
     poles = np.append(orc.mode_freqs, 1000.3)
     z2 = np.append(orc._weights ** 2, 0.7)

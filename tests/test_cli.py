@@ -16,7 +16,7 @@ import pytest
 import ioxsim
 from ioxsim import cli
 from ioxsim.acceptance import CheckResult
-from ioxsim.bath import bath_for_rates, kernel_freq
+from ioxsim.bath import kernel_freq
 from ioxsim.core import SystemParams, eigen_branches
 from ioxsim.errors import ConfigError
 
@@ -42,8 +42,7 @@ SCAN_VALUES = {"k_grid": [0.0],
                "t_grid": [0.0, 1.0],
                "input_occupation": 1.0,
                "max_deviation": 0.1}
-BATH = {"kappa_c": 0.5641895835477563, "kappa_x": 0.7569397566060481,
-        "omega_window": [800.0, 1200.0], "n_modes": 2000}
+BATH = {"omega_window": [800.0, 1200.0], "n_modes": 2000}
 
 
 def base_doc(**scan):
@@ -140,6 +139,16 @@ class TestConfigValidation:
             message = "scan.%s: not referenced by scan kind %r" % (key, kind)
         with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
             cli.parse_config(doc)
+
+    @pytest.mark.parametrize("kind", list(SCAN_RULES))
+    def test_k_grid_defaults_to_zero(self, kind):
+        # a kind that takes k_grid and is given none runs at k = 0
+        needs, takes, _, _ = SCAN_RULES[kind]
+        cfg = cli.parse_config(kind_doc(kind))
+        if "k_grid" in needs + takes:
+            assert cfg.k_grid.tolist() == [0.0]
+        else:
+            assert cfg.k_grid is None
 
     @pytest.mark.parametrize("kind", [k for k, rule in SCAN_RULES.items()
                                       if "t_grid" in rule[0] + rule[1]])
@@ -496,9 +505,7 @@ class TestOracleCompareRun:
         return {
             "system": {"eps0": 1000.0, "delta": 3.0,
                        "gamma_c": 1.0, "gamma_x": 1.8},
-            "bath": {"kappa_c": 0.5641895835477563,
-                     "kappa_x": 0.7569397566060481,
-                     "omega_window": [800.0, 1200.0], "n_modes": 2000},
+            "bath": {"omega_window": [800.0, 1200.0], "n_modes": 2000},
             "scan": {"kind": "oracle-compare",
                      "omega_grid": {"start": 995.0, "stop": 1011.0,
                                     "num": 321},
@@ -547,17 +554,16 @@ class TestOracleCompareRun:
     def test_bath_discretized_at_the_scan_momentum(self, tmp_path):
         # c|k| = 300 puts rho_k 4.8% above rho_0 at the carrier: a bath
         # discretized at k = 0 misses the k = 3 kernel by about that much
-        b = bath_for_rates(1.0, 1.8, 1000.0, (500.0, 1500.0), c_light=100.0)
         doc = self.oracle_doc(tmp_path, k_grid=[3.0])
-        doc["bath"] = {"kappa_c": b.kappa_c, "kappa_x": b.kappa_x,
-                       "omega_window": [500.0, 1500.0], "c_light": 100.0}
+        doc["bath"] = {"omega_window": [500.0, 1500.0], "c_light": 100.0}
         doc["scan"].pop("omega_grid")
         doc["scan"]["t_grid"] = {"start": 0.0, "stop": 2.0, "num": 21}
         path = write_cfg(tmp_path, doc)
         assert cli.main(["oracle-compare", "--config", path]) == 0
         _, rows = read_csv(tmp_path / "out" / "oracle_damping.csv")
         table = np.array(rows, dtype=float)
-        ref = kernel_freq(cli.load_config(path).bath, 3.0, table[:, 0]).real
+        cfg = cli.load_config(path)
+        ref = kernel_freq(cfg.bath, cfg.systems[0], 3.0, table[:, 0]).real
         ref = np.column_stack((ref[:, 0, 0], ref[:, 1, 1], ref[:, 0, 1]))
         assert np.max(np.abs(table[:, 1:] - ref) / ref) <= 1e-2
 
@@ -576,17 +582,31 @@ class TestOracleCompareRun:
                          write_cfg(tmp_path, doc)]) == 2
         assert not (tmp_path / "out").exists()
 
-    def test_too_few_bath_modes_is_a_config_error(self, tmp_path, capsys):
-        # the oracle's minimum is a config rule, not a numerical failure
+    @pytest.mark.parametrize("block, key, value, message", [
+        pytest.param("bath", "n_modes", 100, "bath.n_modes", id="few-modes"),
+        pytest.param("bath", "kappa_c", 0.5641895835477563,
+                     "bath: unknown key(s): kappa_c", id="coupling-key"),
+        pytest.param("bath", "omega_window", [990.0, 1010.0],
+                     "bath: bath window too narrow", id="narrow-window"),
+        pytest.param("system", "gamma_nr_c", 0.5, "bath: gamma_nr_c = 0.5",
+                     id="cavity-loss"),
+        pytest.param("system", "gamma_nr_x", 0.5, "bath: gamma_nr_x = 0.5",
+                     id="emitter-loss"),
+    ])
+    def test_unusable_bath_is_a_config_error(self, tmp_path, capsys, block,
+                                             key, value, message):
+        # the oracle's minimum mode count, its window and the rates its
+        # couplings come from are all config: what it refuses is a config
+        # error, not a numerical failure
         with open(os.path.join(ROOT, "configs",
                                "oracle_compare_attraction.json")) as fh:
             doc = json.load(fh)
-        doc["bath"]["n_modes"] = 100
+        doc[block][key] = value
         doc["output"]["directory"] = str(tmp_path / "out")
         rc = cli.main(["oracle-compare", "--config",
                        write_cfg(tmp_path, doc)])
         assert rc == 2
-        assert "bath.n_modes" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_failed_fit_exits_3_and_writes_nothing(self, tmp_path, capsys):
@@ -611,13 +631,12 @@ class TestOracleCompareRun:
             "import sys\n"
             "import numpy as np\n"
             "from ioxsim import SystemParams, cli\n"
-            "from ioxsim.bath import BathOracle, bath_for_rates\n"
+            "from ioxsim.bath import BathOracle, BathSpec\n"
             "cfg, out = sys.argv[1:]\n"
             "assert cli.main(['oracle-compare', '--config', cfg,"
             " '--out', out]) == 0\n"
             "p = SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8)\n"
-            "b = bath_for_rates(1.0, 1.8, 1000.0, (500.0, 1500.0))\n"
-            "orc = BathOracle(b, 32000, p)\n"
+            "orc = BathOracle(BathSpec((500.0, 1500.0)), 32000, p)\n"
             "np.save(out + '/energies.npy', orc.energies)\n"
             "np.save(out + '/system_rows.npy', orc.system_rows)\n"
             "np.save(out + '/damping.npy',"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ioxsim
-from ioxsim import AmplitudeState, BathOracle, SystemParams, bath_for_rates
+from ioxsim import AmplitudeState, BathOracle, BathSpec, SystemParams
 from ioxsim.core import discriminant, track_branches
 
 CHECKED = ("k", "omega", "t", "t_grid")
@@ -24,7 +24,7 @@ BAD_IDS = ["nan", "inf", "minus-inf"]
 ARGS = {
     "p": SystemParams(delta=2.1 / np.sqrt(0.3), g_rabi=3.0, gamma_c=1.0,
                       gamma_x=0.3),
-    "b": bath_for_rates(1.0, 0.3, 1000.0, (500.0, 1500.0)),
+    "b": BathSpec((500.0, 1500.0)),
     "k": 0.0,
     "omega": 1000.0,
     "t": 1.0,

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import curve_fit
 
 from ioxsim import SystemParams, eigen_branches, spectra
-from ioxsim.bath import BathOracle, bath_for_rates
+from ioxsim.bath import BathOracle, BathSpec
 from ioxsim.cli import load_config
 from ioxsim.core import bic_condition
 from ioxsim.errors import DivergentPointError, SingularMatrixError
@@ -247,7 +247,7 @@ def equivalence_cases():
     w = np.linspace(p.eps0 - 8.0, p.eps0 + 8.0, 1601)
     yield ("anomalous-dispersion", w, power_spectrum(p, 0.0, w),
            branch_energies(p))
-    b = bath_for_rates(p.gamma_c, p.gamma_x, p.eps0, (500.0, 1500.0))
+    b = BathSpec((500.0, 1500.0))
     w = np.arange(995.0, 1011.0 + 0.025, 0.05)
     yield ("rate-emergence", w, BathOracle(b, 4000, p).spectrum(w, eta=0.5),
            branch_energies(p))
@@ -322,9 +322,7 @@ class TestLorentzianPairFit:
         # form runs into the step cap, the oracle's fit leaves the window
         w = np.linspace(1100.0, 1150.0, 50)
         if source == "oracle":
-            b = bath_for_rates(ATTRACT.gamma_c, ATTRACT.gamma_x, ATTRACT.eps0,
-                               (500.0, 1500.0))
-            orc = BathOracle(b, 4000, ATTRACT)
+            orc = BathOracle(BathSpec((500.0, 1500.0)), 4000, ATTRACT)
             values = orc.spectrum(w, eta=2.0 * orc.spacing)
         else:
             values = power_spectrum(ATTRACT, 0.0, w)
