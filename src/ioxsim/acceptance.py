@@ -194,7 +194,7 @@ def check_conservation(seed=None):
     emission/absorption identity to 1e-10, on 1000 random passive draws."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(resolve_seed(seed))
-    worst_s = worst_ra = worst_id = 0.0
+    res_s, res_ra, res_id = [], [], []
     for _ in range(1000):
         delta = rng.uniform(-5.0, 5.0)
         g = rng.uniform(0.0, 4.0)
@@ -207,17 +207,17 @@ def check_conservation(seed=None):
         p1 = SystemParams(delta=delta, g_rabi=g, mass_ratio=mr,
                           gamma_c=gc, gamma_x=gx)
         s = scattering_amplitude_single_bath(p1, k, w)
-        # np.max keeps a NaN residual (max() drops it), so NaN fails
-        worst_s = np.max([worst_s, abs(abs(s) - 1.0)])
+        res_s.append(abs(abs(s) - 1.0))
         p2 = SystemParams(delta=delta, g_rabi=g, mass_ratio=mr,
                           gamma_c=gc, gamma_x=gx,
                           gamma_nr_c=rng.uniform(0.02, 1.0),
                           gamma_nr_x=rng.uniform(0.02, 1.0))
         r = reflection(p2, k, w)
         a = absorption(p2, k, w)
-        worst_ra = np.max([worst_ra, abs(r + a - 1.0)])
-        worst_id = np.max([worst_id,
-                           power_absorption_relation_check(p2, k, w, occ)])
+        res_ra.append(abs(r + a - 1.0))
+        res_id.append(power_absorption_relation_check(p2, k, w, occ))
+    # np.max keeps a NaN residual (max() drops it), so NaN fails
+    worst_s, worst_ra, worst_id = map(np.max, (res_s, res_ra, res_id))
     ok = worst_s < 1e-12 and worst_ra < 1e-12 and worst_id < 1e-10
     details = ("max ||S|-1| = %.1e; max |R+A-1| = %.1e; "
                "identity residual %.1e" % (worst_s, worst_ra, worst_id))
@@ -231,7 +231,7 @@ def check_green_identity(seed=None):
     rng = np.random.default_rng(resolve_seed(seed))
     ident = np.eye(2)
     b = BathSpec((500.0, 1500.0))
-    worst = 0.0
+    resid = []
     for i in range(1000):
         gc, gx = rng.uniform(0.1, 2.0, size=2)
         p = SystemParams(delta=rng.uniform(-4.0, 4.0),
@@ -243,7 +243,8 @@ def check_green_identity(seed=None):
         memoryless = i % 2 == 0
         m = full_matrix(b, p, k, w, npoints=1001, memoryless=memoryless)
         g = _green(m, w)
-        worst = np.max([worst, np.abs(m @ g - ident).max()])
+        resid.append(np.abs(m @ g - ident).max())
+    worst = np.max(resid)
     ok = worst < 1e-12
     details = "max ||M G - 1|| = %.1e over 1000 draws (half full-kernel)" % worst
     return _finish("green-identity", 10.0, t0, ok, details)
@@ -313,7 +314,7 @@ def check_dynamics_agreement(seed=None):
     t0 = time.perf_counter()
     rng = np.random.default_rng(resolve_seed(seed))
     t_grid = np.linspace(0.0, 20.0, 201)
-    worst = 0.0
+    resid = []
     for _ in range(100):
         while True:
             p = SystemParams(delta=rng.uniform(-4.0, 4.0),
@@ -332,7 +333,8 @@ def check_dynamics_agreement(seed=None):
         init = AmplitudeState(complex(v[0], v[1]), complex(v[2], v[3]))
         ca, xa = analytic_trajectory(p, k, init, t_grid)
         co, xo = evolve_ode(p, k, init, t_grid)
-        worst = np.max([worst, np.abs(ca - co).max(), np.abs(xa - xo).max()])
+        resid += [np.abs(ca - co).max(), np.abs(xa - xo).max()]
+    worst = np.max(resid)
     ok = worst < 1e-8
     details = ("closed form vs exact matrix exponential: sup-norm %.1e "
                "over 100 draws, t in [0, 20]" % worst)

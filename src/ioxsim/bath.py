@@ -112,8 +112,13 @@ def env_density_of_states(b, k, omega):
         _finite(k, "k")
         raise EvanescentRegionError(
             "no radiative environment modes at omega <= c|k| = %g" % ck)
-    out = omega / (b.c_light * np.sqrt(omega * omega - ck * ck))
+    out = _density(b, ck, omega)
     return out if out.ndim else float(out)
+
+
+def _density(b, ck, omega):
+    """rho = omega/(c sqrt(omega^2 - (ck)^2)) for omega > ck, unchecked."""
+    return omega / (b.c_light * np.sqrt(omega * omega - ck * ck))
 
 
 def _spectral_weight(b, k, omega):
@@ -121,14 +126,16 @@ def _spectral_weight(b, k, omega):
     omega = np.asarray(omega, dtype=float)
     lo, hi = b.omega_window
     ck = b.c_light * abs(k)
+    if hi <= ck:
+        # the whole window lies below the light cone
+        return np.zeros(omega.shape)
     # endpoints count as inside so a hard (untapered) window is exactly
     # flat on quadrature grids
     inside = (omega >= lo) & (omega <= hi) & (omega > ck)
-    out = np.zeros(omega.shape)
-    if np.any(inside):
-        out[inside] = (env_density_of_states(b, k, omega[inside])
-                       * b.taper(omega[inside]) ** 2)
-    return out
+    # one pass over every point: those outside, NaN and inf among them,
+    # are evaluated at the stand-in hi > ck and then zeroed
+    at = np.where(inside, omega, hi)
+    return np.where(inside, _density(b, ck, at) * b.taper(at) ** 2, 0.0)
 
 
 def _window_grid(b, k, npoints):
@@ -183,10 +190,10 @@ def _couplings(b, p):
     return np.sqrt(np.array([p.gamma_c, p.gamma_x]) / scale)
 
 
-def _golden_rule(b, p, k, omega):
-    """pi * rho(omega) * taper(omega)^2 * kappa kappa^T, shape omega.shape + (2, 2)."""
+def _golden_rule(b, kap, k, omega):
+    """pi * rho(omega) * taper(omega)^2 * kappa kappa^T for the couplings
+    kap of _couplings, shape omega.shape + (2, 2)."""
     weight = np.pi * _spectral_weight(b, k, omega)
-    kap = _couplings(b, p)
     return weight[..., None, None] * np.outer(kap, kap)
 
 
@@ -207,7 +214,7 @@ def kernel_freq(b, p, k, omega, npoints=PV_GRID_POINTS):
     weight = _spectral_weight(b, k, grid)
     pv = np.array([_pv_integral(grid, weight, w) for w in omega.ravel().tolist()])
     kap = _couplings(b, p)
-    return (_golden_rule(b, p, k, omega)
+    return (_golden_rule(b, kap, k, omega)
             + 1j * pv.reshape(omega.shape + (1, 1)) * np.outer(kap, kap))
 
 
@@ -244,7 +251,7 @@ def full_matrix(b, p, k, omega, npoints=PV_GRID_POINTS, memoryless=False):
     omega = _finite(omega, "omega")
     h = _bare_hamiltonian(p, k)  # kinetic_energies rejects a NaN or inf k
     if memoryless:
-        gam = _golden_rule(b, p, k, p.eps0)
+        gam = _golden_rule(b, _couplings(b, p), k, p.eps0)
     else:
         gam = kernel_freq(b, p, k, omega, npoints)
     return _response(h, omega, -1j * gam)

@@ -12,7 +12,9 @@ power_spectrum, absorption and absorption_components take k as a scalar
 or a 1-d array and return one row per k; the grid functions are the same
 call wrapped in a SpectrumGrid.  All of them form the core kernel once
 over k and evaluate it in blocks of k rows, so a grid row equals the
-scalar call at its k exactly.
+scalar call at its k exactly; when one block holds every k, its rows are
+the result.  power_absorption_relation_check forms I, A_gamma and A_m in
+one such pass, from one kernel.
 Exactly on an undamped pole the scalar calls raise DivergentPointError
 and the grids flag the point in SpectrumGrid.divergent.
 
@@ -74,9 +76,7 @@ class InputOccupation:
             if pts.shape != vals.shape:
                 raise ValueError("tabulated occupation needs matching 1-d arrays")
             self._fn = lambda omega: np.interp(omega, pts, vals)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("occupation must be finite")
-        if np.any(vals < 0):
+        if (_finite(vals, "occupation") < 0).any():
             raise ValueError("occupation must be non-negative")
 
     def __call__(self, omega):
@@ -145,15 +145,19 @@ def _on_grid(rows, p, k, omega, *args):
     modes = _modes(p, ks)
     om = _finite(omega, "omega")
     flat = om.reshape(-1)
-    outs = None
-    for start in range(0, max(ks.size, 1), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        parts = rows(p, modes.block(block), flat, *args)
-        if outs is None:
-            outs = [np.empty((ks.size, flat.size), part.dtype)
-                    for part in parts]
-        for out, part in zip(outs, parts):
-            out[block] = part
+    if ks.size <= _BLOCK_ROWS:
+        # one block covers every k: its rows are the result
+        outs = rows(p, modes, flat, *args)
+    else:
+        outs = None
+        for start in range(0, ks.size, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            parts = rows(p, modes.block(block), flat, *args)
+            if outs is None:
+                outs = [np.empty((ks.size, flat.size), part.dtype)
+                        for part in parts]
+            for out, part in zip(outs, parts):
+                out[block] = part
     shape = np.shape(k) + om.shape
     return [out.reshape(shape)[()] for out in outs]
 
@@ -349,12 +353,21 @@ def absorption_grid(p, k_values, omega_values):
     return SpectrumGrid(k_values, omega_values, intensity, "absorption", mask)
 
 
+def _relation_rows(p, m, om, occupation):
+    """|I - (A_gamma + A_m) n| rows from one block of modes, plus the
+    on-pole mask of the power spectrum."""
+    intensity, mask = _power_rows(p, m, om, occupation)
+    a_gamma, a_m, _ = _absorption_rows(p, m, om)
+    return np.abs(intensity - (a_gamma + a_m) * occupation), mask
+
+
 def power_absorption_relation_check(p, k, omega, n=None):
-    """|I - (A_gamma + A_m) n|; vanishes identically, returned as evidence."""
-    occupation = as_occupation(n)
-    intensity = power_spectrum(p, k, omega, occupation)
-    a_gamma, a_m = absorption_components(p, k, omega)
-    resid = np.abs(intensity - (a_gamma + a_m) * occupation(omega))
+    """|I - (A_gamma + A_m) n|; vanishes identically, returned as evidence.
+    Raises DivergentPointError exactly on an undamped pole, as
+    power_spectrum does."""
+    occupation = as_occupation(n)(np.asarray(omega, float).reshape(-1))
+    resid, mask = _on_grid(_relation_rows, p, k, omega, occupation)
+    _reject_on_pole("power spectrum diverges", omega, mask)
     return resid if np.ndim(resid) else float(resid)
 
 

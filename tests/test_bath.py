@@ -262,7 +262,7 @@ class TestCouplings:
         # 520 sits on the tapered window's ramp, where taper^2 < 1 enters
         b = BathSpec(WINDOW, c_light=1.7, taper_frac=taper_frac)
         p = SystemParams(eps0=eps0, gamma_c=0.3, gamma_x=2.5)
-        for gam in (bath._golden_rule(b, p, 0.0, eps0),
+        for gam in (bath._golden_rule(b, bath._couplings(b, p), 0.0, eps0),
                     kernel_freq(b, p, 0.0, eps0).real):
             assert gam[0, 0] == pytest.approx(p.gamma_c, rel=4 * EPS)
             assert gam[1, 1] == pytest.approx(p.gamma_x, rel=4 * EPS)
@@ -294,6 +294,87 @@ class TestCouplings:
         with pytest.raises(ValueError, match="outside the bath window"):
             kernel_freq(BathSpec(WINDOW), SystemParams(eps0=1600.0), 0.0,
                         EPS0)
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's
+    arguments in the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestWorkCounts:
+    """Each kernel call derives the couplings once and evaluates the
+    spectral weight once per use: exact counts, independent of the host."""
+
+    def test_couplings_once_per_call(self, monkeypatch):
+        calls = _counted(monkeypatch, bath, "_couplings")
+        b = BathSpec(WINDOW)
+        for omega in (1003.0, np.linspace(990.0, 1010.0, 5)):
+            for call in (partial(kernel_freq, npoints=1001),
+                         partial(full_matrix, npoints=1001),
+                         partial(full_matrix, memoryless=True)):
+                calls.clear()
+                call(b, PASSIVE, 0.3, omega)
+                assert len(calls) == 1
+
+    def test_spectral_weight_per_full_matrix(self, monkeypatch):
+        # memoryless: the carrier for the couplings, the carrier at k;
+        # full: the couplings, the quadrature grid and the probe omega
+        calls = _counted(monkeypatch, bath, "_spectral_weight")
+        for memoryless, expect in ((True, 2), (False, 3)):
+            calls.clear()
+            full_matrix(BathSpec(WINDOW), PASSIVE, 0.3, 1003.0, npoints=1001,
+                        memoryless=memoryless)
+            assert len(calls) == expect
+
+
+def _masked_spectral_weight(b, k, omega):
+    """The spectral weight as a gather over the points inside the window
+    and a scatter back into zeros: the bit-exact reference for
+    bath._spectral_weight, which evaluates every point instead."""
+    omega = np.asarray(omega, dtype=float)
+    lo, hi = b.omega_window
+    ck = b.c_light * abs(k)
+    inside = (omega >= lo) & (omega <= hi) & (omega > ck)
+    out = np.zeros(omega.shape)
+    if np.any(inside):
+        out[inside] = (env_density_of_states(b, k, omega[inside])
+                       * b.taper(omega[inside]) ** 2)
+    return out
+
+
+class TestSpectralWeight:
+    # window (500, 1500) at c = 1.3: k = 600 puts the light cone at 780,
+    # inside the window, and k = 1200 puts it above the whole window
+    @pytest.mark.parametrize("taper_frac", [0.05, 0.0], ids=["taper", "hard"])
+    @pytest.mark.parametrize("k", [0.0, 600.0, -600.0, 1200.0])
+    @pytest.mark.parametrize("omega", [
+        pytest.param(np.linspace(300.0, 1700.0, 2001), id="across-window"),
+        pytest.param(np.array([500.0, 1500.0, 780.0, np.nextafter(780.0, 1e3),
+                               np.nextafter(500.0, 0.0),
+                               np.nextafter(1500.0, 2e3), 549.9, 1450.1,
+                               np.nan, np.inf, -np.inf, 0.0, -1e3]),
+                     id="edges"),
+        pytest.param(1000.0, id="scalar"),
+        pytest.param(np.array(1000.0), id="0-d"),
+        pytest.param(np.array([1000.0]), id="1-element"),
+        pytest.param(520.0, id="scalar-on-ramp"),
+        pytest.param(np.linspace(700.0, 900.0, 12).reshape(3, 4), id="2-d"),
+    ])
+    def test_bit_identical_to_the_masked_form(self, taper_frac, k, omega):
+        b = BathSpec(WINDOW, c_light=1.3, taper_frac=taper_frac)
+        got = bath._spectral_weight(b, k, omega)
+        ref = _masked_spectral_weight(b, k, omega)
+        assert type(got) is type(ref) and got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 class TestKernelInputs:

@@ -535,6 +535,46 @@ class TestPowerAbsorptionRelation:
             worst = max(worst, power_absorption_relation_check(p, k, w))
         assert worst < 1e-10
 
+    @pytest.mark.parametrize("n", [None, 2.5, ([990.0, 1010.0], [0.5, 3.0])],
+                             ids=["none", "constant", "table"])
+    @pytest.mark.parametrize("k, omega", [
+        pytest.param(0.4, LOSSY.eps0 + 1.3, id="scalar"),
+        pytest.param(0.4, np.linspace(992.0, 1008.0, 33), id="scalar-k"),
+        pytest.param(np.linspace(-2.0, 2.0, 21),
+                     np.linspace(992.0, 1008.0, 33), id="k-array"),
+    ])
+    def test_equals_the_public_calls_bit_for_bit(self, n, k, omega):
+        p = SystemParams(delta=1.7, g_rabi=0.9, mass_ratio=0.3, gamma_c=1.1,
+                         gamma_x=0.6, gamma_nr_c=0.2, gamma_nr_x=0.35)
+        occupation = spectra.as_occupation(n)
+        a_gamma, a_m = absorption_components(p, k, omega)
+        ref = np.abs(power_spectrum(p, k, omega, occupation)
+                     - (a_gamma + a_m) * occupation(omega))
+        got = power_absorption_relation_check(p, k, omega, n)
+        assert type(got) is type(ref.item() if ref.ndim == 0 else ref)
+        assert np.array_equal(np.asarray(got).view(np.int64),
+                              np.asarray(ref).view(np.int64))
+
+    @pytest.mark.parametrize("k", [0.0, np.array([-0.5, 0.0, 0.5])],
+                             ids=["scalar", "array"])
+    def test_undamped_pole_raises(self, k):
+        low, _ = eigen_branches(BIC, 0.0)
+        with pytest.raises(DivergentPointError,
+                           match="power spectrum diverges on an undamped pole"):
+            power_absorption_relation_check(BIC, k, low.omega.real)
+
+    @pytest.mark.parametrize("k", [0.4, np.linspace(-2.0, 2.0, 21)],
+                             ids=["scalar", "array"])
+    def test_modes_formed_once(self, monkeypatch, k):
+        # I, A_gamma and A_m come from one pass over one set of modes
+        calls = []
+        modes = spectra._modes
+        monkeypatch.setattr(spectra, "_modes",
+                            lambda p, ks: calls.append(ks) or modes(p, ks))
+        power_absorption_relation_check(
+            LOSSY, k, np.linspace(995.0, 1005.0, 7), n=1.5)
+        assert len(calls) == 1
+
 
 class TestSpectrumGrid:
     def test_validates_axes(self):
