@@ -86,14 +86,7 @@ class BathSpec:
     def taper(self, omega):
         """Coupling-amplitude rolloff: 1 deep inside the window, 0 at its
         ends; ValueError for NaN or inf omega."""
-        lo, hi = self.omega_window
-        width = (hi - lo) * self.taper_frac
-        omega = _finite(omega, "omega")
-        if width == 0.0:
-            return np.where((omega >= lo) & (omega <= hi), 1.0, 0.0)
-        edge = np.minimum(omega - lo, hi - omega) / width
-        return np.where(edge <= 0.0, 0.0,
-                        np.where(edge >= 1.0, 1.0, np.sin(0.5 * np.pi * edge)))
+        return _taper(self, _finite(omega, "omega"))
 
 
 def env_density_of_states(b, k, omega):
@@ -121,6 +114,17 @@ def _density(b, ck, omega):
     return omega / (b.c_light * np.sqrt(omega * omega - ck * ck))
 
 
+def _taper(b, omega):
+    """BathSpec.taper on a float array of finite omega, unchecked."""
+    lo, hi = b.omega_window
+    width = (hi - lo) * b.taper_frac
+    if width == 0.0:
+        return np.where((omega >= lo) & (omega <= hi), 1.0, 0.0)
+    edge = np.minimum(omega - lo, hi - omega) / width
+    return np.where(edge <= 0.0, 0.0,
+                    np.where(edge >= 1.0, 1.0, np.sin(0.5 * np.pi * edge)))
+
+
 def _spectral_weight(b, k, omega):
     """rho(omega) * taper(omega)^2 inside the window, 0 outside."""
     omega = np.asarray(omega, dtype=float)
@@ -135,7 +139,7 @@ def _spectral_weight(b, k, omega):
     # one pass over every point: those outside, NaN and inf among them,
     # are evaluated at the stand-in hi > ck and then zeroed
     at = np.where(inside, omega, hi)
-    return np.where(inside, _density(b, ck, at) * b.taper(at) ** 2, 0.0)
+    return np.where(inside, _density(b, ck, at) * _taper(b, at) ** 2, 0.0)
 
 
 def _window_grid(b, k, npoints):

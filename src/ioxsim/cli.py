@@ -10,8 +10,11 @@ messages, decode errors carry line and column.  Each scan kind is one
 _Scan record in SCANS; a scan key, detuning list or bath block that its
 record does not take is rejected as not referenced.  CSV output uses 17
 significant digits, so identical configs give byte-identical files
-across runs.  Exit codes: 0 all outputs written and every gate passed,
-2 config error or unwritable output directory, 3 numerical-check
+across runs.  A numeric table is a _Grid whose columns stay unbroadcast;
+the one numeric writer, _write_grid, formats each value once: k and
+delta once per row block, omega or t once per table, and only the value
+columns per row.  Exit codes: 0 all outputs written and every gate
+passed, 2 config error or unwritable output directory, 3 numerical-check
 failure.  Every gate is one _gate call, which a NaN fails.  A failed
 gate or a raised error writes nothing; only oracle-compare writes all
 its files, summary.csv included, before its bounds decide the exit code.
@@ -328,20 +331,60 @@ def _fmt(value):
 _CHUNK_ROWS = 128
 
 
-def _write_rows(fh, rows):
-    """A 2-d float table, FLOAT_FMT per value: one format string per
-    chunk of rows, applied once to the chunk's values as Python floats."""
-    line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        block = rows[start:start + _CHUNK_ROWS]
-        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+class _Grid(tuple):
+    """A numeric table as its columns, which broadcast to one grid and
+    stay unbroadcast: one row per grid point, in C order."""
+
+
+def _write_grid(fh, columns):
+    """The rows of a _Grid, FLOAT_FMT per value, each value formatted
+    once.  A row block is one run of the last axis.  A column constant
+    along it is formatted once per block; with several blocks, a column
+    that varies along the last axis alone is formatted once per table;
+    every other column is formatted per row.  Each chunk of rows is one
+    template that holds the table's strings, takes the block's strings
+    in place of its markers, and formats the row values in one pass."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    lead, width = shape[:-1], shape[-1]
+    cells, heads, values = [], [], []
+    for column in columns:
+        dims = (1,) * (len(shape) - np.ndim(column)) + np.shape(column)
+        view = np.broadcast_to(column, shape)
+        if dims[-1] == 1:
+            # a marker that no formatted number and no FLOAT_FMT holds
+            cells.append("\0%d\0" % len(heads))
+            heads.append((cells[-1], view[..., 0]))
+        elif lead and dims[:-1] == (1,) * len(lead):
+            cells.append([FLOAT_FMT % v
+                          for v in view[(0,) * len(lead)].tolist()])
+        else:
+            cells.append(FLOAT_FMT)
+            values.append(view)
+
+    def line(w):
+        return ",".join(c if isinstance(c, str) else c[w]
+                        for c in cells) + "\n"
+
+    lines = ([line(w) for w in range(width)]
+             if any(isinstance(c, list) for c in cells) else None)
+    for idx in np.ndindex(*lead):
+        marked = [(mark, FLOAT_FMT % head[idx]) for mark, head in heads]
+        rows = (np.stack([v[idx] for v in values], axis=-1) if values
+                else np.empty((width, 0)))
+        for start in range(0, width, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, width)
+            template = ("".join(lines[start:stop]) if lines
+                        else line(0) * (stop - start))
+            for mark, head in marked:
+                template = template.replace(mark, head)
+            fh.write(template % tuple(rows[start:stop].ravel().tolist()))
 
 
 def _emit(cfg, tables, plot=None):
     """The one write stage: each (name, header, rows) table as a CSV in
     cfg.directory, then plot.gp if gnuplot output is asked for.  rows is
-    a 2-d float array for a numeric table, or row tuples for a table with
-    string cells.  Returns the paths in the order written; an OSError
+    a _Grid for a numeric table, or row tuples for a table with string
+    cells.  Returns the paths in the order written; an OSError
     becomes a ConfigError."""
     files = []
     try:
@@ -350,8 +393,8 @@ def _emit(cfg, tables, plot=None):
             files.append(os.path.join(cfg.directory, name))
             with open(files[-1], "w", newline="") as fh:
                 fh.write(",".join(header) + "\n")
-                if isinstance(rows, np.ndarray):
-                    _write_rows(fh, rows)
+                if isinstance(rows, _Grid):
+                    _write_grid(fh, rows)
                 else:
                     for row in rows:
                         fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -363,13 +406,6 @@ def _emit(cfg, tables, plot=None):
         _fail("output.directory", "cannot write %s: %s"
               % (exc.filename or cfg.directory, exc.strerror or exc))
     return files
-
-
-def _grid_table(*columns):
-    """A numeric table from axes and values that broadcast to one grid:
-    one column per argument, one row per grid point in C order."""
-    columns = np.broadcast_arrays(*columns)
-    return np.stack(columns).reshape(len(columns), -1).T
 
 
 def _abs2(z):
@@ -394,20 +430,25 @@ def _spectrum_grid(fn, what, *args):
 
 
 def _det_residual(p, k, omega):
-    """|det(omega*1 - H_k)| relative to its natural scale; ~0 on a branch."""
+    """|det(omega*1 - H_k)| relative to its natural scale; ~0 on a branch,
+    inf where the determinant or its scale overflows a float."""
     pole = complex_poles(p, k)
-    det = (omega - pole.z_c) * (omega - pole.z_x) - pole.g_tilde ** 2
-    scale = max(1.0, abs(omega - pole.z_c), abs(omega - pole.z_x),
-                abs(pole.g_tilde)) ** 2
+    try:
+        det = (omega - pole.z_c) * (omega - pole.z_x) - pole.g_tilde ** 2
+        scale = max(1.0, abs(omega - pole.z_c), abs(omega - pole.z_x),
+                    abs(pole.g_tilde)) ** 2
+    except OverflowError:
+        # Python's complex and float powers raise where numpy gives inf
+        return np.inf
     return abs(det) / scale
 
 
 def _branch_table(tracks):
+    low, up = (np.array([b.omega for b in track]) for track in tracks)
     return ("branches.csv",
             ("k", "re_omega_l", "im_omega_l", "re_omega_u", "im_omega_u"),
-            np.array([(lo.k, lo.omega.real, lo.omega.imag,
-                       up.omega.real, up.omega.imag)
-                      for lo, up in zip(*tracks)]))
+            _Grid((np.array([b.k for b in tracks[0]]),
+                   low.real, low.imag, up.real, up.imag)))
 
 
 def _plot_prelude(title):
@@ -471,7 +512,7 @@ def run_dispersion(cfg):
     return _emit(cfg, [
         _branch_table(tracks),
         ("power_map.csv", ("k", "omega", "intensity"),
-         _grid_table(cfg.k_grid[:, None], cfg.omega_grid, grid.intensity))],
+         _Grid((cfg.k_grid[:, None], cfg.omega_grid, grid.intensity)))],
         _heatmap_script("emission intensity", "power_map.csv",
                         p, cfg.k_grid, cfg.omega_grid))
 
@@ -490,7 +531,7 @@ def run_spectrum(cfg):
 
     return _emit(cfg, [
         ("spectrum.csv", ("k", "delta", "omega", "intensity"),
-         _grid_table(cfg.k_grid[:, None], deltas, cfg.omega_grid, maps))],
+         _Grid((cfg.k_grid[:, None], deltas, cfg.omega_grid, maps)))],
         _family_script("emission spectra", "omega", "intensity",
                        "spectrum.csv", 4, cfg.k_grid[0], cfg.systems))
 
@@ -524,8 +565,8 @@ def run_dynamics(cfg):
         ("dynamics.csv",
          ("k", "delta", "t", "re_c", "im_c", "re_x", "im_x",
           "abs2_c", "abs2_x"),
-         _grid_table(cfg.k_grid[:, None], deltas, cfg.t_grid,
-                     c.real, c.imag, x.real, x.imag, _abs2(c), _abs2(x)))],
+         _Grid((cfg.k_grid[:, None], deltas, cfg.t_grid,
+                c.real, c.imag, x.real, x.imag, _abs2(c), _abs2(x))))],
         _family_script("amplitude dynamics from x(0) = 1", "t", "|x|^2",
                        "dynamics.csv", 9, cfg.k_grid[0], cfg.systems))
 
@@ -587,7 +628,7 @@ def run_absorption(cfg):
 
     return _emit(cfg, [
         ("absorption_map.csv", ("k", "omega", "absorption"),
-         _grid_table(cfg.k_grid[:, None], cfg.omega_grid, amap)),
+         _Grid((cfg.k_grid[:, None], cfg.omega_grid, amap))),
         _branch_table(track_branches(p, cfg.k_grid))],
         _heatmap_script("absorption", "absorption_map.csv",
                         p, cfg.k_grid, cfg.omega_grid))
@@ -630,8 +671,8 @@ def run_oracle_compare(cfg):
                     cfg.max_deviation))
     tables.append((
         "oracle_damping.csv", ("omega", "gamma_cc", "gamma_xx", "gamma_cx"),
-        np.column_stack([probe, gam[:, 0, 0].real, gam[:, 1, 1].real,
-                         gam[:, 0, 1].real])))
+        _Grid((probe, gam[:, 0, 0].real, gam[:, 1, 1].real,
+               gam[:, 0, 1].real))))
 
     if cfg.omega_grid is not None:
         # sharpest broadening the comb guard admits, for clean peak centers
@@ -647,7 +688,7 @@ def run_oracle_compare(cfg):
         tables.append((
             "oracle_spectrum.csv",
             ("omega", "ldos_oracle", "intensity_analytic"),
-            np.column_stack([cfg.omega_grid, ldos, intensity])))
+            _Grid((cfg.omega_grid, ldos, intensity))))
 
     if cfg.t_grid is not None:
         c_orc, x_orc = oracle.dynamics((0.0, 1.0), cfg.t_grid)
@@ -659,8 +700,8 @@ def run_oracle_compare(cfg):
             "oracle_dynamics.csv",
             ("t", "abs2_c_oracle", "abs2_x_oracle",
              "abs2_c_analytic", "abs2_x_analytic"),
-            np.column_stack([cfg.t_grid, _abs2(c_orc), _abs2(x_orc),
-                             _abs2(c_ana), _abs2(x_ana)])))
+            _Grid((cfg.t_grid, _abs2(c_orc), _abs2(x_orc),
+                   _abs2(c_ana), _abs2(x_ana)))))
 
     tables.append(("summary.csv", ("metric", "value", "bound", "passed"),
                    ((name, value, bound, "yes" if value <= bound else "no")

@@ -313,6 +313,13 @@ def per_value_csv(header, rows):
     return ("\n".join(lines) + "\n").encode()
 
 
+def broadcast_csv(header, *columns):
+    """The bytes of a CSV of the np.broadcast_arrays table of columns, one
+    cli._fmt call per cell, rows in C order."""
+    table = [column.ravel() for column in np.broadcast_arrays(*columns)]
+    return per_value_csv(header, zip(*table))
+
+
 class TestSpectrumAndDynamicsRuns:
     def test_detuning_family_spectrum(self, tmp_path):
         doc = {
@@ -395,6 +402,37 @@ class TestSpectrumAndDynamicsRuns:
                                            *cli._trajectory_with_check(
                                                p, k, cfg.t_grid))]
             assert (out / name).read_bytes() == per_value_csv(header, rows)
+
+    @pytest.mark.parametrize("kind", sorted(FAMILY_SCANS))
+    def test_family_csv_is_the_broadcast_table(self, tmp_path, kind):
+        # several detunings and several k, which no bundled config runs:
+        # the CSV against the table np.broadcast_arrays makes of the
+        # unbroadcast (k, delta, omega or t, values...) columns
+        cfg = cli.parse_config({"system": FAMILY_SYSTEM,
+                                "scan": FAMILY_SCANS[kind],
+                                "output": {"directory": str(tmp_path)}})
+        assert len(cfg.systems) == 2 and cfg.k_grid.size == 3
+        k = cfg.k_grid[:, None]
+        deltas = np.array([p.delta for p in cfg.systems])[:, None, None]
+        if kind == "spectrum":
+            path, _ = cli.run_spectrum(cfg)
+            header = ("k", "delta", "omega", "intensity")
+            columns = (k, deltas, cfg.omega_grid, np.array([
+                cli.power_spectrum(p, cfg.k_grid, cfg.omega_grid,
+                                   cfg.occupation) for p in cfg.systems]))
+        else:
+            path, _ = cli.run_dynamics(cfg)
+            header = ("k", "delta", "t", "re_c", "im_c", "re_x", "im_x",
+                      "abs2_c", "abs2_x")
+            c, x = np.moveaxis(np.array([
+                [cli._trajectory_with_check(p, q, cfg.t_grid)
+                 for q in cfg.k_grid] for p in cfg.systems]), 2, 0)
+            columns = (k, deltas, cfg.t_grid, c.real, c.imag, x.real,
+                       x.imag, cli._abs2(c), cli._abs2(x))
+        with open(path, "rb") as fh:
+            written = fh.read()
+        assert written == broadcast_csv(header, *columns)
+        assert written.count(b"\n") == 1 + 2 * 3 * columns[2].size
 
     def test_dynamics_at_coalescence_uses_ode(self, tmp_path):
         doc = {
@@ -726,9 +764,19 @@ class TestExitCodes:
         assert cli.main(["acceptance"]) == 3
 
 
+def emit_grid(tmp_path, header, *columns):
+    """The bytes cli._emit writes for one grid table of columns."""
+    cfg = cli.parse_config(dict(kind_doc("ep-bic"),
+                                output={"directory": str(tmp_path)}))
+    [path] = cli._emit(cfg, [("grid.csv", header, cli._Grid(columns))])
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 class TestEmit:
     def test_array_table_matches_row_tuples(self, tmp_path):
-        # more rows than one chunk, with the extreme and inexact values
+        # a grid of 1-d columns, more rows than one chunk, with the
+        # extreme and inexact values
         n = cli._CHUNK_ROWS + 7
         table = np.linspace(-1.0, 1.0, 4 * n).reshape(n, 4)
         table[0] = (-0.0, 5e-324, 1e308, 1.0 / 3.0)
@@ -737,7 +785,7 @@ class TestEmit:
                                     output={"directory": str(tmp_path)}))
         header = ("a", "b", "c", "d")
         array_csv, tuple_csv = cli._emit(cfg, [
-            ("array.csv", header, table),
+            ("array.csv", header, cli._Grid(table.T)),
             ("tuples.csv", header, [tuple(row) for row in table])])
         with open(array_csv, "rb") as fh:
             written = fh.read()
@@ -746,6 +794,36 @@ class TestEmit:
         assert written.split(b"\n")[1] == (
             b"-0,4.9406564584124654e-324,1e+308,0.33333333333333331")
         assert written.count(b"\n") == n + 1
+
+    @pytest.mark.parametrize("shape", [
+        (5, 7), (5, cli._CHUNK_ROWS + 3), (1, 9), (6, 1),
+        (2, 3, 11), (3, 2, 2 * cli._CHUNK_ROWS + 1), (1, 4, 5), (2, 1, 6),
+        (3, 4, 1)], ids=str)
+    def test_grid_matches_the_broadcast_table(self, tmp_path, shape):
+        # one axis column per dimension, unbroadcast as the CLI passes k,
+        # delta and omega or t; then value columns over the whole grid,
+        # over its trailing axes and over its leading axes alone
+        rng = np.random.default_rng(sum(shape))
+        axes = [np.linspace(-0.4, 3.8, n).reshape((n,) + (1,) * (
+            len(shape) - 1 - i)) / 3.0 for i, n in enumerate(shape)]
+        values = [rng.standard_normal(shape) * 1e3,
+                  rng.standard_normal(shape[1:]),
+                  rng.standard_normal(shape[:-1] + (1,))]
+        values[0].flat[:4] = (-0.0, 5e-324, 1e308, -1e308)
+        header = tuple("c%d" % i for i in range(len(axes) + len(values)))
+        assert (emit_grid(tmp_path, header, *axes, *values)
+                == broadcast_csv(header, *axes, *values))
+
+    def test_column_order_and_scalars(self, tmp_path):
+        # an axis after the values, a value column between two axes and a
+        # scalar column: each cell in its own column's place
+        k = np.array([[0.5], [-0.0], [1e-300]])
+        omega = np.arange(cli._CHUNK_ROWS + 2) / 7.0
+        values = np.arange(k.size * omega.size).reshape(3, -1) / 3.0
+        columns = (values, k, 1.0 / 3.0, -values, omega)
+        header = ("v", "k", "s", "w", "omega")
+        assert (emit_grid(tmp_path, header, *columns)
+                == broadcast_csv(header, *columns))
 
 
 class TestGates:
@@ -772,6 +850,29 @@ class TestGates:
             capture_output=True, text=True, env=src_env())
         assert proc.returncode == 3, proc.stderr
         assert "emission/absorption identity residual = nan" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_determinant_residual_exits_3(self, tmp_path):
+        # g_rabi = 1e200 overflows the Python complex power in the branch
+        # determinant residual: a failed gate, no traceback, no files.  A
+        # subprocess keeps the RuntimeWarnings out of this suite's filter.
+        doc = {
+            "system": {"eps0": 1000.0, "delta": 3.0, "g_rabi": 1e200,
+                       "gamma_c": 1.0, "gamma_x": 0.3},
+            "scan": {"kind": "dispersion", "k_grid": [0.0, 1.0],
+                     "omega_grid": {"start": 990.0, "stop": 1010.0,
+                                    "num": 11}},
+            "output": {"directory": str(tmp_path / "out"),
+                       "formats": ["csv"]},
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "ioxsim", "dispersion",
+             "--config", write_cfg(tmp_path, doc)],
+            capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert ("branch determinant residual at k = 0 = inf"
+                in proc.stderr)
         assert not (tmp_path / "out").exists()
 
 
