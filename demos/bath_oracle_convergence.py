@@ -22,7 +22,6 @@ from ioxsim import (
     kernel_freq,
     power_spectrum,
     lorentzian_pair_fit,
-    AmplitudeState,
     analytic_trajectory,
 )
 
@@ -79,7 +78,7 @@ for i in range(2):
 # -- amplitude decay matches the two-branch closed form -------------------
 t = np.linspace(0.0, 6.0, 241)  # well inside the recurrence window
 c_o, x_o = oracle.dynamics((0.0, 1.0), t)
-c_a, x_a = analytic_trajectory(p, 0.0, AmplitudeState(0.0, 1.0), t)
+c_a, x_a = analytic_trajectory(p, 0.0, (0.0, 1.0), t)
 sup = max(np.abs(np.abs(c_o) ** 2 - np.abs(c_a) ** 2).max(),
           np.abs(np.abs(x_o) ** 2 - np.abs(x_a) ** 2).max())
 print("\ndynamics sup deviation in occupations: %.2e" % sup)

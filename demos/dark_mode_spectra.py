@@ -18,7 +18,6 @@ from ioxsim import (
     eigen_branches,
     bic_condition,
     power_spectrum,
-    AmplitudeState,
     analytic_trajectory,
 )
 
@@ -62,7 +61,7 @@ gam = p_crit.gamma_c + p_crit.gamma_x
 x_inf = p_crit.gamma_c**2 / gam**2
 c_inf = p_crit.gamma_c * p_crit.gamma_x / gam**2
 t = np.linspace(0.0, 60.0, 601)
-c_t, x_t = analytic_trajectory(p_crit, 0.0, AmplitudeState(0.0, 1.0), t)
+c_t, x_t = analytic_trajectory(p_crit, 0.0, (0.0, 1.0), t)
 print("\nlong-time occupations (t = %.0f):" % t[-1])
 print("  |x|^2 = %.10f   closed form gamma_c^2/gamma^2     = %.10f"
       % (abs(x_t[-1])**2, x_inf))

@@ -19,7 +19,6 @@ from ioxsim import (
     ep_conditions,
     eigen_branches,
     complex_poles,
-    AmplitudeState,
     evolve_ode,
 )
 from ioxsim.core import discriminant
@@ -45,7 +44,7 @@ print("eigenvector overlap |<v_L|v_U>| = %.12f" % overlap)
 # propagate a photon-only initial state with the exact matrix exponential;
 # at the coalescence x(t) = -i * g_tilde * t * exp(-i omega t) exactly
 t = np.linspace(0.5, 15.0, 291)
-c_t, x_t = evolve_ode(p, 0.0, AmplitudeState(1.0, 0.0), t)
+c_t, x_t = evolve_ode(p, 0.0, (1.0, 0.0), t)
 y = np.log(np.abs(x_t)) - np.log(t)
 slope, intercept = np.polyfit(t, y, 1)
 resid = y - (slope * t + intercept)

@@ -33,7 +33,6 @@ from .spectra import (
     lorentzian_pair_fit,
 )
 from .dynamics import (
-    AmplitudeState,
     analytic_trajectory,
     bic_amplitudes,
     evolve_ode,
@@ -41,7 +40,6 @@ from .dynamics import (
 from .bath import (
     BathSpec,
     BathOracle,
-    env_density_of_states,
     kernel_freq,
     full_matrix,
 )

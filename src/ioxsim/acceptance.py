@@ -30,7 +30,7 @@ from .core import (
     eigen_branches,
     track_branches,
 )
-from .dynamics import AmplitudeState, analytic_trajectory, bic_amplitudes, evolve_ode
+from .dynamics import analytic_trajectory, bic_amplitudes, evolve_ode
 from .spectra import (
     absorption,
     absorption_grid,
@@ -129,8 +129,8 @@ def check_undamped_pole():
     x_inf = p.gamma_c ** 2 / gamma ** 2
     t_tail = np.linspace(40.0, 50.0, 11)
     c2, x2 = bic_amplitudes(p, t_tail)
-    c_traj, x_traj = analytic_trajectory(
-        p, 0.0, AmplitudeState(0.0 + 0.0j, 1.0 + 0.0j), t_tail)
+    c_traj, x_traj = analytic_trajectory(p, 0.0, (0.0 + 0.0j, 1.0 + 0.0j),
+                                         t_tail)
     closed_err = np.max([np.abs(c2 - c_inf), np.abs(x2 - x_inf),
                          np.abs(np.abs(c_traj) ** 2 - c_inf),
                          np.abs(np.abs(x_traj) ** 2 - x_inf)])
@@ -173,7 +173,7 @@ def check_exceptional_point():
     # |x(t)| from (c, x)(0) = (1, 0) is exactly |g~| t e^{-Gamma t} at the
     # coalescence; fit the log-linearized envelope and its R^2
     t_grid = np.linspace(0.5, 15.0, 291)
-    _, x = evolve_ode(p, 0.0, AmplitudeState(1.0 + 0.0j, 0.0 + 0.0j), t_grid)
+    _, x = evolve_ode(p, 0.0, (1.0 + 0.0j, 0.0 + 0.0j), t_grid)
     y = np.log(np.abs(x)) - np.log(t_grid)
     coef = np.polyfit(t_grid, y, 1)
     resid = y - np.polyval(coef, t_grid)
@@ -330,7 +330,7 @@ def check_dynamics_agreement(seed=None):
                 break
         v = rng.normal(size=4)
         v /= np.linalg.norm(v)
-        init = AmplitudeState(complex(v[0], v[1]), complex(v[2], v[3]))
+        init = (complex(v[0], v[1]), complex(v[2], v[3]))
         ca, xa = analytic_trajectory(p, k, init, t_grid)
         co, xo = evolve_ode(p, k, init, t_grid)
         resid += [np.abs(ca - co).max(), np.abs(xa - xo).max()]

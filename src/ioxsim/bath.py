@@ -83,39 +83,16 @@ class BathSpec:
         if not 0.0 <= self.taper_frac < 0.5:
             raise ValueError("taper_frac must lie in [0, 0.5)")
 
-    def taper(self, omega):
-        """Coupling-amplitude rolloff: 1 deep inside the window, 0 at its
-        ends; ValueError for NaN or inf omega."""
-        return _taper(self, _finite(omega, "omega"))
-
-
-def env_density_of_states(b, k, omega):
-    """Density of environment modes rho_k(omega) = omega/(c sqrt(omega^2 - c^2 k^2)).
-
-    Follows from inverting d(omega)/dq for the half-line dispersion
-    omega = c sqrt(k^2 + q^2).  Only omega > c|k| is radiative; below the
-    light cone there are no environment modes to emit into.  NaN or inf
-    omega or k raises ValueError.
-    """
-    omega = np.asarray(omega, dtype=float)
-    ck = b.c_light * abs(k)
-    # one test on the valid path; only a failure asks which rule broke
-    if not np.all((omega > ck) & (omega < np.inf)):
-        _finite(omega, "omega")
-        _finite(k, "k")
-        raise EvanescentRegionError(
-            "no radiative environment modes at omega <= c|k| = %g" % ck)
-    out = _density(b, ck, omega)
-    return out if out.ndim else float(out)
-
 
 def _density(b, ck, omega):
-    """rho = omega/(c sqrt(omega^2 - (ck)^2)) for omega > ck, unchecked."""
+    """rho = omega/(c sqrt(omega^2 - (ck)^2)) for omega > ck = c|k|,
+    unchecked: d(omega)/dq inverted on omega = c sqrt(k^2 + q^2)."""
     return omega / (b.c_light * np.sqrt(omega * omega - ck * ck))
 
 
 def _taper(b, omega):
-    """BathSpec.taper on a float array of finite omega, unchecked."""
+    """Coupling-amplitude rolloff: 1 deep inside the window, 0 at its
+    ends; omega a float array of finite values, unchecked."""
     lo, hi = b.omega_window
     width = (hi - lo) * b.taper_frac
     if width == 0.0:
@@ -160,7 +137,7 @@ def _pv_integral(grid, f, omega):
     the analytic term f(omega) * log((omega - a)/(b - omega)).
     """
     a, b_end = grid[0], grid[-1]
-    if not a < omega < b_end:
+    if not a <= omega <= b_end:
         return float(np.trapezoid(f / (omega - grid), grid))
     cell = grid[1] - grid[0]
     if min(omega - a, b_end - omega) <= cell:
@@ -561,10 +538,10 @@ class BathOracle:
     bits on any number of cores.
     """
 
-    def __init__(self, b, n_modes, p, k=0.0, min_modes=MIN_MODES):
-        if n_modes < max(min_modes, 2):
+    def __init__(self, b, n_modes, p, k=0.0):
+        if n_modes < MIN_MODES:
             raise ValueError("oracle needs >= %d bath modes for converged"
-                             " rates" % max(min_modes, 2))
+                             " rates" % MIN_MODES)
         eps_c, eps_x = kinetic_energies(p, k)
         lo, hi = b.omega_window
         self.spacing = dw = (hi - lo) / n_modes

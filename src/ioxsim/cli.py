@@ -40,7 +40,7 @@ from .core import (
     ep_conditions,
     track_branches,
 )
-from .dynamics import AmplitudeState, analytic_trajectory, evolve_ode
+from .dynamics import analytic_trajectory, evolve_ode
 from .errors import (
     ConfigError,
     DegenerateModesError,
@@ -540,7 +540,7 @@ def _trajectory_with_check(p, k, t_grid):
     """Closed-form amplitudes when branches are split, the exact
     matrix-exponential reference at a coalescence; the two paths
     cross-check each other on a coarse subset."""
-    initial = AmplitudeState(0.0 + 0.0j, 1.0 + 0.0j)
+    initial = (0.0 + 0.0j, 1.0 + 0.0j)
     try:
         c, x = analytic_trajectory(p, k, initial, t_grid)
     except DegenerateModesError:

@@ -3,14 +3,14 @@
 The mean amplitudes obey the linear system i d/dt (c, x) = H_k (c, x), so
 away from an exceptional point they are sums of two complex exponentials
 on the eigenvalue branches.  The undamped-pole (BiC) case has its own
-closed form.  evolve_ode is the exact matrix-exponential reference: it
+closed form.  Both paths take the initial amplitudes as a pair (c0, x0)
+at t = 0, the form BathOracle.dynamics takes, and times measured from
+it.  evolve_ode is the exact matrix-exponential reference: it
 applies the propagator exp(-i H_k t), computed by a truncated Taylor
 series with scaling and squaring in numpy alone, without diagonalising
 H_k, so it is independent of the branch algebra and the two paths check
 each other.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,15 +58,6 @@ def _expm2(a):
     return x.T.reshape(-1, 2, 2)
 
 
-@dataclass(frozen=True)
-class AmplitudeState:
-    """Mean photon and exciton amplitudes at time t (units hbar/rate)."""
-
-    c: complex
-    x: complex
-    t: float = 0.0
-
-
 def _branch_projection(p, k, initial):
     """Coefficients of the two-exponential solution.
 
@@ -79,7 +70,7 @@ def _branch_projection(p, k, initial):
             "branches coalesce at k = %g; use evolve_ode" % k)
     w_l, w_u, z_x, z_c = m.levels[:, 0].tolist()
     den = w_u - w_l
-    c0, x0 = initial.c, initial.x
+    c0, x0 = initial
     gt = m.g_tilde
     # P_U psi0 and P_L psi0, written with omega_U - z = z - omega_L identities
     cu = (c0 * (w_u - z_x) + gt * x0) / den
@@ -89,23 +80,23 @@ def _branch_projection(p, k, initial):
     return w_l, w_u, (cl, cu), (xl, xu)
 
 
-def _time_offsets(initial, t_grid):
-    """Offsets t_grid - initial.t for a checked float t_grid; rejects a
-    non-finite initial state and past times."""
-    if not np.all(np.isfinite([initial.c, initial.x, initial.t])):
-        raise ValueError("initial state must be finite")
-    dt = t_grid - initial.t
-    if np.any(dt < 0):
-        raise ValueError("t_grid must not precede the initial time")
-    return dt
+def _times(initial, t_grid):
+    """t_grid as a checked float axis; ValueError for non-finite initial
+    amplitudes or a negative time, under the rules of BathOracle.dynamics."""
+    t_grid = _axis(t_grid, "t_grid")
+    _finite(np.abs(initial), "initial amplitudes")
+    if np.any(t_grid < 0.0):
+        raise ValueError("times must be non-negative")
+    return t_grid
 
 
 def analytic_trajectory(p, k, initial, t_grid):
-    """Closed-form (c, x) arrays over a time grid (measured from initial.t)."""
-    dt = _time_offsets(initial, _axis(t_grid, "t_grid"))
+    """Closed-form (c, x) arrays over a time grid, from the amplitudes
+    initial = (c0, x0) at t = 0."""
+    t = _times(initial, t_grid)
     wl, wu, (cl, cu), (xl, xu) = _branch_projection(p, k, initial)
-    el = np.exp(-1j * wl * dt)
-    eu = np.exp(-1j * wu * dt)
+    el = np.exp(-1j * wl * t)
+    eu = np.exp(-1j * wu * t)
     return cl * el + cu * eu, xl * el + xu * eu
 
 
@@ -147,8 +138,8 @@ def bic_amplitudes(p, t):
 def evolve_ode(p, k, initial, t_grid):
     """Exact matrix-exponential (c, x) arrays over a time grid.
 
-    Applies the propagator exp(-i H_k (t - initial.t)) of
-    i d/dt (c, x) = H_k (c, x) to the initial state, exponentiating the
+    Applies the propagator exp(-i H_k t) of i d/dt (c, x) = H_k (c, x)
+    to the amplitudes initial = (c0, x0) at t = 0, exponentiating the
     whole grid as one stack.  Taylor scaling and squaring does not
     diagonalise H_k, so this is independent of the closed-form branch
     algebra and valid at exceptional points.  The fast common phase
@@ -156,9 +147,9 @@ def evolve_ode(p, k, initial, t_grid):
     exponentiated matrices scale with the physical linewidths rather than
     eps0.
     """
-    dt = _time_offsets(initial, _axis(t_grid, "t_grid"))
+    t = _times(initial, t_grid)
     h_rot = effective_hamiltonian(p, k) - p.eps0 * np.eye(2)
-    y0 = np.array([initial.c, initial.x], dtype=complex)
-    y = _expm2(-1j * dt[:, None, None] * h_rot) @ y0
-    phase = np.exp(-1j * p.eps0 * dt)
+    y0 = np.array(initial, dtype=complex)
+    y = _expm2(-1j * t[:, None, None] * h_rot) @ y0
+    phase = np.exp(-1j * p.eps0 * t)
     return y[:, 0] * phase, y[:, 1] * phase

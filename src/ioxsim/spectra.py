@@ -180,7 +180,9 @@ def _power_rows(p, m, om, occupation):
     gt = m.g_tilde
     # |omega - omega_L|, |omega - omega_U|, |omega - z_x|, |omega - z_c|
     dist = np.abs(om - m.levels[:, :, None])
-    a_b = 4.0 * (abs(gt) ** 2 + dist[2:] ** 2)
+    # |g~|^2 by C pow, the bits of abs(gt) ** 2, but inf where the Python
+    # float power raises OverflowError
+    a_b = 4.0 * (np.float_power(abs(gt), 2.0) + dist[2:] ** 2)
     z_c, z_x = m.z_c[:, None], m.z_x[:, None]
     d_term = 8.0 * ((2.0 * om - z_c - z_x) * np.conj(gt)).real
     num = (a_b[0] * p.gamma_c + a_b[1] * p.gamma_x
@@ -194,9 +196,7 @@ def _power_rows(p, m, om, occupation):
 
 def _power_with_mask(p, k, omega, n):
     """Power spectrum values plus a mask of on-pole (divergent) points."""
-    # n = 1 multiplies exactly; skip evaluating it
-    occupation = (1.0 if n is None
-                  else as_occupation(n)(np.asarray(omega, float).reshape(-1)))
+    occupation = as_occupation(n)(np.asarray(omega, float).reshape(-1))
     return _on_grid(_power_rows, p, k, omega, occupation)
 
 
@@ -302,7 +302,7 @@ def _absorption_rows(p, m, om):
     """A_gamma and A_m rows for the momenta of m, plus a mask of on-pole
     (divergent) points, where both are NaN."""
     gt = m.g_tilde
-    g2 = abs(gt) ** 2
+    g2 = np.float_power(abs(gt), 2.0)  # inf on overflow, as in _power_rows
     # omega - omega_L, omega - omega_U, omega - z_x, omega - z_c
     to = om - m.levels[:, :, None]
     dist = np.abs(to)

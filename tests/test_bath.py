@@ -23,7 +23,6 @@ from ioxsim.bath import (
     BathSpec,
     _green,
     _PoleSums,
-    env_density_of_states,
     full_matrix,
     kernel_freq,
 )
@@ -41,6 +40,25 @@ WINDOW = (500.0, 1500.0)
 EPS0 = 1000.0
 PV_POINTS_DEFAULT = 4001
 EPS = np.finfo(float).eps
+
+
+def _rho(b, k, omega):
+    """Reference density of environment modes, written out:
+    rho = omega/(c sqrt(omega^2 - c^2 k^2)) above the light cone."""
+    c = b.c_light
+    return omega / (c * np.sqrt(omega ** 2 - (c * k) ** 2))
+
+
+def _half_cosine(b, omega):
+    """Reference taper, written out: sin(pi/2 * d/width) for the distance
+    d of omega from the nearer window end, clipped to [0, 1], over the
+    ramp width taper_frac * (hi - lo); a hard window is 1 on [lo, hi]."""
+    lo, hi = b.omega_window
+    d = np.minimum(np.asarray(omega, dtype=float) - lo, hi - omega)
+    width = (hi - lo) * b.taper_frac
+    if width == 0.0:
+        return np.where(d >= 0.0, 1.0, 0.0)
+    return np.sin(0.5 * np.pi * np.clip(d / width, 0.0, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -78,36 +96,43 @@ class TestBathSpec:
     def test_taper_profile(self):
         b = BathSpec((100.0, 1100.0), taper_frac=0.1)
         lo, hi = b.omega_window
-        assert b.taper(600.0) == 1.0
-        assert b.taper(lo) == 0.0 and b.taper(hi) == 0.0
-        ramp = b.taper(np.linspace(lo, lo + 100.0, 21))
+        taper = partial(bath._taper, b)
+        assert taper(600.0) == 1.0
+        assert taper(lo) == 0.0 and taper(hi) == 0.0
+        omega = np.linspace(lo, lo + 100.0, 21)
+        ramp = taper(omega)
         assert np.all(np.diff(ramp) > 0.0)
-        assert float(b.taper(lo - 1.0)) == 0.0
+        assert np.allclose(ramp, _half_cosine(b, omega), rtol=0.0, atol=1e-15)
+        assert float(taper(lo - 1.0)) == 0.0
 
     def test_zero_taper_is_hard_window(self):
         b = BathSpec(WINDOW, taper_frac=0.0)
-        assert float(b.taper(WINDOW[0] + 1.0)) == 1.0
-        assert float(b.taper(WINDOW[0] - 1.0)) == 0.0
+        assert float(bath._taper(b, WINDOW[0] + 1.0)) == 1.0
+        assert float(bath._taper(b, WINDOW[0] - 1.0)) == 0.0
 
     @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf,
                                        np.array([1000.0, np.nan])])
     @pytest.mark.parametrize("taper_frac", [0.05, 0.0])
     def test_taper_rejects_non_finite(self, omega, taper_frac):
+        # the taper is private and unchecked; the kernel that evaluates it
+        # rejects NaN and inf omega at entry, for either window edge
         b = BathSpec(WINDOW, taper_frac=taper_frac)
         with pytest.raises(ValueError, match="omega must be finite"):
-            b.taper(omega)
+            kernel_freq(b, SystemParams(gamma_c=1.0), 0.0, omega,
+                        npoints=801)
 
 
 class TestDensityOfStates:
+    # bath._density takes the light-cone frequency ck = c|k|
     def test_k_zero_flat(self):
         b = BathSpec(WINDOW, c_light=2.0)
         w = np.array([10.0, 500.0, 1500.0])
-        assert np.allclose(env_density_of_states(b, 0.0, w), 0.5)
+        assert np.allclose(bath._density(b, 0.0, w), 0.5)
 
     def test_sqrt2_point(self):
         b = BathSpec(WINDOW)
         k = 600.0
-        assert env_density_of_states(b, k, np.sqrt(2.0) * k) == pytest.approx(
+        assert bath._density(b, k, np.sqrt(2.0) * k) == pytest.approx(
             np.sqrt(2.0), rel=1e-14)
 
     def test_matches_finite_difference(self):
@@ -116,13 +141,13 @@ class TestDensityOfStates:
         k, q, h = 300.0, 440.0, 1e-4
         wq = lambda qq: b.c_light * np.hypot(k, qq)
         slope = (wq(q + h) - wq(q - h)) / (2.0 * h)
-        assert env_density_of_states(b, k, wq(q)) == pytest.approx(
+        assert bath._density(b, b.c_light * k, wq(q)) == pytest.approx(
             1.0 / slope, rel=1e-8)
 
     def test_light_cone_divergence(self):
         b = BathSpec(WINDOW)
         k = 700.0
-        vals = [env_density_of_states(b, k, k * (1.0 + 10.0 ** -m))
+        vals = [bath._density(b, k, k * (1.0 + 10.0 ** -m))
                 for m in range(2, 8)]
         assert np.all(np.diff(vals) > 0.0)
         # rho ~ 1/sqrt(2 (omega/ck - 1)): five decades in the offset give
@@ -130,9 +155,11 @@ class TestDensityOfStates:
         assert vals[-1] > 100.0 * vals[0]
 
     def test_evanescent_rejected(self):
+        # the density is never evaluated below the light cone: a kernel
+        # whose window starts there is refused
         b = BathSpec(WINDOW)
         with pytest.raises(EvanescentRegionError):
-            env_density_of_states(b, 700.0, 650.0)
+            kernel_freq(b, SystemParams(gamma_c=1.0), 700.0, 650.0)
 
     @pytest.mark.parametrize("k, omega", [
         pytest.param(np.nan, 1000.0, id="k-nan"),
@@ -144,12 +171,14 @@ class TestDensityOfStates:
     ])
     def test_non_finite_rejected(self, k, omega):
         # a NaN density, or an evanescent verdict for a NaN input, would
-        # look like an answer
+        # look like an answer; the kernel that evaluates the density
+        # rejects both at entry
         b = BathSpec(WINDOW)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="must be finite"):
-                env_density_of_states(b, k, omega)
+                kernel_freq(b, SystemParams(gamma_c=1.0), k, omega,
+                            npoints=801)
 
 
 class TestKernelFreq:
@@ -191,6 +220,19 @@ class TestKernelFreq:
             kernel_freq(BathSpec(WINDOW), SystemParams(gamma_c=1.0), 0.0,
                         WINDOW[0] + 0.5 * cell)
 
+    @pytest.mark.parametrize("taper_frac", [0.05, 0.0], ids=["taper", "hard"])
+    @pytest.mark.parametrize("end", [0, 1], ids=["lower", "upper"])
+    def test_pole_on_endpoint_rejected(self, end, taper_frac):
+        # on the endpoint itself the pole sits on a grid node: 0/0 or a
+        # division by zero, not a kernel value
+        b = BathSpec(WINDOW, taper_frac=taper_frac)
+        p = SystemParams(gamma_c=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (kernel_freq, full_matrix):
+                with pytest.raises(KernelAccuracyError):
+                    fn(b, p, 0.0, WINDOW[end])
+
     def test_kramers_kronig_staggered(self):
         # Im from the principal value agrees with the Hilbert transform of
         # Re over the window, summed on a grid staggered around each probe
@@ -201,7 +243,7 @@ class TestKernelFreq:
         # Re Gamma~_cc = pi kappa_c^2 rho taper^2, written out: the kernel's
         # own principal value is undefined at the window endpoints.  At k = 0
         # rho is flat and the carrier untapered, so pi kappa_c^2 rho = gamma_c
-        re_cc = p.gamma_c * b.taper(sub) ** 2
+        re_cc = p.gamma_c * _half_cosine(b, sub) ** 2
         mids = 0.5 * (sub[:-1] + sub[1:])[40:-40:20]
         for w in mids:
             hil = np.trapezoid(re_cc / np.pi / (w - sub), sub)
@@ -232,6 +274,25 @@ class TestKernelFreq:
 
 PV_POINTS_DEFAULT = 4001
 EPS = np.finfo(float).eps
+
+
+def _rho(b, k, omega):
+    """Reference density of environment modes, written out:
+    rho = omega/(c sqrt(omega^2 - c^2 k^2)) above the light cone."""
+    c = b.c_light
+    return omega / (c * np.sqrt(omega ** 2 - (c * k) ** 2))
+
+
+def _half_cosine(b, omega):
+    """Reference taper, written out: sin(pi/2 * d/width) for the distance
+    d of omega from the nearer window end, clipped to [0, 1], over the
+    ramp width taper_frac * (hi - lo); a hard window is 1 on [lo, hi]."""
+    lo, hi = b.omega_window
+    d = np.minimum(np.asarray(omega, dtype=float) - lo, hi - omega)
+    width = (hi - lo) * b.taper_frac
+    if width == 0.0:
+        return np.where(d >= 0.0, 1.0, 0.0)
+    return np.sin(0.5 * np.pi * np.clip(d / width, 0.0, 1.0))
 
 
 PASSIVE = SystemParams(delta=2.0, g_rabi=1.0, gamma_c=1.0, gamma_x=0.8)
@@ -337,17 +398,18 @@ class TestWorkCounts:
 
 
 def _masked_spectral_weight(b, k, omega):
-    """The spectral weight as a gather over the points inside the window
-    and a scatter back into zeros: the bit-exact reference for
-    bath._spectral_weight, which evaluates every point instead."""
+    """The spectral weight rho * taper^2, written out, as a gather over the
+    points inside the window and a scatter back into zeros: the bit-exact
+    reference for bath._spectral_weight, which evaluates every point
+    instead."""
     omega = np.asarray(omega, dtype=float)
     lo, hi = b.omega_window
     ck = b.c_light * abs(k)
     inside = (omega >= lo) & (omega <= hi) & (omega > ck)
     out = np.zeros(omega.shape)
     if np.any(inside):
-        out[inside] = (env_density_of_states(b, k, omega[inside])
-                       * b.taper(omega[inside]) ** 2)
+        out[inside] = (_rho(b, k, omega[inside])
+                       * _half_cosine(b, omega[inside]) ** 2)
     return out
 
 
@@ -507,10 +569,11 @@ class TestDiscretizedBath:
         assert rate_c == pytest.approx(1.0, rel=1e-6)
         assert rate_x == pytest.approx(1.8, rel=1e-6)
 
-    def test_needs_two_modes(self):
-        with pytest.raises(ValueError):
-            BathOracle(BathSpec(WINDOW), 1, SystemParams(gamma_c=1.0),
-                       min_modes=1)
+    def test_needs_two_modes(self, monkeypatch):
+        # the floor is the module's MIN_MODES, read at each construction
+        monkeypatch.setattr(bath, "MIN_MODES", 2)
+        with pytest.raises(ValueError, match=">= 2 bath modes"):
+            BathOracle(BathSpec(WINDOW), 1, SystemParams(gamma_c=1.0))
 
     def test_oracle_rejects_sparse_bath(self):
         with pytest.raises(ValueError):
@@ -634,8 +697,8 @@ def _mode_couplings(b, p, k, n_modes):
     freqs = lo + (np.arange(n_modes) + 0.5) * dw
     radiative = freqs > b.c_light * abs(k)
     root = np.zeros(n_modes)
-    root[radiative] = b.taper(freqs[radiative]) * np.sqrt(
-        env_density_of_states(b, k, freqs[radiative]) * dw)
+    root[radiative] = _half_cosine(b, freqs[radiative]) * np.sqrt(
+        _rho(b, k, freqs[radiative]) * dw)
     kappa_c, kappa_x = bath._couplings(b, p)
     return freqs, kappa_c * root, kappa_x * root
 
@@ -711,8 +774,10 @@ class TestOracleSpectrum:
 SMALL_N = 300
 
 
-def _small_oracle(case):
-    """Oracle on a SMALL_N-mode bath for one named parameter regime."""
+def _small_oracle(monkeypatch, case):
+    """Oracle on a SMALL_N-mode bath for one named parameter regime, below
+    the converged MIN_MODES the module requires."""
+    monkeypatch.setattr(bath, "MIN_MODES", SMALL_N)
     k = 0.0
     b = BathSpec(WINDOW)
     if case == "attraction":
@@ -745,7 +810,7 @@ def _small_oracle(case):
         p = SystemParams(delta=2.0, g_rabi=0.5, mass_ratio=0.3,
                          gamma_c=1.0, gamma_x=0.7)
         b = BathSpec(WINDOW, c_light=700.0 / k)
-    return BathOracle(b, SMALL_N, p, k=k, min_modes=SMALL_N)
+    return BathOracle(b, SMALL_N, p, k=k)
 
 
 SMALL_CASES = ("attraction", "dark-exciton", "uncoupled", "dark-mode-point",
@@ -790,8 +855,8 @@ def _assert_rel(value, ref, rel):
 
 @pytest.mark.parametrize("case", SMALL_CASES)
 class TestOracleAgainstDenseEigh:
-    def test_energies_and_system_weights(self, case):
-        orc = _small_oracle(case)
+    def test_energies_and_system_weights(self, monkeypatch, case):
+        orc = _small_oracle(monkeypatch, case)
         energies, rows = _dense_eigh(orc)
         assert np.max(np.abs(orc.energies - energies)) <= 1e-10
         # products of one eigenvector's components do not depend on its sign
@@ -799,8 +864,8 @@ class TestOracleAgainstDenseEigh:
             got = orc.system_rows[a] * orc.system_rows[b]
             assert np.max(np.abs(got - rows[a] * rows[b])) <= 1e-10
 
-    def test_dynamics(self, case):
-        orc = _small_oracle(case)
+    def test_dynamics(self, monkeypatch, case):
+        orc = _small_oracle(monkeypatch, case)
         energies, rows = _dense_eigh(orc)
         t = np.linspace(0.0, 0.45 * orc.recurrence_time, 101)
         for init in ((1.0, 0.0), (0.0, 1.0), (0.6, -0.8j)):
@@ -810,8 +875,8 @@ class TestOracleAgainstDenseEigh:
             assert np.max(np.abs(c - phases @ rows[0])) <= 1e-10
             assert np.max(np.abs(x - phases @ rows[1])) <= 1e-10
 
-    def test_resolvent_quantities(self, case):
-        orc = _small_oracle(case)
+    def test_resolvent_quantities(self, monkeypatch, case):
+        orc = _small_oracle(monkeypatch, case)
         energies, rows = _dense_eigh(orc)
         eta = 2.0 * orc.spacing
         omega = np.linspace(orc.params.eps0 - 40.0, orc.params.eps0 + 40.0, 81)
@@ -825,10 +890,10 @@ class TestOracleAgainstDenseEigh:
         _assert_rel(orc.effective_damping(omega, eta), gam_ref, 1e-11)
 
 
-def test_emitter_on_bath_mode_keeps_its_weight():
+def test_emitter_on_bath_mode_keeps_its_weight(monkeypatch):
     # the deflated eigenvalue sits exactly on the bath frequency and still
     # carries emitter weight; the secular roots strictly avoid it
-    orc = _small_oracle("emitter-on-mode")
+    orc = _small_oracle(monkeypatch, "emitter-on-mode")
     on = orc.params.eps0
     at = np.flatnonzero(orc.energies == on)
     assert at.size == 1
@@ -854,7 +919,8 @@ def _secular_problems(monkeypatch, oracle):
 def test_few_roots_take_the_direct_sum(monkeypatch, case):
     # the outer roots and the two next to an off-grid dark pole; the
     # deflated modes below a light cone leave every inner gap one step
-    problems = _secular_problems(monkeypatch, _small_oracle(case))
+    problems = _secular_problems(monkeypatch,
+                                 _small_oracle(monkeypatch, case))
     direct = sum(np.count_nonzero(~_PoleSums(*args[1:]).fast)
                  for args in problems)
     assert direct <= 4

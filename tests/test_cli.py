@@ -875,6 +875,38 @@ class TestGates:
                 in proc.stderr)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind, scan, message", [
+        pytest.param("spectrum", {},
+                     "emission/absorption identity residual = nan",
+                     id="spectrum"),
+        pytest.param("absorption", {"k_grid": [0.0, 1.0]},
+                     "intensity must be finite", id="absorption"),
+    ])
+    def test_overflowing_coupling_square_exits_3(self, tmp_path, kind, scan,
+                                                 message):
+        # |g~|^2 for g_rabi = 1e200 overflows to inf in the power and
+        # absorption rows, not to an OverflowError traceback: a failed
+        # gate, no files.  A subprocess keeps the RuntimeWarnings out of
+        # this suite's filter.
+        doc = {
+            "system": {"eps0": 1000.0, "delta": 3.0, "g_rabi": 1e200,
+                       "gamma_c": 1.0, "gamma_x": 0.3, "gamma_nr_c": 0.1,
+                       "gamma_nr_x": 0.1},
+            "scan": dict(scan, kind=kind,
+                         omega_grid={"start": 990.0, "stop": 1010.0,
+                                     "num": 5}),
+            "output": {"directory": str(tmp_path / "out"),
+                       "formats": ["csv"]},
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "ioxsim", kind,
+             "--config", write_cfg(tmp_path, doc)],
+            capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+        assert not (tmp_path / "out").exists()
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):

@@ -1,14 +1,15 @@
 """Tests for amplitude dynamics: closed forms, BiC plateau and the exact
 matrix-exponential reference."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ioxsim import SystemParams
+from ioxsim import BathOracle, BathSpec, SystemParams
 from ioxsim.dynamics import (
     _EXPM_THETA,
-    AmplitudeState,
     _expm2,
     analytic_trajectory,
     bic_amplitudes,
@@ -20,7 +21,7 @@ SQRT2 = np.sqrt(2.0)
 NAN, INF = float("nan"), float("inf")
 BIC = SystemParams(delta=2.1 / np.sqrt(0.3), g_rabi=3.0, gamma_c=1.0, gamma_x=0.3)
 EP = SystemParams(delta=2.0 * SQRT2, g_rabi=0.5, gamma_c=1.0, gamma_x=2.0)
-X_START = AmplitudeState(c=0.0, x=1.0)
+X_START = (0.0, 1.0)
 
 
 def random_passive(rng):
@@ -38,7 +39,7 @@ def random_passive(rng):
 def random_state(rng):
     amp = rng.normal(size=4)
     amp /= np.linalg.norm(amp)
-    return AmplitudeState(c=amp[0] + 1j * amp[1], x=amp[2] + 1j * amp[3])
+    return amp[0] + 1j * amp[1], amp[2] + 1j * amp[3]
 
 
 class TestAnalytic:
@@ -46,11 +47,10 @@ class TestAnalytic:
         rng = np.random.default_rng(41)
         for _ in range(50):
             p = random_passive(rng)
-            state = random_state(rng)
-            c, x = analytic_trajectory(p, rng.uniform(-2, 2), state,
-                                       [state.t])
-            assert c[0] == pytest.approx(state.c, abs=1e-12)
-            assert x[0] == pytest.approx(state.x, abs=1e-12)
+            c0, x0 = state = random_state(rng)
+            c, x = analytic_trajectory(p, rng.uniform(-2, 2), state, [0.0])
+            assert c[0] == pytest.approx(c0, abs=1e-12)
+            assert x[0] == pytest.approx(x0, abs=1e-12)
 
     def test_undamped_rabi_oscillations(self):
         p = SystemParams(delta=0.0, g_rabi=1.3, gamma_c=0.0, gamma_x=0.0)
@@ -63,7 +63,7 @@ class TestAnalytic:
         # g~ = 0: each amplitude decays on its own pole
         p = SystemParams(delta=1.0, g_rabi=0.0, gamma_c=0.8, gamma_x=0.0)
         t = np.linspace(0, 5, 26)
-        c, x = analytic_trajectory(p, 0.0, AmplitudeState(c=1.0, x=1.0), t)
+        c, x = analytic_trajectory(p, 0.0, (1.0, 1.0), t)
         assert np.allclose(np.abs(c), np.exp(-0.8 * t), atol=1e-12)
         assert np.allclose(np.abs(x), 1.0, atol=1e-12)
 
@@ -85,15 +85,15 @@ class TestAnalytic:
     def test_time_offset_initial_state(self):
         p = SystemParams(delta=1.0, g_rabi=0.5, gamma_c=0.3, gamma_x=0.2)
         c, x = analytic_trajectory(p, 0.0, X_START, [2.0, 5.0])
-        mid = AmplitudeState(c[0], x[0], t=2.0)
-        c_relayed, x_relayed = analytic_trajectory(p, 0.0, mid, [5.0])
+        # times count from the state passed in: relay from t = 2
+        c_relayed, x_relayed = analytic_trajectory(p, 0.0, (c[0], x[0]),
+                                                   [5.0 - 2.0])
         assert c_relayed[0] == pytest.approx(c[1], abs=1e-12)
         assert x_relayed[0] == pytest.approx(x[1], abs=1e-12)
 
     def test_rejects_past_times(self):
-        with pytest.raises(ValueError):
-            analytic_trajectory(BIC, 0.0, AmplitudeState(0.0, 1.0, t=1.0),
-                                [0.5])
+        with pytest.raises(ValueError, match="times must be non-negative"):
+            analytic_trajectory(BIC, 0.0, X_START, [-0.5])
 
 
 class TestBicAmplitudes:
@@ -152,7 +152,7 @@ class TestEvolveOde:
 
     def test_zero_state_stays_zero(self):
         t = np.linspace(0, 5, 11)
-        c, x = evolve_ode(BIC, 0.0, AmplitudeState(0.0, 0.0), t)
+        c, x = evolve_ode(BIC, 0.0, (0.0, 0.0), t)
         assert np.all(c == 0) and np.all(x == 0)
 
     def test_secular_growth_at_exceptional_point(self):
@@ -170,13 +170,13 @@ class TestEvolveOde:
         with pytest.raises(ValueError):
             evolve_ode(BIC, 0.0, X_START, [])
         with pytest.raises(ValueError):
-            evolve_ode(BIC, 0.0, AmplitudeState(0.0, 1.0, t=2.0), [0.0, 1.0])
+            evolve_ode(BIC, 0.0, X_START, [-2.0, -1.0])
 
     def test_exact_at_exceptional_point(self):
         # the exceptional-point acceptance check's parameters and grid:
         # |x(t)| = |g~| t exp(-Gamma t) from (c, x)(0) = (1, 0)
         t = np.linspace(0.5, 15.0, 291)
-        _, x = evolve_ode(EP, 0.0, AmplitudeState(1.0, 0.0), t)
+        _, x = evolve_ode(EP, 0.0, (1.0, 0.0), t)
         g_tilde = abs(EP.g_rabi - 1j * np.sqrt(EP.gamma_c * EP.gamma_x))
         envelope = g_tilde * t * np.exp(-1.5 * t)
         assert np.max(np.abs(np.abs(x) / envelope - 1.0)) <= 1e-10
@@ -185,30 +185,30 @@ class TestEvolveOde:
         rng = np.random.default_rng(53)
         for _ in range(10):
             p = random_passive(rng)
-            amp = random_state(rng)
-            state = AmplitudeState(amp.c, amp.x, t=rng.uniform(0, 5))
-            c, x = evolve_ode(p, rng.uniform(-2, 2), state,
-                              [state.t, state.t + 1.0])
-            assert c[0] == state.c and x[0] == state.x
+            c0, x0 = state = random_state(rng)
+            c, x = evolve_ode(p, rng.uniform(-2, 2), state, [0.0, 1.0])
+            assert c[0] == c0 and x[0] == x0
 
     def test_relayed_evolution_composes(self):
         rng = np.random.default_rng(59)
         for _ in range(10):
             p = random_passive(rng)
             k = rng.uniform(-2, 2)
-            amp = random_state(rng)
-            start = AmplitudeState(amp.c, amp.x, t=0.3)
-            c, x = evolve_ode(p, k, start, [4.0, 9.0])
-            mid = AmplitudeState(c[0], x[0], t=4.0)
-            c_relayed, x_relayed = evolve_ode(p, k, mid, [9.0])
+            start = random_state(rng)
+            # from t = 0.3 to 4.0 and 9.0, then relayed from t = 4.0
+            c, x = evolve_ode(p, k, start, [4.0 - 0.3, 9.0 - 0.3])
+            c_relayed, x_relayed = evolve_ode(p, k, (c[0], x[0]),
+                                              [9.0 - 4.0])
             assert abs(c_relayed[0] - c[1]) < 1e-12
             assert abs(x_relayed[0] - x[1]) < 1e-12
 
     def test_nonuniform_grid_matches_uniform(self):
         p = SystemParams(delta=1.0, g_rabi=0.5, gamma_c=0.3, gamma_x=0.2)
-        start = AmplitudeState(0.6 - 0.2j, 0.3 + 0.7j, t=1.5)
-        uniform = np.linspace(1.5, 13.5, 49)
-        nonuniform = np.union1d(uniform[::4], [1.55, 2.2, 7.123, 13.4])
+        start = (0.6 - 0.2j, 0.3 + 0.7j)
+        # the grids of a state given at t = 1.5, counted from it
+        uniform = np.linspace(1.5, 13.5, 49) - 1.5
+        nonuniform = np.union1d(uniform[::4],
+                                np.array([1.55, 2.2, 7.123, 13.4]) - 1.5)
         shared = np.isin(nonuniform, uniform)
         c_u, x_u = evolve_ode(p, 0.3, start, uniform)
         c_n, x_n = evolve_ode(p, 0.3, start, nonuniform)
@@ -287,13 +287,27 @@ class TestPropagator:
 @pytest.mark.parametrize("state, t_grid", [
     (X_START, [0.0, NAN, 1.0]),
     (X_START, [0.0, 1.0, INF]),
-    (AmplitudeState(NAN, 1.0), [0.0, 1.0]),
-    (AmplitudeState(0.0, complex(INF, 0.0)), [0.0, 1.0]),
-    (AmplitudeState(0.0, 1.0, t=NAN), [0.0, 1.0]),
-], ids=["nan-time", "inf-time", "nan-c", "inf-x", "nan-start-time"])
+    ((NAN, 1.0), [0.0, 1.0]),
+    ((0.0, complex(INF, 0.0)), [0.0, 1.0]),
+], ids=["nan-time", "inf-time", "nan-c", "inf-x"])
 def test_rejects_non_finite_input(trajectory, state, t_grid):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be finite"):
         trajectory(BIC, 0.0, state, t_grid)
+
+
+def test_every_dynamics_path_rejects_negative_times_alike():
+    # the closed form, its reference and the discretized-bath oracle take
+    # one initial-state form under one set of rules
+    orc = BathOracle(BathSpec((500.0, 1500.0)), 2000,
+                     SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8))
+    paths = (partial(analytic_trajectory, BIC, 0.0),
+             partial(evolve_ode, BIC, 0.0), orc.dynamics)
+    raised = []
+    for trajectory in paths:
+        with pytest.raises(ValueError) as info:
+            trajectory(X_START, [-1.0, 0.0, 1.0])
+        raised.append(str(info.value))
+    assert raised == ["times must be non-negative"] * 3
 
 
 @pytest.mark.parametrize("t_grid, message", [

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ioxsim
-from ioxsim import AmplitudeState, BathOracle, BathSpec, SystemParams
+from ioxsim import BathOracle, BathSpec, SystemParams
 from ioxsim.core import discriminant, track_branches
 
 CHECKED = ("k", "omega", "t", "t_grid")
@@ -29,7 +29,7 @@ ARGS = {
     "omega": 1000.0,
     "t": 1.0,
     "t_grid": [0.0, 1.0],
-    "initial": AmplitudeState(0.0, 1.0),
+    "initial": (0.0, 1.0),
     "values": np.ones(8),
     "centers_guess": (999.0, 1001.0),
 }
