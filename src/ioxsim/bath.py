@@ -16,7 +16,9 @@ is the exact oracle for the closed forms.  The oracle builds it itself, at
 its own momentum, on a uniform grid of modes that all couple to one bright
 combination of cavity and emitter; its dynamics comes from a
 secular-equation solver for the arrowhead Hamiltonian of that shared bath,
-which sums over the uniform grid in O(N log N).
+which sums over the uniform grid in O(N log N).  On a uniform time grid
+the phases exp(-i E t) of the dynamics are products of anchor and offset
+rows, about 2 sqrt(T) N exponentials for T times instead of T N.
 
 Every sum over the bath modes runs in numpy's own single-threaded loops
 (the pairwise np.sum), never through BLAS.  Threaded BLAS splits a long
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _finite, _response_det, kinetic_energies
+from .core import _finite, _response_det, _times, kinetic_energies
 from .errors import (
     EvanescentRegionError,
     KernelAccuracyError,
@@ -45,7 +47,6 @@ from .errors import (
 PV_GRID_POINTS = 4001
 RECURRENCE_SAFETY = 0.5
 WINDOW_MARGIN = 50.0      # total rates the system lines keep from the window ends
-DYNAMICS_CHUNK = 128      # times per block of the oracle dynamics
 SELF_ENERGY_CHUNK = 128   # frequencies per block of the oracle self-energy
 NEAR_FIELD = 7            # grid steps each side that the solver sums directly
 FAR_TERMS = 15            # Taylor terms of its far field, |tau/(m*dw)| <= 1/16
@@ -134,15 +135,18 @@ def _pv_integral(grid, f, omega):
 
     Pole subtraction: the regular remainder (f(x) - f(omega))/(omega - x)
     is integrated by the trapezoid rule and the subtracted pole carries
-    the analytic term f(omega) * log((omega - a)/(b - omega)).
+    the analytic term f(omega) * log((omega - a)/(b - omega)).  A pole
+    outside the span takes the plain trapezoid.
     """
     a, b_end = grid[0], grid[-1]
-    if not a <= omega <= b_end:
-        return float(np.trapezoid(f / (omega - grid), grid))
     cell = grid[1] - grid[0]
-    if min(omega - a, b_end - omega) <= cell:
+    # on either side of an endpoint: inside, the subtraction loses
+    # accuracy; outside, the endpoint node dominates the plain trapezoid
+    if min(abs(omega - a), abs(b_end - omega)) <= cell:
         raise KernelAccuracyError(
             "principal-value pole within one grid cell of a window endpoint")
+    if not a <= omega <= b_end:
+        return float(np.trapezoid(f / (omega - grid), grid))
     f_at = np.interp(omega, grid, f)
     diff = omega - grid
     near = np.abs(diff) < 0.5 * cell
@@ -187,8 +191,8 @@ def kernel_freq(b, p, k, omega, npoints=PV_GRID_POINTS):
     principal-value integral of the spectral weight against
     1/(omega - omega'), evaluated by pole subtraction.
     Raises KernelAccuracyError when the pole sits within one grid cell
-    of a window endpoint, where the subtraction loses accuracy, and
-    ValueError for NaN or inf omega or k.
+    of a window endpoint, on either side, where the quadrature loses
+    accuracy, and ValueError for NaN or inf omega or k.
     """
     omega = _finite(omega, "omega")
     grid = _window_grid(b, k, npoints)
@@ -529,7 +533,8 @@ class BathOracle:
     come from the discrete self-energy Sigma(z) = sum_j g_j g_j^T/(z - w_j)
     in O(N) per frequency; dynamics uses the eigenvalues and the two system
     rows of the eigenvectors, found in O(N log N) on first use by a
-    secular-equation solver that sums over the uniform grid.
+    secular-equation solver that sums over the uniform grid, with its
+    phases from anchor times offset rows on a uniform time grid.
     Everything the memoryless theory predicts — branch positions,
     linewidths, the off-diagonal dissipative coupling, the undamped-state
     plateau — must emerge here from first principles, up to the
@@ -620,38 +625,41 @@ class BathOracle:
         return -(g[:, 0, 0] + g[:, 1, 1]).imag / np.pi
 
     def dynamics(self, initial, t_grid):
-        """Exact amplitudes (c(t), x(t)) from an initial system excitation;
-        NaN or inf times or amplitudes raise ValueError."""
-        t_grid = _finite(t_grid, "t_grid")
-        _finite(np.abs(initial), "initial amplitudes")
-        if np.any(t_grid < 0.0):
-            raise ValueError("times must be non-negative")
-        if np.max(t_grid, initial=0.0) > RECURRENCE_SAFETY * self.recurrence_time:
+        """Exact amplitudes (c(t), x(t)) from an initial system excitation,
+        under the time-grid rule of the closed-form paths (core._times).
+
+        c(t_n) = sum_j w_j exp(-i E_j t_n) over the eigenpairs.  On a
+        uniform grid, t_n = t_0 + (qB + r)*dt with B = ceil(sqrt(T)) for T
+        times, exp(-i E t_n) = exp(-i E a_q) * exp(-i E r dt): one row of
+        anchor phases per a_q = t_{qB} and one row of offset phases per
+        r < B, about 2 sqrt(T) N exponentials instead of T N.  The grid
+        counts as uniform when max |t_n - (t_0 + n dt)| <= 4 eps max t,
+        the rounding the product t*E makes anyway.  Any other grid takes
+        B = 1: one anchor per time, the direct sum.
+        """
+        t = _times(initial, t_grid)
+        if t[-1] > RECURRENCE_SAFETY * self.recurrence_time:
             raise RecurrenceLimitError(
                 "requested times exceed %.0f%% of the recurrence time %.3g"
                 % (100 * RECURRENCE_SAFETY, self.recurrence_time))
         energies, rows, _ = self._eigenpairs()
         c0, x0 = initial
-        coeff = rows[0] * c0 + rows[1] * x0  # V^T psi0, bath empty
-        w_c, w_x = coeff * rows[0], coeff * rows[1]
-        c_out = np.empty(t_grid.size, dtype=complex)
-        x_out = np.empty(t_grid.size, dtype=complex)
+        # V^T psi0 (bath empty) times the system rows
+        coeff = (rows[0] * c0 + rows[1] * x0) * rows
         rate = -1j * energies
-        # every block of exp(-i t E) and of its product with the weights is
-        # formed in these two buffers: two blocks live at a time, and no
-        # block allocates
-        phases = np.empty((min(DYNAMICS_CHUNK, t_grid.size), energies.size),
-                          dtype=complex)
-        terms = np.empty_like(phases)
-        for start in range(0, t_grid.size, DYNAMICS_CHUNK):
-            ts = t_grid[start:start + DYNAMICS_CHUNK, None]
-            block, prod = phases[:ts.shape[0]], terms[:ts.shape[0]]
-            np.exp(np.multiply(ts, rate, out=block), out=block)
-            c_out[start:start + DYNAMICS_CHUNK] = np.sum(
-                np.multiply(block, w_c, out=prod), axis=1)
-            x_out[start:start + DYNAMICS_CHUNK] = np.sum(
-                np.multiply(block, w_x, out=prod), axis=1)
-        return c_out, x_out
+        n = t.size
+        dt = (t[-1] - t[0]) / max(n - 1, 1)
+        uniform = (np.max(np.abs(t - (t[0] + np.arange(n) * dt)))
+                   <= 4.0 * FLOAT_EPS * t[-1])
+        size = math.ceil(math.sqrt(n)) if uniform else 1
+        offsets = np.exp(np.arange(size)[:, None] * dt * rate)
+        out = np.empty((2, n), dtype=complex)
+        # each sum is numpy's pairwise np.sum, the same bits on any core count
+        for start in range(0, n, size):
+            weights = coeff * np.exp(t[start] * rate)
+            out[:, start:start + size] = np.sum(
+                weights[:, None, :] * offsets[:n - start], axis=2)
+        return out[0], out[1]
 
     def green_system(self, omega_grid, eta=None):
         """Retarded 2x2 Green's matrix of the system block, eta-broadened:

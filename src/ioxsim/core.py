@@ -23,9 +23,10 @@ they agree bit for bit, and so do the spectra built on it.
 
 One input rule holds for the whole package and lives here: a NaN or inf
 k, omega or time raises ValueError naming the argument (_finite), and a
-grid must also be nonempty, 1-d and strictly increasing (_axis).  k is
-checked where it enters the closed forms, in kinetic_energies and
-detunings.
+grid must also be nonempty, 1-d and strictly increasing (_axis).  The
+three dynamics paths share one time-grid rule, which adds non-negative
+times and finite initial amplitudes (_times).  k is checked where it
+enters the closed forms, in kinetic_energies and detunings.
 """
 
 import math
@@ -170,6 +171,16 @@ def _axis(values, name):
     if np.any(np.diff(values) <= 0):
         raise ValueError("%s must be strictly increasing" % name)
     return values
+
+
+def _times(initial, t_grid):
+    """t_grid as a checked float axis for every dynamics path; ValueError
+    for non-finite initial amplitudes or a negative time."""
+    t_grid = _axis(t_grid, "t_grid")
+    _finite(np.abs(initial), "initial amplitudes")
+    if t_grid[0] < 0.0:
+        raise ValueError("times must be non-negative")
+    return t_grid
 
 
 def kinetic_energies(p, k):

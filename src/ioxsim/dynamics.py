@@ -14,7 +14,7 @@ each other.
 
 import numpy as np
 
-from .core import (CONDITION_RTOL, _axis, _finite, _modes, bic_condition,
+from .core import (CONDITION_RTOL, _finite, _modes, _times, bic_condition,
                    detunings, effective_hamiltonian)
 from .errors import DegenerateModesError
 
@@ -78,16 +78,6 @@ def _branch_projection(p, k, initial):
     xu = (x0 * (w_u - z_c) + gt * c0) / den
     xl = (x0 * (w_u - z_x) - gt * c0) / den
     return w_l, w_u, (cl, cu), (xl, xu)
-
-
-def _times(initial, t_grid):
-    """t_grid as a checked float axis; ValueError for non-finite initial
-    amplitudes or a negative time, under the rules of BathOracle.dynamics."""
-    t_grid = _axis(t_grid, "t_grid")
-    _finite(np.abs(initial), "initial amplitudes")
-    if np.any(t_grid < 0.0):
-        raise ValueError("times must be non-negative")
-    return t_grid
 
 
 def analytic_trajectory(p, k, initial, t_grid):

@@ -61,6 +61,14 @@ def _half_cosine(b, omega):
     return np.sin(0.5 * np.pi * np.clip(d / width, 0.0, 1.0))
 
 
+def _nudged(t, i):
+    """The grid t with time i moved by 1e-9, far past the rounding that
+    still counts as uniform."""
+    t = t.copy()
+    t[i] += 1e-9
+    return t
+
+
 @pytest.fixture(scope="module")
 def attract_oracle():
     p = SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8)
@@ -233,6 +241,30 @@ class TestKernelFreq:
                 with pytest.raises(KernelAccuracyError):
                     fn(b, p, 0.0, WINDOW[end])
 
+    @pytest.mark.parametrize("offset", [-1e-3, -1e-9, 1e-9, 1e-3])
+    @pytest.mark.parametrize("end", [0, 1], ids=["lower", "upper"])
+    def test_pole_beside_endpoint_rejected(self, end, offset):
+        # within one cell on either side: outside the window the endpoint
+        # node dominated the plain trapezoid, which read 2.0e7 at
+        # 1500 + 1e-9 and 21.4 at 1500.001 (exact: 4.42 and 2.21)
+        b = BathSpec(WINDOW, taper_frac=0.0)
+        p = SystemParams(gamma_c=np.pi * 0.16)
+        with pytest.raises(KernelAccuracyError, match="within one grid cell"):
+            kernel_freq(b, p, 0.0, WINDOW[end] + offset)
+
+    @pytest.mark.parametrize("end, side", [(0, -1.0), (1, 1.0)],
+                             ids=["lower", "upper"])
+    def test_pole_two_cells_outside_window(self, end, side):
+        # the flat hard window integrates in closed form off the window:
+        # kappa^2 log((w - a)/(w - b)) with kappa^2 = 0.16, and no rate
+        b = BathSpec(WINDOW, taper_frac=0.0)
+        cell = (WINDOW[1] - WINDOW[0]) / (PV_POINTS_DEFAULT - 1)
+        w = WINDOW[end] + side * 2.0 * cell
+        g = kernel_freq(b, SystemParams(gamma_c=np.pi * 0.16), 0.0, w)
+        expect = 0.16 * np.log((w - WINDOW[0]) / (w - WINDOW[1]))
+        assert g[0, 0].imag == pytest.approx(expect, rel=5e-3)
+        assert g[0, 0].real == 0.0
+
     def test_kramers_kronig_staggered(self):
         # Im from the principal value agrees with the Hilbert transform of
         # Re over the window, summed on a grid staggered around each probe
@@ -395,6 +427,30 @@ class TestWorkCounts:
             full_matrix(BathSpec(WINDOW), PASSIVE, 0.3, 1003.0, npoints=1001,
                         memoryless=memoryless)
             assert len(calls) == expect
+
+    @pytest.mark.parametrize("t, rows", [
+        pytest.param(np.linspace(0.0, 10.0, 401), 21 + 20, id="uniform"),
+        pytest.param(np.linspace(6.0, 12.0, 61), 8 + 8, id="late-start"),
+        pytest.param(_nudged(np.linspace(0.0, 10.0, 401), 200), 1 + 401,
+                     id="nudged"),
+    ])
+    def test_exponentials_per_dynamics_call(self, monkeypatch, attract_oracle,
+                                            t, rows):
+        # T uniform times: B = ceil(sqrt(T)) offset rows and ceil(T/B)
+        # anchor rows of exp(-i E t); any other grid takes B = 1, one unit
+        # offset row and one anchor row per time
+        orc, _ = attract_oracle
+        orc.energies  # solve first: only the time loop is counted
+        sizes = []
+        exp = np.exp
+
+        def counted(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counted)
+        orc.dynamics((0.0, 1.0), t)
+        assert sum(sizes) == rows * orc.energies.size
 
 
 def _masked_spectral_weight(b, k, omega):
@@ -657,9 +713,9 @@ class TestOracleLevelAttraction:
         assert np.all(np.isfinite(call(w, eta=2.0 * orc.spacing)))
 
     def test_dynamics_frees_each_time_block(self, attract_oracle):
-        # one (128, N+2) complex block of phases lives at a time, 8.2 MB at
-        # N = 4000, beside its product with the weights; keeping the last
-        # block alive while np.exp forms the next took 24.7 MB
+        # 401 uniform times form B = 21 offset rows of phases, 1.3 MB at
+        # N = 4000, and one (2, 21, N+2) block of weighted terms per
+        # anchor, 2.7 MB, freed before the next anchor's is formed
         orc, _ = attract_oracle
         orc.energies  # solve first: only the time loop is measured
         tracemalloc.start()
@@ -668,7 +724,7 @@ class TestOracleLevelAttraction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 18e6
+        assert peak <= 6e6
 
     def test_recurrence_guard(self, attract_oracle):
         orc, _ = attract_oracle
@@ -865,15 +921,24 @@ class TestOracleAgainstDenseEigh:
             assert np.max(np.abs(got - rows[a] * rows[b])) <= 1e-10
 
     def test_dynamics(self, monkeypatch, case):
+        # uniform grids take the anchor x offset phases, every other grid
+        # the direct sum; both against the dense eigenpairs
         orc = _small_oracle(monkeypatch, case)
         energies, rows = _dense_eigh(orc)
-        t = np.linspace(0.0, 0.45 * orc.recurrence_time, 101)
-        for init in ((1.0, 0.0), (0.0, 1.0), (0.6, -0.8j)):
-            c, x = orc.dynamics(init, t)
-            phases = np.exp(-1j * np.outer(t, energies)) * (
-                rows[0] * init[0] + rows[1] * init[1])
-            assert np.max(np.abs(c - phases @ rows[0])) <= 1e-10
-            assert np.max(np.abs(x - phases @ rows[1])) <= 1e-10
+        end = 0.45 * orc.recurrence_time
+        grids = (np.linspace(0.0, end, 101),
+                 np.sort(np.random.default_rng(23).uniform(0.0, end, 64)),
+                 _nudged(np.linspace(0.0, end, 101), 37),
+                 np.linspace(0.4 * end, end, 61),
+                 np.array([0.7 * end]),
+                 np.array([0.2 * end, end]))
+        for t in grids:
+            for init in ((1.0, 0.0), (0.0, 1.0), (0.6, -0.8j)):
+                c, x = orc.dynamics(init, t)
+                phases = np.exp(-1j * np.outer(t, energies)) * (
+                    rows[0] * init[0] + rows[1] * init[1])
+                assert np.max(np.abs(c - phases @ rows[0])) <= 1e-10
+                assert np.max(np.abs(x - phases @ rows[1])) <= 1e-10
 
     def test_resolvent_quantities(self, monkeypatch, case):
         orc = _small_oracle(monkeypatch, case)
@@ -955,14 +1020,38 @@ def test_pole_sums_match_exact_sums(n_modes):
         assert abs(fp[i] - math.fsum(terms)) <= 4 * EPS * np.sum(terms)
 
 
+def _bundled_oracle():
+    """The oracle and config of the bundled oracle-compare run."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = cli.load_config(
+        os.path.join(root, "configs", "oracle_compare_attraction.json"))
+    return BathOracle(cfg.bath, cfg.n_modes, cfg.systems[0]), cfg
+
+
 def test_residual_certificate_on_bundled_bath():
     # |f(lam)|/sqrt(f'(lam)) is the residual norm of each eigenpair of the
     # arrowhead (Parlett, ch. 4); its maximum over all roots bounds every
     # eigenvalue's error without a dense reference
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    cfg = cli.load_config(
-        os.path.join(root, "configs", "oracle_compare_attraction.json"))
-    orc = BathOracle(cfg.bath, cfg.n_modes, cfg.systems[0])
+    orc, cfg = _bundled_oracle()
     energies, _, residual = orc._eigenpairs()
     assert energies.size == cfg.n_modes + 2
     assert 0.0 < residual < 1e-12
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double has no extra precision here")
+def test_dynamics_against_long_double_phases_on_bundled_bath():
+    # N = 4000 and 401 uniform times: the anchor x offset sum against every
+    # phase E_j t_n, its exponential and the sums formed in long double
+    # from the oracle's own eigenpairs, so only the phase sum is measured.
+    # The direct float64 sum exp(-i t E) misses this reference by 1.95e-13
+    orc, cfg = _bundled_oracle()
+    energies, rows, _ = orc._eigenpairs()
+    c, x = orc.dynamics((0.0, 1.0), cfg.t_grid)
+    weights = (rows[1] * rows).astype(np.longdouble)
+    e = energies.astype(np.longdouble)
+    err = 0.0
+    for i, t in enumerate(cfg.t_grid.astype(np.longdouble)):
+        ref = np.sum(weights * np.exp(-1j * (t * e)), axis=1)
+        err = max(err, abs(c[i] - ref[0]), abs(x[i] - ref[1]))
+    assert err <= 2e-13

@@ -314,12 +314,18 @@ def test_every_dynamics_path_rejects_negative_times_alike():
     ([[0.0, 1.0], [2.0, 0.5]], "t_grid must be a nonempty 1-d array"),
     ([], "t_grid must be a nonempty 1-d array"),
     ([2.0, 1.0, 0.5], "t_grid must be strictly increasing"),
-], ids=["2-d", "empty", "decreasing"])
+    (1.0, "t_grid must be a nonempty 1-d array"),
+    (np.zeros((2, 3)), "t_grid must be a nonempty 1-d array"),
+], ids=["2-d", "empty", "decreasing", "scalar", "2-d-zeros"])
 def test_closed_form_and_reference_reject_the_same_grids(t_grid, message):
-    # the closed form takes exactly the grids its reference takes
+    # the closed form takes exactly the grids its reference takes, and so
+    # does the discretized-bath oracle (core._times)
+    orc = BathOracle(BathSpec((500.0, 1500.0)), 2000,
+                     SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8))
     raised = []
-    for trajectory in (analytic_trajectory, evolve_ode):
+    for trajectory in (partial(analytic_trajectory, BIC, 0.0),
+                       partial(evolve_ode, BIC, 0.0), orc.dynamics):
         with pytest.raises(ValueError) as info:
-            trajectory(BIC, 0.0, X_START, t_grid)
+            trajectory(X_START, t_grid)
         raised.append(str(info.value))
-    assert raised == [message, message]
+    assert raised == [message] * 3
