@@ -18,7 +18,10 @@ combination of cavity and emitter; its dynamics comes from a
 secular-equation solver for the arrowhead Hamiltonian of that shared bath,
 which sums over the uniform grid in O(N log N).  On a uniform time grid
 the phases exp(-i E t) of the dynamics are products of anchor and offset
-rows, about 2 sqrt(T) N exponentials for T times instead of T N.
+rows, about 2 sqrt(T) N exponentials for T times instead of T N.  The
+oracle's mode sums run in blocks of at most BLOCK_BYTES: each output is
+one pairwise sum over its N products whatever the block height, so
+memory is flat in N and the bits are the same.
 
 Every sum over the bath modes runs in numpy's own single-threaded loops
 (the pairwise np.sum), never through BLAS.  Threaded BLAS splits a long
@@ -47,7 +50,7 @@ from .errors import (
 PV_GRID_POINTS = 4001
 RECURRENCE_SAFETY = 0.5
 WINDOW_MARGIN = 50.0      # total rates the system lines keep from the window ends
-SELF_ENERGY_CHUNK = 128   # frequencies per block of the oracle self-energy
+BLOCK_BYTES = 1 << 18     # bytes per block of the oracle mode sums, ~L2
 NEAR_FIELD = 7            # grid steps each side that the solver sums directly
 FAR_TERMS = 15            # Taylor terms of its far field, |tau/(m*dw)| <= 1/16
 SOLVER_STEP_TOL = 1e-12   # relative step that ends a secular iteration
@@ -135,18 +138,16 @@ def _pv_integral(grid, f, omega):
 
     Pole subtraction: the regular remainder (f(x) - f(omega))/(omega - x)
     is integrated by the trapezoid rule and the subtracted pole carries
-    the analytic term f(omega) * log((omega - a)/(b - omega)).  A pole
-    outside the span takes the plain trapezoid.
+    the analytic term f(omega) * log|(omega - a)/(b - omega)|.  A pole
+    outside the span subtracts the nearer endpoint's weight instead, the
+    value np.interp holds there, so a flat weight is exact on either side.
     """
     a, b_end = grid[0], grid[-1]
     cell = grid[1] - grid[0]
-    # on either side of an endpoint: inside, the subtraction loses
-    # accuracy; outside, the endpoint node dominates the plain trapezoid
+    # on either side of an endpoint the subtraction loses accuracy
     if min(abs(omega - a), abs(b_end - omega)) <= cell:
         raise KernelAccuracyError(
             "principal-value pole within one grid cell of a window endpoint")
-    if not a <= omega <= b_end:
-        return float(np.trapezoid(f / (omega - grid), grid))
     f_at = np.interp(omega, grid, f)
     diff = omega - grid
     near = np.abs(diff) < 0.5 * cell
@@ -154,7 +155,8 @@ def _pv_integral(grid, f, omega):
     if np.any(near):
         # limit of the subtracted integrand at the pole is -f'(omega)
         regular[near] = -np.gradient(f, grid)[near]
-    return float(np.trapezoid(regular, grid) + f_at * np.log((omega - a) / (b_end - omega)))
+    return float(np.trapezoid(regular, grid)
+                 + f_at * np.log(abs((omega - a) / (b_end - omega))))
 
 
 def _couplings(b, p):
@@ -534,7 +536,8 @@ class BathOracle:
     in O(N) per frequency; dynamics uses the eigenvalues and the two system
     rows of the eigenvectors, found in O(N log N) on first use by a
     secular-equation solver that sums over the uniform grid, with its
-    phases from anchor times offset rows on a uniform time grid.
+    phases from anchor times offset rows on a uniform time grid.  Both sum
+    in blocks of at most BLOCK_BYTES, whatever N, with the same bits.
     Everything the memoryless theory predicts — branch positions,
     linewidths, the off-diagonal dissipative coupling, the undamped-state
     plateau — must emerge here from first principles, up to the
@@ -601,10 +604,11 @@ class BathOracle:
         """
         freqs, w2 = self.mode_freqs, self._weights ** 2
         sig = np.empty(z.size, dtype=complex)
-        for start in range(0, z.size, SELF_ENERGY_CHUNK):
-            block = z[start:start + SELF_ENERGY_CHUNK, None]
-            sig[start:start + SELF_ENERGY_CHUNK] = np.sum(
-                w2 / (block - freqs), axis=1)
+        rows = max(1, BLOCK_BYTES // (16 * freqs.size))
+        for start in range(0, z.size, rows):
+            terms = z[start:start + rows, None] - freqs
+            sig[start:start + rows] = np.sum(
+                np.divide(w2, terms, out=terms), axis=1)
         return sig[:, None, None] * np.outer(self._bright, self._bright)
 
     def _frequencies(self, omega_grid, eta):
@@ -652,13 +656,18 @@ class BathOracle:
         uniform = (np.max(np.abs(t - (t[0] + np.arange(n) * dt)))
                    <= 4.0 * FLOAT_EPS * t[-1])
         size = math.ceil(math.sqrt(n)) if uniform else 1
-        offsets = np.exp(np.arange(size)[:, None] * dt * rate)
+        offsets = np.arange(size)[:, None] * dt * rate
+        np.exp(offsets, out=offsets)
+        rows = max(1, BLOCK_BYTES // (32 * rate.size))  # (2, rows, N+2)
         out = np.empty((2, n), dtype=complex)
         # each sum is numpy's pairwise np.sum, the same bits on any core count
         for start in range(0, n, size):
             weights = coeff * np.exp(t[start] * rate)
-            out[:, start:start + size] = np.sum(
-                weights[:, None, :] * offsets[:n - start], axis=2)
+            for first in range(start, min(start + size, n), rows):
+                last = min(first + rows, start + size, n)
+                out[:, first:last] = np.sum(
+                    weights[:, None, :] * offsets[first - start:last - start],
+                    axis=2)
         return out[0], out[1]
 
     def green_system(self, omega_grid, eta=None):

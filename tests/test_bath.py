@@ -252,18 +252,30 @@ class TestKernelFreq:
         with pytest.raises(KernelAccuracyError, match="within one grid cell"):
             kernel_freq(b, p, 0.0, WINDOW[end] + offset)
 
+    @pytest.mark.parametrize("cells", [1.0001, 2.0, 10.0])
     @pytest.mark.parametrize("end, side", [(0, -1.0), (1, 1.0)],
                              ids=["lower", "upper"])
-    def test_pole_two_cells_outside_window(self, end, side):
+    def test_pole_outside_window(self, end, side, cells):
         # the flat hard window integrates in closed form off the window:
-        # kappa^2 log((w - a)/(w - b)) with kappa^2 = 0.16, and no rate
-        b = BathSpec(WINDOW, taper_frac=0.0)
+        # kappa^2 log((w - a)/(w - b)) with kappa^2 = 0.16, and no rate.
+        # Subtracting the endpoint's weight makes it exact; the plain
+        # trapezoid read 9.3e-3, 2.7e-3 and 1.4e-4 off at 1.0001, 2 and
+        # 10 cells out
         cell = (WINDOW[1] - WINDOW[0]) / (PV_POINTS_DEFAULT - 1)
-        w = WINDOW[end] + side * 2.0 * cell
-        g = kernel_freq(b, SystemParams(gamma_c=np.pi * 0.16), 0.0, w)
+        w = WINDOW[end] + side * cells * cell
+        p = SystemParams(gamma_c=np.pi * 0.16)
+        g = kernel_freq(BathSpec(WINDOW, taper_frac=0.0), p, 0.0, w)
         expect = 0.16 * np.log((w - WINDOW[0]) / (w - WINDOW[1]))
-        assert g[0, 0].imag == pytest.approx(expect, rel=5e-3)
+        assert g[0, 0].imag == pytest.approx(expect, rel=1e-14)
         assert g[0, 0].real == 0.0
+        # a tapered weight vanishes at the endpoint: the plain trapezoid,
+        # bit for bit
+        b = BathSpec(WINDOW)
+        grid = np.linspace(*WINDOW, PV_POINTS_DEFAULT)
+        weight = bath._spectral_weight(b, 0.0, grid)
+        plain = np.trapezoid(weight / (w - grid), grid)
+        assert kernel_freq(b, p, 0.0, w)[0, 0].imag == (
+            plain * bath._couplings(b, p)[0] ** 2)
 
     def test_kramers_kronig_staggered(self):
         # Im from the principal value agrees with the Hilbert transform of
@@ -714,8 +726,9 @@ class TestOracleLevelAttraction:
 
     def test_dynamics_frees_each_time_block(self, attract_oracle):
         # 401 uniform times form B = 21 offset rows of phases, 1.3 MB at
-        # N = 4000, and one (2, 21, N+2) block of weighted terms per
-        # anchor, 2.7 MB, freed before the next anchor's is formed
+        # N = 4000, exponentiated in place; the weighted terms are summed
+        # in blocks of at most bath.BLOCK_BYTES (256 KB), each freed
+        # before the next is formed
         orc, _ = attract_oracle
         orc.energies  # solve first: only the time loop is measured
         tracemalloc.start()
@@ -724,7 +737,21 @@ class TestOracleLevelAttraction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6e6
+        assert peak <= 3e6
+
+    def test_spectrum_memory_flat_in_modes(self):
+        # 321 frequencies at N = 32000 sum in one-row blocks of 512 KB:
+        # the 128-frequency blocks of before peaked at 125 MB
+        p = SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8)
+        orc = BathOracle(BathSpec(WINDOW), 32000, p)
+        w = np.linspace(960.0, 1040.0, 321)
+        tracemalloc.start()
+        try:
+            orc.spectrum(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6
 
     def test_recurrence_guard(self, attract_oracle):
         orc, _ = attract_oracle
@@ -741,6 +768,36 @@ class TestOracleLevelAttraction:
         orc, _ = attract_oracle
         with pytest.raises(ValueError, match="must be finite"):
             orc.dynamics(initial, times)
+
+
+class TestOracleBlockBudget:
+    """Every output entry is one pairwise np.sum over the same products,
+    so the block height that bath.BLOCK_BYTES sets moves no bit."""
+
+    @pytest.mark.parametrize("budget", [1, 2 ** 40], ids=["row", "whole"])
+    def test_self_energy_same_bits(self, monkeypatch, attract_oracle, budget):
+        orc, _ = attract_oracle
+        w = np.linspace(960.0, 1040.0, 41)
+        calls = (partial(orc.spectrum, w), partial(orc.effective_damping, w),
+                 partial(orc.green_system, w, eta=3 * orc.spacing))
+        ref = [call() for call in calls]
+        monkeypatch.setattr(bath, "BLOCK_BYTES", budget)
+        for call, want in zip(calls, ref):
+            assert np.array_equal(call(), want)
+
+    @pytest.mark.parametrize("budget", [1, 2 ** 40], ids=["row", "whole"])
+    @pytest.mark.parametrize("t", [
+        pytest.param(np.linspace(0.0, 10.0, 401), id="uniform"),
+        pytest.param(np.linspace(6.0, 12.0, 61), id="late-start"),
+        pytest.param(_nudged(np.linspace(0.0, 10.0, 401), 200), id="nudged"),
+    ])
+    def test_dynamics_same_bits(self, monkeypatch, attract_oracle, t, budget):
+        orc, _ = attract_oracle
+        ref = orc.dynamics((0.3, 0.8j), t)
+        monkeypatch.setattr(bath, "BLOCK_BYTES", budget)
+        got = orc.dynamics((0.3, 0.8j), t)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
 
 
 def _mode_couplings(b, p, k, n_modes):
