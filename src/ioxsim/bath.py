@@ -19,9 +19,9 @@ secular-equation solver for the arrowhead Hamiltonian of that shared bath,
 which sums over the uniform grid in O(N log N).  On a uniform time grid
 the phases exp(-i E t) of the dynamics are products of anchor and offset
 rows, about 2 sqrt(T) N exponentials for T times instead of T N.  The
-oracle's mode sums run in blocks of at most BLOCK_BYTES: each output is
-one pairwise sum over its N products whatever the block height, so
-memory is flat in N and the bits are the same.
+oracle's mode sums, and the solver's sums over its roots, run in blocks of
+at most BLOCK_BYTES: each output is one sum over its own row whatever the
+block height, so scratch memory is flat in N and the bits are the same.
 
 Every sum over the bath modes runs in numpy's own single-threaded loops
 (the pairwise np.sum), never through BLAS.  Threaded BLAS splits a long
@@ -153,10 +153,24 @@ def _pv_integral(grid, f, omega):
     near = np.abs(diff) < 0.5 * cell
     regular = np.where(near, 0.0, (f - f_at) / np.where(near, 1.0, diff))
     if np.any(near):
-        # limit of the subtracted integrand at the pole is -f'(omega)
-        regular[near] = -np.gradient(f, grid)[near]
+        # limit of the subtracted integrand at the pole is -f'(omega); the
+        # guard keeps both end nodes over a cell away, so these are interior
+        regular[near] = -_gradient_at(f, grid, np.flatnonzero(near))
     return float(np.trapezoid(regular, grid)
                  + f_at * np.log(abs((omega - a) / (b_end - omega))))
+
+
+def _gradient_at(f, grid, i):
+    """np.gradient(f, grid)[i] at interior nodes i, the same bits, without
+    differencing all of f: np.gradient's uniform three-point formula when
+    every spacing of grid equals the first, its non-uniform one otherwise."""
+    step = np.diff(grid)
+    if (step == step[0]).all():
+        return (f[i + 1] - f[i - 1]) / (2.0 * step[0])
+    dx1, dx2 = step[i - 1], step[i]
+    return (-dx2 / (dx1 * (dx1 + dx2)) * f[i - 1]
+            + (dx2 - dx1) / (dx1 * dx2) * f[i]
+            + dx1 / (dx2 * (dx1 + dx2)) * f[i + 1])
 
 
 def _couplings(b, p):
@@ -282,13 +296,16 @@ class _PoleSums:
       sum_p x^p C_p[o]/dw and sum W_{o+m}/(m dw - tau)^2 =
       sum_p (p+1) x^p C_{p+1}[o]/dw^2, where C_p is W correlated with
       m^-(p+1) over |m| > NEAR_FIELD.  Since |x/m| <= 1/16, FAR_TERMS
-      terms reach 2^-53; all C_p come from one batched FFT in
-      O(N log N).
+      terms reach 2^-53; each C_p is one FFT convolution in O(N log N),
+      one p at a time.
     The far field treats the grid as exactly uniform, which moves a far
     pole by at most the grid's rounding.  The outer roots and the roots in
     any other gap (next to an off-grid pole or to deflated modes) take the
     direct O(n) sum of _secular_terms; fast marks the roots that do not.
-    Root j lies between poles j - 1 and j.
+    Root j lies between poles j - 1 and j.  The grid roots are summed in
+    blocks of at most BLOCK_BYTES of far-field coefficients, each root on
+    its own row, so the scratch is O(N) vectors plus one block and the
+    block height moves no bit.
     """
 
     def __init__(self, poles, z2, grid, dw):
@@ -303,48 +320,67 @@ class _PoleSums:
         self.fast[1:-1] = on[:-1] & on[1:] & (np.diff(index) == 1)
         self.off_poles, self.off_z2 = poles[~on], z2[~on]
         near = NEAR_FIELD
-        weight = np.zeros(n_grid + 2 * near)
+        self.weight = weight = np.zeros(n_grid + 2 * near)
         weight[near + index[on]] = z2[on]
         step = np.arange(1, near + 1) * dw
-        padded = np.concatenate((grid[0] - step[::-1], grid, grid[-1] + step))
-        rows = np.arange(n_grid)[:, None] + np.delete(
-            np.arange(2 * near + 1), near)
-        self.near_d = padded[rows] - grid[:, None]
-        self.near_z2 = weight[rows]
+        self.grid = grid
+        self.padded = np.concatenate((grid[0] - step[::-1], grid,
+                                      grid[-1] + step))
+        self.offsets = np.delete(np.arange(2 * near + 1), near)
         # C_p by FFT convolution with the kernel k_p[q] = (-q)^-(p+1),
-        # zero-padded so that the circular convolution does not wrap
+        # zero-padded so that the circular convolution does not wrap, one
+        # p at a time into one kernel buffer.  The powers stay one batched
+        # expression: numpy's pow rounds a row taken on its own differently
+        # at some N (q^-1 at N = 2000 and 4000).
         size = 1 << (2 * n_grid - 2).bit_length()
-        power = np.arange(1, FAR_TERMS + 2)[:, None]
-        kern = np.zeros((FAR_TERMS + 1, size))
         dist = np.arange(near + 1, n_grid, dtype=float)
-        kern[:, near + 1:n_grid] = (-1.0) ** power * dist ** -power
-        kern[:, size - near - 1:size - n_grid:-1] = dist ** -power
-        coef = np.fft.irfft(np.fft.rfft(weight[near:n_grid + near], size)
-                            * np.fft.rfft(kern), size)[:, :n_grid]
-        self.far = np.stack((coef[:-1] / dw,
-                             power[:-1] * coef[1:] / dw ** 2), axis=-1)
+        table = dist ** -np.arange(1, FAR_TERMS + 2)[:, None]
+        spectrum = np.fft.rfft(weight[near:n_grid + near], size)
+        kern = np.zeros(size)
+        self.far = np.empty((FAR_TERMS, n_grid, 2))
+        for p, row in enumerate(table):
+            kern[near + 1:n_grid] = (-1.0) ** (p + 1) * row
+            kern[size - near - 1:size - n_grid:-1] = row
+            # np.multiply, not *: past 256 KB numpy writes a * into the
+            # temporary rfft and swaps the factors, and its complex product
+            # is not commutative to the last bit
+            coef = np.fft.irfft(np.multiply(spectrum, np.fft.rfft(kern)),
+                                size)[:n_grid]
+            if p < FAR_TERMS:
+                self.far[p, :, 0] = coef / dw
+            if p:
+                self.far[p - 1, :, 1] = p * coef / dw ** 2
 
     def __call__(self, j, origin, tau):
-        """The two sums at roots j, each poles[origin] + tau."""
+        """The two sums at roots j, each poles[origin] + tau; the grid
+        roots in blocks of at most BLOCK_BYTES of far-field terms."""
         f, fp = np.empty(tau.size), np.empty(tau.size)
         fast = self.fast[j]
         f[~fast], fp[~fast] = _secular_terms(self.poles, self.z2,
                                              origin[~fast], tau[~fast])
-        origin, tau = origin[fast], tau[fast]
-        o = self.index[origin]
-        f_sum, fp_sum = _inverse_sums(self.near_d[o] - tau[:, None],
-                                      self.near_z2[o])
-        # far field by Horner's rule in x, f and f' side by side
-        coef = np.take(self.far, o, axis=1)
-        x = (tau / self.dw)[:, None]
-        far = coef[-1]
-        for c in coef[-2::-1]:
-            far = far * x + c
-        gaps = self.off_poles - self.poles[origin, None]
-        gaps -= tau[:, None]
-        off_f, off_fp = _inverse_sums(gaps, self.off_z2)
-        f[fast] = f_sum + far[:, 0] + off_f
-        fp[fast] = fp_sum + far[:, 1] + off_fp
+        fast = np.flatnonzero(fast)
+        rows = max(1, BLOCK_BYTES // (16 * FAR_TERMS))
+        for start in range(0, fast.size, rows):
+            at = fast[start:start + rows]
+            origin_at, tau_at = origin[at], tau[at]
+            o = self.index[origin_at]
+            near = o[:, None] + self.offsets
+            gaps = self.padded[near]
+            gaps -= self.grid[o, None]
+            gaps -= tau_at[:, None]
+            f_sum, fp_sum = _inverse_sums(gaps, self.weight[near])
+            # far field by Horner's rule in x, f and f' side by side
+            coef = np.take(self.far, o, axis=1)
+            x = (tau_at / self.dw)[:, None]
+            far = coef[-1]
+            for c in coef[-2::-1]:
+                far *= x
+                far += c
+            gaps = self.off_poles - self.poles[origin_at, None]
+            gaps -= tau_at[:, None]
+            off_f, off_fp = _inverse_sums(gaps, self.off_z2)
+            f[at] = f_sum + far[:, 0] + off_f
+            fp[at] = fp_sum + far[:, 1] + off_fp
         return f, fp
 
 
@@ -487,7 +523,9 @@ def _oracle_eigenpairs(h_sys, u, w, mode_freqs, dw):
     group = np.cumsum(first) - 1
     poles = diag[live[first]]
     z2 = np.bincount(group, border[live] ** 2)
-    deflated = np.setdiff1d(np.arange(diag.size), live[first])
+    is_pole = np.zeros(diag.size, dtype=bool)
+    is_pole[live[first]] = True
+    deflated = np.flatnonzero(~is_pole)
     deflated_dark = np.zeros(deflated.size)
     if poles.size:
         origin, tau, fp, residual = _secular_roots(h_bb, poles, z2,
@@ -536,7 +574,8 @@ class BathOracle:
     in O(N) per frequency; dynamics uses the eigenvalues and the two system
     rows of the eigenvectors, found in O(N log N) on first use by a
     secular-equation solver that sums over the uniform grid, with its
-    phases from anchor times offset rows on a uniform time grid.  Both sum
+    phases from anchor times offset rows on a uniform time grid.  The
+    self-energy, the dynamics and the solver's sums over its roots all run
     in blocks of at most BLOCK_BYTES, whatever N, with the same bits.
     Everything the memoryless theory predicts — branch positions,
     linewidths, the off-diagonal dissipative coupling, the undamped-state
@@ -583,12 +622,6 @@ class BathOracle:
     def energies(self):
         """All N+2 eigenvalues, ascending (solved on first use)."""
         return self._eigenpairs()[0]
-
-    @property
-    def system_rows(self):
-        """Cavity and emitter components of the eigenvectors, shape (2, N+2),
-        one column per entry of energies."""
-        return self._eigenpairs()[1]
 
     @property
     def recurrence_time(self):

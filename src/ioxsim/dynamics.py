@@ -31,31 +31,43 @@ _EXPM_DEGREE = 14
 _EYE = np.array([[1.0], [0.0], [0.0], [1.0]])
 
 
-def _mul2(a, b):
-    """Slice-wise products of 2x2 stacks held as rows (00, 01, 10, 11)."""
-    return np.array([a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
-                     a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]])
-
-
 def _expm2(a):
     """exp(a) for an (n, 2, 2) stack, with nothing diagonalised.
 
     Each slice is scaled by 2^-s so that its 1-norm is below
     _EXPM_THETA, the degree-_EXPM_DEGREE Taylor polynomial is evaluated
     in Horner form on the whole stack, and each slice is squared back s
-    times.  A zero slice gives the identity exactly.
+    times.  A zero slice gives the identity exactly.  Slices are held as
+    rows (00, 01, 10, 11) of a (4, n) stack, on which the product a @ x
+    is a[[0, 0, 2, 2]] * x[[0, 1, 0, 1]] + a[[1, 1, 3, 3]] * x[[2, 3, 2,
+    3]]: two products per step, each factor of a on the left.
     """
     norm = np.abs(a).sum(axis=1).max(axis=1)
     # norm / theta = f 2^e with f < 1, so norm / 2^s < theta for s = e
     s = np.maximum(np.frexp(norm / _EXPM_THETA)[1], 0)
     a = (a * np.ldexp(1.0, -s)[:, None, None]).reshape(-1, 4).T
+    left, right = a[[0, 0, 2, 2]], a[[1, 1, 3, 3]]
     x = _EYE
     for i in range(_EXPM_DEGREE, 0, -1):
-        x = _EYE + _mul2(a, x) / i
+        x = _mul2(left, right, x)
+        x /= i
+        x += _EYE
     for j in range(s.max(initial=0)):
         more = s > j
-        x[:, more] = _mul2(x[:, more], x[:, more])
+        y = x[:, more]
+        x[:, more] = _mul2(y[[0, 0, 2, 2]], y[[1, 1, 3, 3]], y)
     return x.T.reshape(-1, 2, 2)
+
+
+def _mul2(left, right, x):
+    """a @ x slice-wise on (4, n) stacks, given left = a[[0, 0, 2, 2]] and
+    right = a[[1, 1, 3, 3]]."""
+    # np.multiply, not *: past 256 KB numpy writes a * into the temporary
+    # gather and swaps the factors, and its complex product is not
+    # commutative to the last bit
+    out = np.multiply(left, x[[0, 1, 0, 1]])
+    out += np.multiply(right, x[[2, 3, 2, 3]])
+    return out
 
 
 def _branch_projection(p, k, initial):

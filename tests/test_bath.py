@@ -315,6 +315,28 @@ class TestKernelFreq:
             g = kernel_freq(b, p, 0.0, float(w))
             assert np.max(np.abs(g - gmat)) < 0.01 * (1.0 + 1.8)
 
+    def test_near_node_derivative_is_np_gradient(self):
+        # the principal value reads f' at the node(s) nearest the pole with
+        # np.gradient's own three-point formula: the same bits at every
+        # interior node of linspace grids, seven of them exactly uniform
+        # (np.gradient's scalar-spacing branch), five not
+        grids = [np.linspace(*g) for g in (
+            (0.0, 1.0, 5), (500.0, 1500.0, 1001), (500.0, 1500.0, 2001),
+            (500.0, 1500.0, 4001), (0.0, 8.0, 33), (700.0, 1300.0, 1201),
+            (-1.0, 1.0, 9), (0.0, 1.0, 11), (800.0, 1200.0, 2001),
+            (500.0, 1500.0, 1000), (300.0, 1700.0, 2001),
+            (500.0, 1500.0, 3000))]
+        uniform = [np.all(np.diff(g) == g[1] - g[0]) for g in grids]
+        assert sum(uniform) == 7
+        rng = np.random.default_rng(29)
+        b = BathSpec(WINDOW)
+        for grid in grids:
+            inner = np.arange(1, grid.size - 1)
+            for f in (rng.standard_normal(grid.size),
+                      bath._spectral_weight(b, 0.0, grid)):
+                assert np.array_equal(bath._gradient_at(f, grid, inner),
+                                      np.gradient(f, grid)[1:-1])
+
 
 PV_POINTS_DEFAULT = 4001
 EPS = np.finfo(float).eps
@@ -463,6 +485,19 @@ class TestWorkCounts:
         monkeypatch.setattr(np, "exp", counted)
         orc.dynamics((0.0, 1.0), t)
         assert sum(sizes) == rows * orc.energies.size
+
+    def test_fft_per_solve(self, monkeypatch, attract_oracle):
+        # one build of the pole sums: the weights' rfft, then one rfft and
+        # one irfft per far-field coefficient C_0 .. C_FAR_TERMS, each of
+        # one kernel row; no batched (FAR_TERMS + 1)-row transform
+        orc, _ = attract_oracle
+        forward = _counted(monkeypatch, np.fft, "rfft")
+        inverse = _counted(monkeypatch, np.fft, "irfft")
+        _PoleSums(orc.mode_freqs, orc._weights ** 2, orc.mode_freqs,
+                  orc.spacing)
+        assert len(forward) + len(inverse) == 1 + 2 * (bath.FAR_TERMS + 1)
+        assert len(inverse) == bath.FAR_TERMS + 1
+        assert all(np.ndim(args[0]) == 1 for args in forward + inverse)
 
 
 def _masked_spectral_weight(b, k, omega):
@@ -799,6 +834,17 @@ class TestOracleBlockBudget:
         assert np.array_equal(got[0], ref[0])
         assert np.array_equal(got[1], ref[1])
 
+    @pytest.mark.parametrize("budget", [1, 2 ** 40], ids=["row", "whole"])
+    def test_eigenpairs_same_bits(self, monkeypatch, attract_oracle, budget):
+        # the secular solve sums each root's near and far field on its
+        # own row, so its root blocks move no bit either
+        orc, p = attract_oracle
+        ref = orc._eigenpairs()
+        monkeypatch.setattr(bath, "BLOCK_BYTES", budget)
+        got = BathOracle(BathSpec(WINDOW), 4000, p)._eigenpairs()
+        for want, have in zip(ref, got):
+            assert np.array_equal(have, want)
+
 
 def _mode_couplings(b, p, k, n_modes):
     """Reference discretization from the BathSpec and the system's
@@ -973,8 +1019,9 @@ class TestOracleAgainstDenseEigh:
         energies, rows = _dense_eigh(orc)
         assert np.max(np.abs(orc.energies - energies)) <= 1e-10
         # products of one eigenvector's components do not depend on its sign
+        system_rows = orc._eigenpairs()[1]
         for a, b in ((0, 0), (0, 1), (1, 1)):
-            got = orc.system_rows[a] * orc.system_rows[b]
+            got = system_rows[a] * system_rows[b]
             assert np.max(np.abs(got - rows[a] * rows[b])) <= 1e-10
 
     def test_dynamics(self, monkeypatch, case):
@@ -1019,7 +1066,7 @@ def test_emitter_on_bath_mode_keeps_its_weight(monkeypatch):
     on = orc.params.eps0
     at = np.flatnonzero(orc.energies == on)
     assert at.size == 1
-    assert orc.system_rows[1, at[0]] ** 2 > 1e-3
+    assert orc._eigenpairs()[1][1, at[0]] ** 2 > 1e-3
 
 
 def _secular_problems(monkeypatch, oracle):
@@ -1075,6 +1122,59 @@ def test_pole_sums_match_exact_sums(n_modes):
         assert abs(f[i] - math.fsum(terms)) <= 4 * EPS * np.sum(np.abs(terms))
         terms *= r
         assert abs(fp[i] - math.fsum(terms)) <= 4 * EPS * np.sum(terms)
+
+
+def _batched_far_table(poles, z2, grid, dw):
+    """The far-field coefficients of _PoleSums from one batched FFT over
+    a (FAR_TERMS + 1)-row kernel matrix, written out: the reference for
+    the one-term-at-a-time build."""
+    n_grid, near = grid.size, bath.NEAR_FIELD
+    index = np.clip(np.rint((poles - grid[0]) / dw).astype(int), 0,
+                    n_grid - 1)
+    on = grid[index] == poles
+    weight = np.zeros(n_grid + 2 * near)
+    weight[near + index[on]] = z2[on]
+    size = 1 << (2 * n_grid - 2).bit_length()
+    power = np.arange(1, bath.FAR_TERMS + 2)[:, None]
+    kern = np.zeros((bath.FAR_TERMS + 1, size))
+    dist = np.arange(near + 1, n_grid, dtype=float)
+    kern[:, near + 1:n_grid] = (-1.0) ** power * dist ** -power
+    kern[:, size - near - 1:size - n_grid:-1] = dist ** -power
+    coef = np.fft.irfft(np.fft.rfft(weight[near:n_grid + near], size)
+                        * np.fft.rfft(kern), size)[:, :n_grid]
+    return np.stack((coef[:-1] / dw, power[:-1] * coef[1:] / dw ** 2),
+                    axis=-1)
+
+
+@pytest.mark.parametrize("n_modes", [2000, 4000, 4001, 8000, 32000])
+def test_far_table_matches_batched(n_modes):
+    # on the grid alone and with an off-grid pole; past N = 8192 each
+    # transform is over 256 KB, where numpy would reuse a temporary for
+    # a * and swap the complex factors
+    orc = BathOracle(BathSpec(WINDOW), n_modes,
+                     SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8))
+    grid, z2 = orc.mode_freqs, orc._weights ** 2
+    poles = np.append(grid, 1000.3)
+    order = np.argsort(poles)
+    for args in ((grid, z2), (poles[order], np.append(z2, 0.7)[order])):
+        sums = _PoleSums(*args, grid, orc.spacing)
+        assert np.array_equal(
+            sums.far, _batched_far_table(*args, grid, orc.spacing))
+
+
+def test_solve_memory_bounded():
+    # O(N) vectors and the far-field table, one kernel row at a time and
+    # roots in blocks of bath.BLOCK_BYTES: about 18 MB traced at N = 32000,
+    # where the batched FFT matrices and near-field tables peaked at 46 MB
+    orc = BathOracle(BathSpec(WINDOW), 32000,
+                     SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8))
+    tracemalloc.start()
+    try:
+        orc.energies
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22e6
 
 
 def _bundled_oracle():

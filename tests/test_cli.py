@@ -676,7 +676,7 @@ class TestOracleCompareRun:
             "p = SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8)\n"
             "orc = BathOracle(BathSpec((500.0, 1500.0)), 32000, p)\n"
             "np.save(out + '/energies.npy', orc.energies)\n"
-            "np.save(out + '/system_rows.npy', orc.system_rows)\n"
+            "np.save(out + '/system_rows.npy', orc._eigenpairs()[1])\n"
             "np.save(out + '/damping.npy',"
             " orc.effective_damping(np.linspace(990.0, 1010.0, 5)))\n")
         cfg = os.path.join(ROOT, "configs", "oracle_compare_attraction.json")

@@ -8,8 +8,11 @@ import pytest
 from scipy.linalg import expm
 
 from ioxsim import BathOracle, BathSpec, SystemParams
+from ioxsim.core import effective_hamiltonian
 from ioxsim.dynamics import (
+    _EXPM_DEGREE,
     _EXPM_THETA,
+    _EYE,
     _expm2,
     analytic_trajectory,
     bic_amplitudes,
@@ -240,7 +243,44 @@ def squarings(a):
         np.frexp(np.abs(a).sum(axis=1).max(axis=1) / _EXPM_THETA)[1], 0)
 
 
+def _mul2_rows(a, b):
+    """Slice-wise products of 2x2 stacks held as rows (00, 01, 10, 11),
+    one row product at a time: eight products per step."""
+    return np.array([a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+                     a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]])
+
+
+def _expm2_rows(a):
+    """The propagator's scaling, Horner form and squarings written with
+    _mul2_rows: the bit-exact reference for _expm2's two-product steps."""
+    s = squarings(a)
+    a = (a * np.ldexp(1.0, -s)[:, None, None]).reshape(-1, 4).T
+    x = _EYE
+    for i in range(_EXPM_DEGREE, 0, -1):
+        x = _EYE + _mul2_rows(a, x) / i
+    for j in range(s.max(initial=0)):
+        more = s > j
+        x[:, more] = _mul2_rows(x[:, more], x[:, more])
+    return x.T.reshape(-1, 2, 2)
+
+
 class TestPropagator:
+    def test_same_bits_as_row_products(self):
+        # seeded draws, one past the 256 KB where numpy reuses temporaries,
+        # a stack at the exceptional point, where H_k is defective, and
+        # zero slices among the draws
+        rng = np.random.default_rng(83)
+        stacks = [rng.uniform(0, 40, size)[:, None, None]
+                  * passive_generator(rng) for size in [201] * 20 + [5000]]
+        h_ep = effective_hamiltonian(EP, 0.0) - EP.eps0 * np.eye(2)
+        t = np.linspace(0.0, 30.0, 201)
+        stacks.append(-1j * t[:, None, None] * h_ep)
+        mixed = stacks[0].copy()
+        mixed[::7] = 0.0
+        stacks += [mixed, np.zeros((3, 2, 2))]
+        for a in stacks:
+            assert np.array_equal(_expm2(a), _expm2_rows(a))
+
     def test_matches_scipy_on_seeded_draws(self):
         rng = np.random.default_rng(61)
         for _ in range(50):
