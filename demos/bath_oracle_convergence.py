@@ -46,9 +46,8 @@ print("  cross    %.4f  (%.2f%%)" % (mean[0, 1], 100 * rel[0, 1]))
 
 # -- convergence in the number of bath modes ------------------------------
 # the damping matrix against the continuum kernel, on the bath of the
-# rate-emergence acceptance check: at a fixed broadening eta the error
-# does not move with N, it is the broadening itself, so it falls at first
-# order as the default eta (ten level spacings) does
+# rate-emergence acceptance check.  The error is the broadening itself,
+# ten level spacings, so it falls at first order in the spacing as N grows
 wide = BathSpec((500.0, 1500.0))
 sweep_probe = np.linspace(900.0, 1100.0, 9)
 ref = kernel_freq(wide, p, 0.0, sweep_probe)
@@ -64,7 +63,7 @@ for n in (2000, 4000, 8000, 16000, 32000):
 # -- spectrum peaks land on the closed-form branch positions -------------
 lo, up = eigen_branches(p, 0.0)
 w = np.arange(995.0, 1011.0 + 1e-9, 0.05)
-ldos = oracle.spectrum(w, eta=2.0 * oracle.spacing)
+ldos = oracle.spectrum(w)
 intensity = power_spectrum(p, 0.0, w)
 guesses = (lo.omega.real, up.omega.real)
 cen_orc, _, _ = lorentzian_pair_fit(w, ldos, guesses)

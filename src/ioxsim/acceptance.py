@@ -267,7 +267,7 @@ def check_rate_emergence():
 
     step = 0.05
     w = np.arange(995.0, 1011.0 + step / 2, step)
-    ldos = orc.spectrum(w, eta=0.5)
+    ldos = orc.spectrum(w)
     low, up = eigen_branches(p, 0.0)
     centers, _, _ = lorentzian_pair_fit(
         w, ldos, (low.omega.real, up.omega.real))
@@ -354,9 +354,8 @@ CHECKS = (
 )
 
 
-def run_all(seed=None, stream=None):
+def run_all(seed=None):
     """Run every check, print one PASS/FAIL line each, return the results."""
-    stream = sys.stdout if stream is None else stream
     seed = resolve_seed(seed)
     results = []
     for name, fn, takes_seed in CHECKS:
@@ -365,11 +364,9 @@ def run_all(seed=None, stream=None):
         except Exception as exc:  # a crash is a failure, not a traceback
             res = CheckResult(name, False, "raised %r" % exc, 0.0, 0.0)
         results.append(res)
-        print(res.line(), file=stream)
-        stream.flush()
+        print(res.line(), flush=True)
     n_pass = sum(r.passed for r in results)
-    print("%d/%d checks passed (seed %d)" % (n_pass, len(results), seed),
-          file=stream)
+    print("%d/%d checks passed (seed %d)" % (n_pass, len(results), seed))
     return results
 
 

@@ -571,12 +571,14 @@ class BathOracle:
     The (N+2)-dimensional real symmetric Hamiltonian in the basis (cavity,
     emitter, bath modes) is never stored.  Spectra and the Green's matrix
     come from the discrete self-energy Sigma(z) = sum_j g_j g_j^T/(z - w_j)
-    in O(N) per frequency; dynamics uses the eigenvalues and the two system
-    rows of the eigenvectors, found in O(N log N) on first use by a
-    secular-equation solver that sums over the uniform grid, with its
-    phases from anchor times offset rows on a uniform time grid.  The
-    self-energy, the dynamics and the solver's sums over its roots all run
-    in blocks of at most BLOCK_BYTES, whatever N, with the same bits.
+    in O(N) per frequency, at z = omega + i*eta with eta a fixed multiple
+    of the level spacing dw (2 for spectra, 10 for damping); dynamics uses
+    the eigenvalues and the two system rows of the eigenvectors, found in
+    O(N log N) on first use by a secular-equation solver that sums over
+    the uniform grid, with its phases from anchor times offset rows on a
+    uniform time grid.  The self-energy, the dynamics and the solver's
+    sums over its roots all run in blocks of at most BLOCK_BYTES, whatever
+    N, with the same bits.
     Everything the memoryless theory predicts — branch positions,
     linewidths, the off-diagonal dissipative coupling, the undamped-state
     plateau — must emerge here from first principles, up to the
@@ -597,9 +599,6 @@ class BathOracle:
         if (min(eps_c, eps_x) - margin < freqs[0]
                 or max(eps_c, eps_x) + margin > freqs[-1]):
             raise ValueError("bath window too narrow around the system lines")
-        self.params = p
-        self.k = k
-        self.bath = b
         self._h_sys = _bare_hamiltonian(p, k)
         kappa_c, kappa_x = _couplings(b, p)
         kappa = math.hypot(kappa_c, kappa_x)
@@ -617,11 +616,6 @@ class BathOracle:
                                              self._weights, self.mode_freqs,
                                              self.spacing)
         return self._eigen
-
-    @property
-    def energies(self):
-        """All N+2 eigenvalues, ascending (solved on first use)."""
-        return self._eigenpairs()[0]
 
     @property
     def recurrence_time(self):
@@ -644,21 +638,17 @@ class BathOracle:
                 np.divide(w2, terms, out=terms), axis=1)
         return sig[:, None, None] * np.outer(self._bright, self._bright)
 
-    def _frequencies(self, omega_grid, eta):
-        """z = omega + i*eta, eta wide enough to hide the discrete mode comb;
-        the default, ten level spacings, washes it out."""
-        eta = 10.0 * self.spacing if eta is None else float(eta)
-        if not 2.0 * self.spacing <= eta < np.inf:
-            raise KernelAccuracyError(
-                "broadening must be finite and at least twice the level spacing")
+    def _frequencies(self, omega_grid, spacings):
+        """z = omega + i*eta with eta = spacings level spacings."""
         omega = _finite(omega_grid, "omega_grid")
         if omega.ndim != 1:
             raise ValueError("omega_grid must be a 1-d array")
-        return omega + 1j * eta
+        return omega + 1j * (spacings * self.spacing)
 
-    def spectrum(self, omega_grid, eta=None):
-        """System-projected local density of states on omega_grid."""
-        g = self.green_system(omega_grid, eta)
+    def spectrum(self, omega_grid):
+        """System-projected local density of states on omega_grid, at
+        eta = 2 level spacings (see green_system)."""
+        g = self.green_system(omega_grid)
         return -(g[:, 0, 0] + g[:, 1, 1]).imag / np.pi
 
     def dynamics(self, initial, t_grid):
@@ -703,19 +693,28 @@ class BathOracle:
                     axis=2)
         return out[0], out[1]
 
-    def green_system(self, omega_grid, eta=None):
+    def green_system(self, omega_grid):
         """Retarded 2x2 Green's matrix of the system block, eta-broadened:
-        G(z) = [z - H_bare - Sigma(z)]^-1 at z = omega + i*eta."""
-        z = self._frequencies(omega_grid, eta)
+        G(z) = [z - H_bare - Sigma(z)]^-1 at z = omega + i*eta.
+
+        eta = 2 level spacings: narrow, so that peak centers stay sharp,
+        which is what the spectrum is read for, yet wide enough that the
+        mode comb leaves a ripple of relative size 2 exp(-2 pi eta/dw),
+        7e-6, on each line.
+        """
+        z = self._frequencies(omega_grid, 2.0)
         return _green(_response(self._h_sys, z, self._self_energy(z)), z)
 
-    def effective_damping(self, omega_grid, eta=None):
+    def effective_damping(self, omega_grid):
         """Damping matrix Gamma~(omega) the bath induces on the system.
 
         Matching G^-1 to the M-form M = omega*1 - H_bare + i*Gamma~ gives
         Gamma~(omega) = i*Sigma(omega + i*eta) exactly: the eta-broadened
         discrete self-energy, with the broadening itself removed.  The
         off-diagonal entry is the dissipative coupling generated by the
-        common environment.
+        common environment.  eta = 10 level spacings washes the mode comb
+        out of Gamma~ (a ripple of 2 exp(-20 pi), below rounding), and since
+        eta is a fixed multiple of the spacing, the error it leaves is
+        first order in the spacing.
         """
-        return 1j * self._self_energy(self._frequencies(omega_grid, eta))
+        return 1j * self._self_energy(self._frequencies(omega_grid, 10.0))

@@ -45,8 +45,6 @@ from .errors import (
     ConfigError,
     DegenerateModesError,
     DivergentPointError,
-    EvanescentRegionError,
-    KernelAccuracyError,
     RecurrenceLimitError,
     SingularMatrixError,
 )
@@ -78,9 +76,7 @@ class NumericalCheckError(RuntimeError):
 
 
 _NUMERICAL_ERRORS = (NumericalCheckError, DivergentPointError,
-                     SingularMatrixError, DegenerateModesError,
-                     EvanescentRegionError, KernelAccuracyError,
-                     RecurrenceLimitError)
+                     SingularMatrixError, RecurrenceLimitError)
 
 
 def _gate(what, value, bound):
@@ -675,8 +671,7 @@ def run_oracle_compare(cfg):
                gam[:, 0, 1].real))))
 
     if cfg.omega_grid is not None:
-        # sharpest broadening the comb guard admits, for clean peak centers
-        ldos = oracle.spectrum(cfg.omega_grid, eta=2.0 * oracle.spacing)
+        ldos = oracle.spectrum(cfg.omega_grid)
         intensity = power_spectrum(p, k, cfg.omega_grid)
         low, up = eigen_branches(p, k)
         guesses = (low.omega.real, up.omega.real)

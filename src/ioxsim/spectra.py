@@ -103,7 +103,7 @@ class SpectrumGrid:
     omega_values: np.ndarray
     intensity: np.ndarray
     kind: str
-    divergent: np.ndarray | None = None
+    divergent: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "intensity", np.asarray(self.intensity, float))
@@ -113,12 +113,10 @@ class SpectrumGrid:
             object.__setattr__(self, name, _axis(getattr(self, name), name))
         if self.intensity.shape != (self.k_values.size, self.omega_values.size):
             raise ValueError("intensity shape does not match the axes")
-        flagged = False
-        if self.divergent is not None:
-            flagged = np.asarray(self.divergent, bool)
-            object.__setattr__(self, "divergent", flagged)
-            if flagged.shape != self.intensity.shape:
-                raise ValueError("divergent shape does not match the axes")
+        flagged = np.asarray(self.divergent, bool)
+        object.__setattr__(self, "divergent", flagged)
+        if flagged.shape != self.intensity.shape:
+            raise ValueError("divergent shape does not match the axes")
         # no inf, and NaN exactly on the divergent points; a comparison
         # with NaN is False, so the range checks need no mask
         values = self.intensity

@@ -37,6 +37,7 @@ from ioxsim.errors import (
 from ioxsim.spectra import lorentzian_pair_fit
 
 WINDOW = (500.0, 1500.0)
+BIC_WINDOW = (800.0, 1200.0)
 EPS0 = 1000.0
 PV_POINTS_DEFAULT = 4001
 EPS = np.finfo(float).eps
@@ -79,7 +80,7 @@ def attract_oracle():
 def bic_oracle():
     p = SystemParams(delta=2.1 / np.sqrt(0.3), g_rabi=3.0,
                      gamma_c=1.0, gamma_x=0.3)
-    return BathOracle(BathSpec((800.0, 1200.0)), 2000, p), p
+    return BathOracle(BathSpec(BIC_WINDOW), 2000, p), p
 
 
 class TestBathSpec:
@@ -338,29 +339,6 @@ class TestKernelFreq:
                                       np.gradient(f, grid)[1:-1])
 
 
-PV_POINTS_DEFAULT = 4001
-EPS = np.finfo(float).eps
-
-
-def _rho(b, k, omega):
-    """Reference density of environment modes, written out:
-    rho = omega/(c sqrt(omega^2 - c^2 k^2)) above the light cone."""
-    c = b.c_light
-    return omega / (c * np.sqrt(omega ** 2 - (c * k) ** 2))
-
-
-def _half_cosine(b, omega):
-    """Reference taper, written out: sin(pi/2 * d/width) for the distance
-    d of omega from the nearer window end, clipped to [0, 1], over the
-    ramp width taper_frac * (hi - lo); a hard window is 1 on [lo, hi]."""
-    lo, hi = b.omega_window
-    d = np.minimum(np.asarray(omega, dtype=float) - lo, hi - omega)
-    width = (hi - lo) * b.taper_frac
-    if width == 0.0:
-        return np.where(d >= 0.0, 1.0, 0.0)
-    return np.sin(0.5 * np.pi * np.clip(d / width, 0.0, 1.0))
-
-
 PASSIVE = SystemParams(delta=2.0, g_rabi=1.0, gamma_c=1.0, gamma_x=0.8)
 
 
@@ -474,7 +452,7 @@ class TestWorkCounts:
         # anchor rows of exp(-i E t); any other grid takes B = 1, one unit
         # offset row and one anchor row per time
         orc, _ = attract_oracle
-        orc.energies  # solve first: only the time loop is counted
+        orc._eigenpairs()  # solve first: only the time loop is counted
         sizes = []
         exp = np.exp
 
@@ -484,7 +462,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(np, "exp", counted)
         orc.dynamics((0.0, 1.0), t)
-        assert sum(sizes) == rows * orc.energies.size
+        assert sum(sizes) == rows * orc._eigenpairs()[0].size
 
     def test_fft_per_solve(self, monkeypatch, attract_oracle):
         # one build of the pole sums: the weights' rfft, then one rfft and
@@ -713,7 +691,7 @@ class TestOracleLevelAttraction:
         orc, p = attract_oracle
         step = 0.05
         w = np.arange(995.0, 1011.0 + step / 2, step)
-        ldos = orc.spectrum(w, eta=0.5)
+        ldos = orc.spectrum(w)  # eta = 2 level spacings = 0.5
         low, up = eigen_branches(p, 0.0)
         centers, widths, _ = lorentzian_pair_fit(
             w, ldos, (low.omega.real, up.omega.real))
@@ -737,27 +715,16 @@ class TestOracleLevelAttraction:
         assert np.max(np.abs(gam[:, 0, 0].real - p.gamma_c)) < 0.03 * p.gamma_c
         assert np.max(np.abs(gam[:, 1, 1].real - p.gamma_x)) < 0.03 * p.gamma_x
 
-    def test_spectrum_guard_against_mode_comb(self, attract_oracle):
-        orc, _ = attract_oracle
-        with pytest.raises(KernelAccuracyError):
-            orc.spectrum(np.array([1000.0]), eta=0.1 * orc.spacing)
-
     @pytest.mark.parametrize("method", ["spectrum", "green_system",
                                         "effective_damping"])
-    def test_eta_and_omega_validated(self, attract_oracle, method):
-        # N = 4000 modes on (500, 1500): twice the level spacing is 0.5
+    def test_omega_validated(self, attract_oracle, method):
         orc, _ = attract_oracle
         call = getattr(orc, method)
-        w = np.array([999.0, 1001.0])
-        for eta in (-0.5, np.nan, 0.01, np.inf):
-            with pytest.raises(KernelAccuracyError):
-                call(w, eta=eta)
         for bad in (np.array([1000.0, np.nan]), np.array([1000.0, np.inf]),
                     1000.0, np.full((2, 2), 1000.0)):
             with pytest.raises(ValueError):
                 call(bad)
-        # the bound itself is allowed
-        assert np.all(np.isfinite(call(w, eta=2.0 * orc.spacing)))
+        assert np.all(np.isfinite(call(np.array([999.0, 1001.0]))))
 
     def test_dynamics_frees_each_time_block(self, attract_oracle):
         # 401 uniform times form B = 21 offset rows of phases, 1.3 MB at
@@ -765,7 +732,7 @@ class TestOracleLevelAttraction:
         # in blocks of at most bath.BLOCK_BYTES (256 KB), each freed
         # before the next is formed
         orc, _ = attract_oracle
-        orc.energies  # solve first: only the time loop is measured
+        orc._eigenpairs()  # solve first: only the time loop is measured
         tracemalloc.start()
         try:
             orc.dynamics((0.0, 1.0), np.linspace(0.0, 10.0, 401))
@@ -814,7 +781,7 @@ class TestOracleBlockBudget:
         orc, _ = attract_oracle
         w = np.linspace(960.0, 1040.0, 41)
         calls = (partial(orc.spectrum, w), partial(orc.effective_damping, w),
-                 partial(orc.green_system, w, eta=3 * orc.spacing))
+                 partial(orc.green_system, w))
         ref = [call() for call in calls]
         monkeypatch.setattr(bath, "BLOCK_BYTES", budget)
         for call, want in zip(calls, ref):
@@ -862,33 +829,37 @@ def _mode_couplings(b, p, k, n_modes):
     return freqs, kappa_c * root, kappa_x * root
 
 
-def _self_energies(orc, eta):
-    """Sigma(omega + i*eta) from the oracle, through effective_damping =
-    i*Sigma, and from the mode sum sum_j g_j g_j^T/(z - omega_j) of the
-    reference discretization."""
-    freqs, *g = _mode_couplings(orc.bath, orc.params, orc.k,
-                                orc.mode_freqs.size)
-    omega = orc.params.eps0 + np.linspace(-60.0, 60.0, 13)
-    got = -1j * orc.effective_damping(omega, eta)
-    pole = 1.0 / (omega[:, None] + 1j * eta - freqs)
+def _self_energies(orc, spec, p, eta):
+    """Sigma(omega + i*eta) from the oracle, at any eta, and from the mode
+    sum sum_j g_j g_j^T/(z - omega_j) of the reference discretization of
+    the BathSpec spec at k = 0 with p's rates."""
+    freqs, *g = _mode_couplings(spec, p, 0.0, orc.mode_freqs.size)
+    omega = p.eps0 + np.linspace(-60.0, 60.0, 13)
+    z = omega + 1j * eta
+    got = orc._self_energy(z)
+    pole = 1.0 / (z[:, None] - freqs)
     ref = np.array([[np.sum(pole * (g[a] * g[b]), axis=1) for b in range(2)]
                     for a in range(2)]).transpose(2, 0, 1)
     return got, ref
 
 
-@pytest.mark.parametrize("oracle", ["attract_oracle", "bic_oracle"])
+@pytest.mark.parametrize("oracle, window", [("attract_oracle", WINDOW),
+                                            ("bic_oracle", BIC_WINDOW)],
+                         ids=["attract_oracle", "bic_oracle"])
 class TestOracleSelfEnergy:
     @pytest.mark.parametrize("spacings", [2.0, 10.0])
-    def test_bright_mode_sum_matches_mode_sum(self, request, oracle, spacings):
-        orc, _ = request.getfixturevalue(oracle)
-        got, ref = _self_energies(orc, spacings * orc.spacing)
+    def test_bright_mode_sum_matches_mode_sum(self, request, oracle, window,
+                                              spacings):
+        orc, p = request.getfixturevalue(oracle)
+        got, ref = _self_energies(orc, BathSpec(window), p,
+                                  spacings * orc.spacing)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_rank_one(self, request, oracle):
+    def test_rank_one(self, request, oracle, window):
         # a common bath: Sigma_cx^2 = Sigma_cc * Sigma_xx, so the damping's
         # off-diagonal entry is the dissipative sqrt(Gamma_cc * Gamma_xx)
-        orc, _ = request.getfixturevalue(oracle)
-        sig, _ = _self_energies(orc, 10.0 * orc.spacing)
+        orc, p = request.getfixturevalue(oracle)
+        sig, _ = _self_energies(orc, BathSpec(window), p, 10.0 * orc.spacing)
         cc, xx, cx = sig[:, 0, 0], sig[:, 1, 1], sig[:, 0, 1]
         assert np.array_equal(cx, sig[:, 1, 0])
         assert np.max(np.abs(cx * cx - cc * xx) / np.abs(cc * xx)) <= 8 * EPS
@@ -935,7 +906,7 @@ SMALL_N = 300
 
 def _small_oracle(monkeypatch, case):
     """Oracle on a SMALL_N-mode bath for one named parameter regime, below
-    the converged MIN_MODES the module requires."""
+    the converged MIN_MODES the module requires, and its (b, p, k)."""
     monkeypatch.setattr(bath, "MIN_MODES", SMALL_N)
     k = 0.0
     b = BathSpec(WINDOW)
@@ -969,27 +940,27 @@ def _small_oracle(monkeypatch, case):
         p = SystemParams(delta=2.0, g_rabi=0.5, mass_ratio=0.3,
                          gamma_c=1.0, gamma_x=0.7)
         b = BathSpec(WINDOW, c_light=700.0 / k)
-    return BathOracle(b, SMALL_N, p, k=k)
+    return BathOracle(b, SMALL_N, p, k=k), (b, p, k)
 
 
 SMALL_CASES = ("attraction", "dark-exciton", "uncoupled", "dark-mode-point",
                "emitter-on-mode", "finite-k", "light-cone")
 
 
-def _bare(orc):
-    eps_c, eps_x = kinetic_energies(orc.params, orc.k)
-    return np.array([[eps_c, orc.params.g_rabi], [orc.params.g_rabi, eps_x]])
+def _bare(p, k):
+    eps_c, eps_x = kinetic_energies(p, k)
+    return np.array([[eps_c, p.g_rabi], [p.g_rabi, eps_x]])
 
 
-def _dense_eigh(orc):
+def _dense_eigh(b, p, k):
     """Reference: dense eigh of the full (N+2) Hamiltonian (cavity,
     emitter, bath modes), discretized from the oracle's BathSpec and
     rates, not read from the oracle; returns energies and the two system
     rows."""
-    freqs, g_c, g_x = _mode_couplings(orc.bath, orc.params, orc.k, SMALL_N)
+    freqs, g_c, g_x = _mode_couplings(b, p, k, SMALL_N)
     n = SMALL_N
     h = np.zeros((n + 2, n + 2))
-    h[:2, :2] = _bare(orc)
+    h[:2, :2] = _bare(p, k)
     h[0, 2:] = h[2:, 0] = g_c
     h[1, 2:] = h[2:, 1] = g_x
     h[2:, 2:][np.diag_indices(n)] = freqs
@@ -1015,11 +986,11 @@ def _assert_rel(value, ref, rel):
 @pytest.mark.parametrize("case", SMALL_CASES)
 class TestOracleAgainstDenseEigh:
     def test_energies_and_system_weights(self, monkeypatch, case):
-        orc = _small_oracle(monkeypatch, case)
-        energies, rows = _dense_eigh(orc)
-        assert np.max(np.abs(orc.energies - energies)) <= 1e-10
+        orc, setup = _small_oracle(monkeypatch, case)
+        energies, rows = _dense_eigh(*setup)
+        got_energies, system_rows, _ = orc._eigenpairs()
+        assert np.max(np.abs(got_energies - energies)) <= 1e-10
         # products of one eigenvector's components do not depend on its sign
-        system_rows = orc._eigenpairs()[1]
         for a, b in ((0, 0), (0, 1), (1, 1)):
             got = system_rows[a] * system_rows[b]
             assert np.max(np.abs(got - rows[a] * rows[b])) <= 1e-10
@@ -1027,8 +998,8 @@ class TestOracleAgainstDenseEigh:
     def test_dynamics(self, monkeypatch, case):
         # uniform grids take the anchor x offset phases, every other grid
         # the direct sum; both against the dense eigenpairs
-        orc = _small_oracle(monkeypatch, case)
-        energies, rows = _dense_eigh(orc)
+        orc, setup = _small_oracle(monkeypatch, case)
+        energies, rows = _dense_eigh(*setup)
         end = 0.45 * orc.recurrence_time
         grids = (np.linspace(0.0, end, 101),
                  np.sort(np.random.default_rng(23).uniform(0.0, end, 64)),
@@ -1045,26 +1016,29 @@ class TestOracleAgainstDenseEigh:
                 assert np.max(np.abs(x - phases @ rows[1])) <= 1e-10
 
     def test_resolvent_quantities(self, monkeypatch, case):
-        orc = _small_oracle(monkeypatch, case)
-        energies, rows = _dense_eigh(orc)
+        # spectrum and green_system at eta = 2 level spacings,
+        # effective_damping at eta = 10
+        orc, (b, p, k) = _small_oracle(monkeypatch, case)
+        energies, rows = _dense_eigh(b, p, k)
+        omega = np.linspace(p.eps0 - 40.0, p.eps0 + 40.0, 81)
         eta = 2.0 * orc.spacing
-        omega = np.linspace(orc.params.eps0 - 40.0, orc.params.eps0 + 40.0, 81)
         g_ref = _green_from_eigenpairs(energies, rows, omega, eta)
-        _assert_rel(orc.green_system(omega, eta), g_ref, 1e-11)
+        _assert_rel(orc.green_system(omega), g_ref, 1e-11)
         ldos_ref = -(g_ref[:, 0, 0] + g_ref[:, 1, 1]).imag / np.pi
-        _assert_rel(orc.spectrum(omega, eta), ldos_ref, 1e-11)
+        _assert_rel(orc.spectrum(omega), ldos_ref, 1e-11)
         # damping from inverting the eigen-sum Green's matrix to M-form
+        eta = 10.0 * orc.spacing
+        g_ref = _green_from_eigenpairs(energies, rows, omega, eta)
         gam_ref = -1j * (np.linalg.inv(g_ref) - omega[:, None, None] * np.eye(2)
-                         + _bare(orc)) - eta * np.eye(2)
-        _assert_rel(orc.effective_damping(omega, eta), gam_ref, 1e-11)
+                         + _bare(p, k)) - eta * np.eye(2)
+        _assert_rel(orc.effective_damping(omega), gam_ref, 1e-11)
 
 
 def test_emitter_on_bath_mode_keeps_its_weight(monkeypatch):
     # the deflated eigenvalue sits exactly on the bath frequency and still
     # carries emitter weight; the secular roots strictly avoid it
-    orc = _small_oracle(monkeypatch, "emitter-on-mode")
-    on = orc.params.eps0
-    at = np.flatnonzero(orc.energies == on)
+    orc, (_, p, _) = _small_oracle(monkeypatch, "emitter-on-mode")
+    at = np.flatnonzero(orc._eigenpairs()[0] == p.eps0)
     assert at.size == 1
     assert orc._eigenpairs()[1][1, at[0]] ** 2 > 1e-3
 
@@ -1080,7 +1054,7 @@ def _secular_problems(monkeypatch, oracle):
         return solve(*args)
 
     monkeypatch.setattr(bath, "_secular_roots", spy)
-    oracle.energies
+    oracle._eigenpairs()
     return problems
 
 
@@ -1089,7 +1063,7 @@ def test_few_roots_take_the_direct_sum(monkeypatch, case):
     # the outer roots and the two next to an off-grid dark pole; the
     # deflated modes below a light cone leave every inner gap one step
     problems = _secular_problems(monkeypatch,
-                                 _small_oracle(monkeypatch, case))
+                                 _small_oracle(monkeypatch, case)[0])
     direct = sum(np.count_nonzero(~_PoleSums(*args[1:]).fast)
                  for args in problems)
     assert direct <= 4
@@ -1170,7 +1144,7 @@ def test_solve_memory_bounded():
                      SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8))
     tracemalloc.start()
     try:
-        orc.energies
+        orc._eigenpairs()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

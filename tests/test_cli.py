@@ -675,8 +675,9 @@ class TestOracleCompareRun:
             " '--out', out]) == 0\n"
             "p = SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8)\n"
             "orc = BathOracle(BathSpec((500.0, 1500.0)), 32000, p)\n"
-            "np.save(out + '/energies.npy', orc.energies)\n"
-            "np.save(out + '/system_rows.npy', orc._eigenpairs()[1])\n"
+            "energies, system_rows, _ = orc._eigenpairs()\n"
+            "np.save(out + '/energies.npy', energies)\n"
+            "np.save(out + '/system_rows.npy', system_rows)\n"
             "np.save(out + '/damping.npy',"
             " orc.effective_damping(np.linspace(990.0, 1010.0, 5)))\n")
         cfg = os.path.join(ROOT, "configs", "oracle_compare_attraction.json")
@@ -1004,4 +1005,24 @@ class TestBundledConfigs:
                 if fname.endswith(".csv"):
                     got[name + "/" + fname] = hashlib.sha256(
                         (out / fname).read_bytes()).hexdigest()
+        assert got == reference
+
+    def test_oracle_csvs_match_reference(self, tmp_path):
+        # the bundled oracle-compare run, every CSV it writes
+        reference = {
+            "oracle_damping.csv": "07fa10bc5c6cb93ef169d5f36f7e7fafb9cdb218"
+                                  "f2bda50fda3ba34871c9cac0",
+            "oracle_dynamics.csv": "74cfd67c3167df9fab61e1578d41ea40339d520a"
+                                   "dcc1b88a08f86fb908f1f6bc",
+            "oracle_spectrum.csv": "c33ede5f43822cf0ba39d07d584aa72bd2878fa3"
+                                   "0e4c10733562bd503b31e792",
+            "summary.csv": "362ba3d5a575984c94f99f90a1991c6bac42a789ecebeb7a"
+                           "fd0a4af98ebdae96",
+        }
+        path = os.path.join(ROOT, "configs", "oracle_compare_attraction.json")
+        out = tmp_path / "oracle"
+        assert cli.main(["oracle-compare", "--config", path,
+                         "--out", str(out)]) == 0
+        got = {fname: hashlib.sha256((out / fname).read_bytes()).hexdigest()
+               for fname in os.listdir(out) if fname.endswith(".csv")}
         assert got == reference

@@ -212,7 +212,7 @@ def oracle_spectra():
                                    "oracle_compare_attraction.json"))
     p = cfg.systems[0]
     orc = BathOracle(cfg.bath, cfg.n_modes, p)
-    ldos = orc.spectrum(cfg.omega_grid, eta=2.0 * orc.spacing)
+    ldos = orc.spectrum(cfg.omega_grid)
     return (cfg.omega_grid, ldos, power_spectrum(p, 0.0, cfg.omega_grid),
             branch_energies(p))
 
@@ -249,7 +249,7 @@ def equivalence_cases():
            branch_energies(p))
     b = BathSpec((500.0, 1500.0))
     w = np.arange(995.0, 1011.0 + 0.025, 0.05)
-    yield ("rate-emergence", w, BathOracle(b, 4000, p).spectrum(w, eta=0.5),
+    yield ("rate-emergence", w, BathOracle(b, 4000, p).spectrum(w),
            branch_energies(p))
     yield ("merged",) + branch_spectrum(MERGED)
     yield ("coinciding-trap",) + branch_spectrum(COINCIDING_TRAP)
@@ -323,7 +323,7 @@ class TestLorentzianPairFit:
         w = np.linspace(1100.0, 1150.0, 50)
         if source == "oracle":
             orc = BathOracle(BathSpec((500.0, 1500.0)), 4000, ATTRACT)
-            values = orc.spectrum(w, eta=2.0 * orc.spacing)
+            values = orc.spectrum(w)
         else:
             values = power_spectrum(ATTRACT, 0.0, w)
         with pytest.raises(RuntimeError, match=rule):
@@ -576,22 +576,31 @@ class TestPowerAbsorptionRelation:
         assert len(calls) == 1
 
 
+UNFLAGGED = np.zeros((1, 2), bool)
+
+
 class TestSpectrumGrid:
     def test_validates_axes(self):
         with pytest.raises(ValueError):
-            SpectrumGrid([1.0, 0.0], [0.0, 1.0], np.zeros((2, 2)), "power")
+            SpectrumGrid([1.0, 0.0], [0.0, 1.0], np.zeros((2, 2)), "power",
+                         np.zeros((2, 2), bool))
         with pytest.raises(ValueError):
-            SpectrumGrid([0.0], [0.0, 1.0], np.zeros((2, 2)), "power")
+            SpectrumGrid([0.0], [0.0, 1.0], np.zeros((2, 2)), "power",
+                         np.zeros((2, 2), bool))
 
     def test_validates_kind_and_range(self):
         with pytest.raises(ValueError):
-            SpectrumGrid([0.0], [0.0, 1.0], np.zeros((1, 2)), "bogus")
+            SpectrumGrid([0.0], [0.0, 1.0], np.zeros((1, 2)), "bogus",
+                         UNFLAGGED)
         with pytest.raises(ValueError):
-            SpectrumGrid([0.0], [0.0, 1.0], np.zeros((1, 2)), "reflection")
+            SpectrumGrid([0.0], [0.0, 1.0], np.zeros((1, 2)), "reflection",
+                         UNFLAGGED)
         with pytest.raises(ValueError):
-            SpectrumGrid([0.0], [0.0, 1.0], 2 * np.ones((1, 2)), "absorption")
+            SpectrumGrid([0.0], [0.0, 1.0], 2 * np.ones((1, 2)), "absorption",
+                         UNFLAGGED)
         with pytest.raises(ValueError):
-            SpectrumGrid([0.0], [0.0, 1.0], -np.ones((1, 2)), "power")
+            SpectrumGrid([0.0], [0.0, 1.0], -np.ones((1, 2)), "power",
+                         UNFLAGGED)
 
     def test_range_check_skips_only_divergent_nan(self):
         axes = ([0.0], [0.0, 1.0, 2.0, 3.0])
@@ -611,10 +620,10 @@ class TestSpectrumGrid:
 
     @pytest.mark.parametrize("kind", ["power", "absorption"])
     @pytest.mark.parametrize("row, flagged", [
-        ([0.5, np.nan], None),
+        ([0.5, np.nan], UNFLAGGED),
         ([0.5, np.nan], [[True, False]]),
-        ([np.inf, 1.0], None),
-        ([0.5, -np.inf], None),
+        ([np.inf, 1.0], UNFLAGGED),
+        ([0.5, -np.inf], UNFLAGGED),
         ([0.5, np.inf], [[False, True]]),
         ([0.5, 0.5], [[True, False]]),
     ], ids=["nan", "nan-unflagged", "inf", "minus-inf", "inf-flagged",
@@ -625,9 +634,11 @@ class TestSpectrumGrid:
 
     def test_rejects_non_finite_axes(self):
         with pytest.raises(ValueError, match="finite"):
-            SpectrumGrid([np.nan], [1.0, np.nan], np.zeros((1, 2)), "power")
+            SpectrumGrid([np.nan], [1.0, np.nan], np.zeros((1, 2)), "power",
+                         UNFLAGGED)
         with pytest.raises(ValueError, match="finite"):
-            SpectrumGrid([0.0], [1.0, np.inf], np.zeros((1, 2)), "power")
+            SpectrumGrid([0.0], [1.0, np.inf], np.zeros((1, 2)), "power",
+                         UNFLAGGED)
 
     def test_rejects_mismatched_divergent_mask(self):
         with pytest.raises(ValueError, match="divergent"):
