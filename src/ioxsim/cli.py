@@ -21,6 +21,7 @@ its files, summary.csv included, before its bounds decide the exit code.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -724,7 +725,9 @@ SCANS = {
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.cache
 def _build_parser():
+    # built on the first main call and reused: parse_args keeps no state
     ap = argparse.ArgumentParser(
         prog="ioxsim",
         description="input-output simulations of an emitter and cavity mode"

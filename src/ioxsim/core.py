@@ -100,13 +100,14 @@ class ComplexPole:
     g_tilde: complex
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ComplexBranch:
     """One complex eigenvalue of H_k with its normalized eigenvector.
 
     label is "L" (minus sign of the principal square root) or "U" (plus).
     degenerate marks a coalesced (exceptional) point, where both branches
-    carry the same eigenvector.
+    carry the same eigenvector.  Slotted, with no instance __dict__: a
+    tracked k grid holds two of these per point.
     """
 
     omega: complex

@@ -16,7 +16,9 @@ scalar call at its k exactly; when one block holds every k, its rows are
 the result.  power_absorption_relation_check forms I, A_gamma and A_m in
 one such pass, from one kernel.
 Exactly on an undamped pole the scalar calls raise DivergentPointError
-and the grids flag the point in SpectrumGrid.divergent.
+and the grids flag the point in SpectrumGrid.divergent.  A call in which
+no branch at any k is undamped cannot meet a pole: it forms no mask, and
+its grids carry a read-only all-False view with no storage.
 
 Scattering has one path, S = 1 - 2i W G W^T at one k over an omega scalar
 or array: the single-bath amplitude is its S11, reflection |S11|^2 and
@@ -39,8 +41,9 @@ POLE_TOL = 1e-12
 # momenta evaluated together on a (k, omega) grid.  Each row carries four
 # complex distance planes (two eigenvalues, two poles), so at 801 omega a
 # block's temporaries stay near 0.4 MB.  Whole grids spill out of cache;
-# 16-row blocks ran about 10% faster but raised the peak RSS of a dense
-# sweep above that of the per-k loop they replace
+# on eight parameter draws, each a 241 x 801 power and absorption map,
+# 16-row blocks ran a few percent faster but raised the peak RSS from
+# 68.3 to 69.3 MB and the traced peak from 30.1 to 31.2 MB
 _BLOCK_ROWS = 8
 
 _KINDS = ("power", "absorption")
@@ -95,8 +98,9 @@ class SpectrumGrid:
 
     kind is "power" or "absorption".  divergent marks grid points sitting
     exactly on an undamped pole (intensity NaN there); the power and
-    absorption grids fill it.  The axes obey core._axis; the intensity has
-    no inf, and NaN exactly on the points divergent marks.
+    absorption grids fill it, with a read-only all-False view (no storage)
+    when no branch of the call is undamped.  The axes obey core._axis; the
+    intensity has no inf, and NaN exactly on the points divergent marks.
     """
 
     k_values: np.ndarray
@@ -131,50 +135,64 @@ class SpectrumGrid:
 
 
 def _on_grid(rows, p, k, omega, *args):
-    """Evaluate rows(p, modes, omega, *args) over k in blocks of
+    """Evaluate rows(p, modes, omega, flag, *args) over k in blocks of
     _BLOCK_ROWS momenta.
 
     k is a scalar or a 1-d array and omega any shape; each returned array
     has shape np.shape(k) + np.shape(omega).  Scalar calls and grids share
     this one path, so a grid row equals the scalar call at its k.  The
-    modes of all momenta are formed once, where k is checked.
+    modes of all momenta are formed once, where k is checked.  flag is
+    False when no branch at any k is undamped: no point can then sit on a
+    pole, rows return None for their mask, and so does this call.
     """
     ks = _k_axis(k)
     modes = _modes(p, ks)
+    flag = bool(_undamped(p, modes).any())
     om = _finite(omega, "omega")
     flat = om.reshape(-1)
     if ks.size <= _BLOCK_ROWS:
         # one block covers every k: its rows are the result
-        outs = rows(p, modes, flat, *args)
+        outs = rows(p, modes, flat, flag, *args)
     else:
         outs = None
         for start in range(0, ks.size, _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
-            parts = rows(p, modes.block(block), flat, *args)
+            parts = rows(p, modes.block(block), flat, flag, *args)
             if outs is None:
-                outs = [np.empty((ks.size, flat.size), part.dtype)
+                outs = [None if part is None
+                        else np.empty((ks.size, flat.size), part.dtype)
                         for part in parts]
             for out, part in zip(outs, parts):
-                out[block] = part
+                if out is not None:
+                    out[block] = part
     shape = np.shape(k) + om.shape
-    return [out.reshape(shape)[()] for out in outs]
+    return [None if out is None else out.reshape(shape)[()] for out in outs]
 
 
-def _divergence_mask(p, m, dist):
+def _pole_scale(p):
     # Imaginary parts of the eigenmodes live on the rate scale, not the
     # carrier-frequency scale, so the on-pole ball must use the former;
     # tying it to |omega| ~ eps0 would swallow genuinely resolvable
     # near-pole points.
-    scale = POLE_TOL * max(1.0, p.total_rate + abs(p.g_rabi))
-    undamped = np.abs(m.omega.imag) < scale
+    return POLE_TOL * max(1.0, p.total_rate + abs(p.g_rabi))
+
+
+def _undamped(p, m):
+    """Where the branches of m have |Im omega| inside the on-pole ball."""
+    return np.abs(m.omega.imag) < _pole_scale(p)
+
+
+def _divergence_mask(p, m, dist):
+    undamped = _undamped(p, m)
     if not undamped.any():
         return np.zeros(dist.shape[1:], dtype=bool)
-    near = undamped[:, :, None] & (dist < scale)
+    near = undamped[:, :, None] & (dist < _pole_scale(p))
     return near[0] | near[1]
 
 
-def _power_rows(p, m, om, occupation):
-    """Power spectrum rows plus a mask of on-pole (divergent) points."""
+def _power_rows(p, m, om, flag, occupation):
+    """Power spectrum rows plus a mask of on-pole (divergent) points, or
+    None for the mask where flag is False."""
     gt = m.g_tilde
     # |omega - omega_L|, |omega - omega_U|, |omega - z_x|, |omega - z_c|
     dist = np.abs(om - m.levels[:, :, None])
@@ -185,22 +203,26 @@ def _power_rows(p, m, om, occupation):
     d_term = 8.0 * ((2.0 * om - z_c - z_x) * np.conj(gt)).real
     num = (a_b[0] * p.gamma_c + a_b[1] * p.gamma_x
            + d_term * np.sqrt(p.gamma_c * p.gamma_x))
-    mask = _divergence_mask(p, m, dist[:2])
     den = dist[:2] ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(mask, np.nan, num * occupation / (den[0] * den[1]))
-    return out, mask
+        out = num * occupation / (den[0] * den[1])
+    if not flag:
+        return out, None
+    mask = _divergence_mask(p, m, dist[:2])
+    return np.where(mask, np.nan, out), mask
 
 
 def _power_with_mask(p, k, omega, n):
-    """Power spectrum values plus a mask of on-pole (divergent) points."""
+    """Power spectrum values plus a mask of on-pole (divergent) points,
+    None where no branch is undamped."""
     occupation = as_occupation(n)(np.asarray(omega, float).reshape(-1))
     return _on_grid(_power_rows, p, k, omega, occupation)
 
 
 def _reject_on_pole(what, omega, mask):
-    """Raise DivergentPointError naming the omega values that mask flags."""
-    if np.any(mask):
+    """Raise DivergentPointError naming the omega values that mask flags;
+    a None mask flags none."""
+    if mask is not None and np.any(mask):
         where = np.broadcast_to(np.asarray(omega, dtype=float), np.shape(mask))
         raise DivergentPointError(
             "%s on an undamped pole at omega = %s"
@@ -232,11 +254,18 @@ def _grid_axes(k_values, omega_values):
     return _axis(k_values, "k_values"), _axis(omega_values, "omega_values")
 
 
+def _flags(mask, shape):
+    """The divergent field of a grid: mask, or for a None mask a read-only
+    all-False view with no storage."""
+    return np.broadcast_to(False, shape) if mask is None else mask
+
+
 def power_spectrum_grid(p, k_values, omega_values, n=None):
     """Power spectrum on a (k, omega) grid; on-pole points are flagged."""
     k_values, omega_values = _grid_axes(k_values, omega_values)
     intensity, mask = _power_with_mask(p, k_values, omega_values, n)
-    return SpectrumGrid(k_values, omega_values, intensity, "power", mask)
+    return SpectrumGrid(k_values, omega_values, intensity, "power",
+                        _flags(mask, intensity.shape))
 
 
 def _scattering(p, k, omega, full=True):
@@ -296,15 +325,16 @@ def reflection(p, k, omega):
     return out if np.ndim(omega) else float(out)
 
 
-def _absorption_rows(p, m, om):
+def _absorption_rows(p, m, om, flag):
     """A_gamma and A_m rows for the momenta of m, plus a mask of on-pole
-    (divergent) points, where both are NaN."""
+    (divergent) points, where both are NaN, or None for the mask where
+    flag is False."""
     gt = m.g_tilde
     g2 = np.float_power(abs(gt), 2.0)  # inf on overflow, as in _power_rows
     # omega - omega_L, omega - omega_U, omega - z_x, omega - z_c
     to = om - m.levels[:, :, None]
     dist = np.abs(to)
-    mask = _divergence_mask(p, m, dist[:2])
+    mask = _divergence_mask(p, m, dist[:2]) if flag else None
     dist **= 2
     # A_gamma = [4 (gamma_c |omega - z_x|^2 + gamma_x |g~|^2)
     #            + 8 s Re(conj(g~) (omega - z_x))] / den, and A_m the same
@@ -316,12 +346,13 @@ def _absorption_rows(p, m, om):
         rows = ((4.0 * (weight * dist[2:] + offset)
                  + 8.0 * s * (np.conj(gt) * to[2:]).real)
                 / (dist[0] * dist[1]))
-    rows[:, mask] = np.nan
+    if flag:
+        rows[:, mask] = np.nan
     return rows[0], rows[1], mask
 
 
-def _total_absorption_rows(p, m, om):
-    a_gamma, a_m, mask = _absorption_rows(p, m, om)
+def _total_absorption_rows(p, m, om, flag):
+    a_gamma, a_m, mask = _absorption_rows(p, m, om, flag)
     return p.gamma_nr_c * a_gamma + p.gamma_nr_x * a_m, mask
 
 
@@ -348,14 +379,15 @@ def absorption_grid(p, k_values, omega_values):
     k_values, omega_values = _grid_axes(k_values, omega_values)
     intensity, mask = _on_grid(_total_absorption_rows, p, k_values,
                                omega_values)
-    return SpectrumGrid(k_values, omega_values, intensity, "absorption", mask)
+    return SpectrumGrid(k_values, omega_values, intensity, "absorption",
+                        _flags(mask, intensity.shape))
 
 
-def _relation_rows(p, m, om, occupation):
+def _relation_rows(p, m, om, flag, occupation):
     """|I - (A_gamma + A_m) n| rows from one block of modes, plus the
-    on-pole mask of the power spectrum."""
-    intensity, mask = _power_rows(p, m, om, occupation)
-    a_gamma, a_m, _ = _absorption_rows(p, m, om)
+    on-pole mask of the power spectrum (None where flag is False)."""
+    intensity, mask = _power_rows(p, m, om, flag, occupation)
+    a_gamma, a_m, _ = _absorption_rows(p, m, om, flag)
     return np.abs(intensity - (a_gamma + a_m) * occupation), mask
 
 

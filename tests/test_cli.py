@@ -524,7 +524,7 @@ class TestAbsorptionRun:
                                             value):
         # SpectrumGrid's own rules reject a value outside [0, 1] and an
         # unflagged NaN, before anything is written
-        def rows(p, m, om):
+        def rows(p, m, om, flag):
             shape = (m.levels.shape[1], om.size)
             return np.full(shape, value), np.zeros(shape, bool)
 
@@ -763,6 +763,21 @@ class TestExitCodes:
             cli.acceptance, "run_all",
             lambda seed=None: [CheckResult("x", False, "", 0.0, 1.0)])
         assert cli.main(["acceptance"]) == 3
+
+    def test_parser_built_once_and_reused(self, monkeypatch):
+        seeds = []
+
+        def fake_run_all(seed=None):
+            seeds.append(seed)
+            return [CheckResult("x", True, "", 0.0, 1.0)]
+
+        monkeypatch.setattr(cli.acceptance, "run_all", fake_run_all)
+        for argv in (["acceptance", "--seed", "7"], ["acceptance"],
+                     ["acceptance", "--seed", "8"]):
+            assert cli.main(argv) == 0
+        # one build per process; each parse starts from the defaults
+        assert cli._build_parser.cache_info().misses == 1
+        assert seeds == [7, None, 8]
 
 
 def emit_grid(tmp_path, header, *columns):

@@ -1,6 +1,8 @@
 """Tests for the effective two-mode model: poles, branches, EP/BiC loci."""
 
-from dataclasses import fields
+import pickle
+import tracemalloc
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -222,6 +224,44 @@ class TestTrackBranches:
             track_branches(ATTRACT, [0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             track_branches(ATTRACT, [])
+
+
+class TestComplexBranchRecord:
+    def test_slotted_and_frozen(self):
+        low, _ = eigen_branches(ATTRACT, 0.3)
+        assert not hasattr(low, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            low.omega = 0.0
+
+    def test_pickle_and_replace_round_trip(self):
+        low, _ = eigen_branches(EP, 0.2)
+        for copy in (pickle.loads(pickle.dumps(low)),
+                     replace(low, label=low.label)):
+            for field in fields(low):
+                assert np.array_equal(getattr(copy, field.name),
+                                      getattr(low, field.name))
+        assert replace(low, label="U").label == "U"
+
+    def test_equality_is_identity(self):
+        low, _ = eigen_branches(ATTRACT, 0.3)
+        again, _ = eigen_branches(ATTRACT, 0.3)
+        assert low == low
+        assert low != again
+        assert low != pickle.loads(pickle.dumps(low))
+
+    def test_tracked_grid_memory(self):
+        kgrid = np.linspace(-3.0, 3.0, 1001)
+        track_branches(ATTRACT, kgrid)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracks = track_branches(ATTRACT, kgrid)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # 308 B per branch with an instance __dict__
+        assert retained <= 290 * 2 * kgrid.size
+        assert sum(map(len, tracks)) == 2 * kgrid.size
 
 
 class TestDetunings:

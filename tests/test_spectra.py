@@ -661,6 +661,35 @@ class TestSpectrumGrid:
         assert peak < 0.5 * intensity.nbytes
 
 
+class TestAllClearGrids:
+    """A call in which no branch is undamped forms no divergence mask."""
+
+    K = np.linspace(-3.0, 3.0, 241)
+
+    @pytest.mark.parametrize("p", [ATTRACT, LOSSY], ids=["attract", "lossy"])
+    @pytest.mark.parametrize("grid", [power_spectrum_grid, absorption_grid])
+    def test_mask_is_a_read_only_all_false_view(self, p, grid):
+        w = np.linspace(*default_omega_window(p), 801)
+        divergent = grid(p, self.K, w).divergent
+        assert divergent.shape == (self.K.size, w.size)
+        assert divergent.dtype == bool
+        assert not divergent.any()
+        assert not divergent.flags.writeable
+
+    def test_grid_retains_only_its_intensity(self):
+        w = np.linspace(*default_omega_window(ATTRACT), 801)
+        power_spectrum_grid(ATTRACT, self.K, w)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grid = power_spectrum_grid(ATTRACT, self.K, w)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a (241, 801) bool mask would add 193 KB
+        assert retained <= grid.intensity.nbytes + 64 * 1024
+
+
 class TestGridAxesCheckedFirst:
     K = np.linspace(-3.0, 3.0, 241)
     W = np.linspace(990.0, 1010.0, 801)
