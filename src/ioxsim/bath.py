@@ -155,22 +155,9 @@ def _pv_integral(grid, f, omega):
     if np.any(near):
         # limit of the subtracted integrand at the pole is -f'(omega); the
         # guard keeps both end nodes over a cell away, so these are interior
-        regular[near] = -_gradient_at(f, grid, np.flatnonzero(near))
+        regular[near] = -np.gradient(f, grid)[near]
     return float(np.trapezoid(regular, grid)
                  + f_at * np.log(abs((omega - a) / (b_end - omega))))
-
-
-def _gradient_at(f, grid, i):
-    """np.gradient(f, grid)[i] at interior nodes i, the same bits, without
-    differencing all of f: np.gradient's uniform three-point formula when
-    every spacing of grid equals the first, its non-uniform one otherwise."""
-    step = np.diff(grid)
-    if (step == step[0]).all():
-        return (f[i + 1] - f[i - 1]) / (2.0 * step[0])
-    dx1, dx2 = step[i - 1], step[i]
-    return (-dx2 / (dx1 * (dx1 + dx2)) * f[i - 1]
-            + (dx2 - dx1) / (dx1 * dx2) * f[i]
-            + dx1 / (dx2 * (dx1 + dx2)) * f[i + 1])
 
 
 def _couplings(b, p):

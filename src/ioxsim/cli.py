@@ -6,7 +6,9 @@ gnuplot-script emission, and the acceptance-suite runner.
 Subcommands: dispersion, spectrum, dynamics, ep-bic, absorption,
 oracle-compare, acceptance.  A config is a single JSON object with blocks
 system / bath / scan / output; unknown keys are rejected with JSON-path
-messages, decode errors carry line and column.  Each scan kind is one
+messages, and so are values the library's own rules refuse (grids under
+core._axis, occupations, SystemParams, BathSpec, BathOracle: _checked);
+decode errors carry line and column.  Each scan kind is one
 _Scan record in SCANS; a scan key, detuning list or bath block that its
 record does not take is rejected as not referenced.  CSV output uses 17
 significant digits, so identical configs give byte-identical files
@@ -30,9 +32,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import acceptance
-from .bath import MIN_MODES, BathOracle, BathSpec
+from .bath import MIN_MODES, BathOracle, BathSpec, _spectral_weight
 from .core import (
     SystemParams,
+    _axis,
     bic_condition,
     complex_poles,
     detunings,
@@ -137,44 +140,47 @@ def _int(node, path):
     return node
 
 
+def _numbers(node, path):
+    if not isinstance(node, list):
+        _fail(path, "must be a number list")
+    return [_number(v, "%s[%d]" % (path, i)) for i, v in enumerate(node)]
+
+
+def _checked(path, rule, *args, **kwargs):
+    """rule(*args, **kwargs), a library constructor or input rule, with its
+    ValueError reported as a ConfigError at the JSON path."""
+    try:
+        return rule(*args, **kwargs)
+    except ValueError as exc:
+        _fail(path, str(exc))
+
+
 def _grid(node, path):
-    """A grid is an explicit number list or a {start, stop, num} linspace."""
+    """A grid is a number list or a {start, stop, num} linspace, under the
+    library's axis rule (core._axis): nonempty and strictly increasing."""
     if isinstance(node, dict):
         _check_keys(node, ("start", "stop", "num"),
                     ("start", "stop", "num"), path)
-        num = _int(node["num"], path + ".num")
-        if num < 1:
-            _fail(path + ".num", "must be >= 1")
-        values = np.linspace(_number(node["start"], path + ".start"),
-                             _number(node["stop"], path + ".stop"), num)
+        node = _checked(path, np.linspace,
+                        _number(node["start"], path + ".start"),
+                        _number(node["stop"], path + ".stop"),
+                        _int(node["num"], path + ".num"))
     elif isinstance(node, list):
-        if not node:
-            _fail(path, "must be nonempty")
-        values = np.array(
-            [_number(v, "%s[%d]" % (path, i)) for i, v in enumerate(node)])
+        node = _numbers(node, path)
     else:
         _fail(path, "must be a number list or a {start, stop, num} object")
-    if values.size > 1 and np.any(np.diff(values) <= 0):
-        _fail(path, "must be strictly increasing")
-    return values
+    return _checked(path, _axis, node, "grid")
 
 
 def _occupation(node, path):
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
-        if _number(node, path) < 0:
-            _fail(path, "must be non-negative")
-        return InputOccupation(float(node))
+    """A number or an {omega, n} table, under InputOccupation's rules."""
     if isinstance(node, dict):
         _check_keys(node, ("omega", "n"), ("omega", "n"), path)
-        pts = _grid(node["omega"], path + ".omega")
-        if not isinstance(node["n"], list) or len(node["n"]) != pts.size:
-            _fail(path + ".n", "must be a number list matching omega")
-        vals = np.array([_number(v, "%s.n[%d]" % (path, i))
-                         for i, v in enumerate(node["n"])])
-        if np.any(vals < 0):
-            _fail(path + ".n", "must be non-negative")
-        return InputOccupation((pts, vals))
-    _fail(path, "must be a number or a {omega, n} table")
+        node = (_grid(node["omega"], path + ".omega"),
+                _numbers(node["n"], path + ".n"))
+    else:
+        node = _number(node, path)
+    return _checked(path, InputOccupation, node)
 
 
 @dataclass(frozen=True)
@@ -205,16 +211,13 @@ def parse_config(doc):
               for key in sys_block if key != "delta"}
     delta_node = sys_block.get("delta", 0.0)
     if isinstance(delta_node, list):
-        deltas = tuple(_number(v, "system.delta[%d]" % i)
-                       for i, v in enumerate(delta_node))
+        deltas = _numbers(delta_node, "system.delta")
         if not deltas:
             _fail("system.delta", "list must be nonempty")
     else:
-        deltas = (_number(delta_node, "system.delta"),)
-    try:
-        systems = tuple(SystemParams(delta=d, **kwargs) for d in deltas)
-    except ValueError as exc:
-        _fail("system", str(exc))
+        deltas = [_number(delta_node, "system.delta")]
+    systems = tuple(_checked("system", SystemParams, delta=d, **kwargs)
+                    for d in deltas)
 
     scan = _mapping(doc["scan"], "scan")
     _check_keys(scan, _SCAN_KEYS, ("kind",), "scan")
@@ -242,19 +245,15 @@ def parse_config(doc):
         window = bath_block["omega_window"]
         if not isinstance(window, list) or len(window) != 2:
             _fail("bath.omega_window", "must be a [lo, hi] pair")
-        window = tuple(_number(v, "bath.omega_window[%d]" % i)
-                       for i, v in enumerate(window))
+        window = tuple(_numbers(window, "bath.omega_window"))
         if "n_modes" in bath_block:
             n_modes = _int(bath_block["n_modes"], "bath.n_modes")
             if n_modes < MIN_MODES:
                 _fail("bath.n_modes", "must be >= %d" % MIN_MODES)
-        try:
-            bath = BathSpec(
-                window,
-                _number(bath_block.get("c_light", 1.0), "bath.c_light"),
-                _number(bath_block.get("taper_frac", 0.05), "bath.taper_frac"))
-        except ValueError as exc:
-            _fail("bath", str(exc))
+        bath = _checked(
+            "bath", BathSpec, window,
+            _number(bath_block.get("c_light", 1.0), "bath.c_light"),
+            _number(bath_block.get("taper_frac", 0.05), "bath.taper_frac"))
 
     grids = {name: _grid(scan[name], "scan." + name) if name in scan else None
              for name in ("k_grid", "omega_grid", "t_grid")}
@@ -649,11 +648,8 @@ def run_oracle_compare(cfg):
     """
     p = cfg.systems[0]
     k = float(cfg.k_grid[0])
-    try:
-        oracle = BathOracle(cfg.bath, cfg.n_modes, p, k=k)
-    except ValueError as exc:
-        # the window and the system come from the config
-        _fail("bath", str(exc))
+    # the window and the system come from the config
+    oracle = _checked("bath", BathOracle, cfg.bath, cfg.n_modes, p, k)
 
     tables = []
     metrics = []
@@ -662,7 +658,11 @@ def run_oracle_compare(cfg):
     probe = p.eps0 + np.linspace(-span, span, 5)
     gam = oracle.effective_damping(probe)
     cross = np.sqrt(p.gamma_c * p.gamma_x)
-    targets = np.array([[p.gamma_c, cross], [cross, p.gamma_x]])
+    # the k = 0 carrier rates, carried to (k, probe) by the golden rule's
+    # weight ratio, which is exactly 1 at k = 0 inside the flat window
+    ratio = (_spectral_weight(cfg.bath, k, probe)
+             / _spectral_weight(cfg.bath, 0.0, p.eps0))
+    targets = ratio[:, None, None] * [[p.gamma_c, cross], [cross, p.gamma_x]]
     rel = np.abs(gam.real - targets) / max(p.total_rate, 1e-12)
     metrics.append(("damping_rel_err", float(np.max(rel)),
                     cfg.max_deviation))

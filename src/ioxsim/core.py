@@ -18,8 +18,8 @@ sqrt(2 m_C * reference rate), so the photon kinetic term is exactly k**2.
 The closed forms are array-native over k: complex_poles, kinetic_energies,
 detunings and discriminant accept a 1-d k array, and one private kernel
 (_modes) gives the eigenvalues and degeneracy flags for a whole k array.
-eigen_branches (one k) and track_branches (a k grid) both evaluate it, so
-they agree bit for bit, and so do the spectra built on it.
+track_branches evaluates it on a k grid and eigen_branches is its
+one-point case, so they agree bit for bit, as do the spectra built on it.
 
 One input rule holds for the whole package and lives here: a NaN or inf
 k, omega or time raises ValueError naming the argument (_finite), and a
@@ -370,15 +370,10 @@ def eigen_branches(p, k):
     omega = (z_c + z_x -/+ sqrt(D)) / 2 on the principal square-root branch;
     "U" carries the plus sign.  At a coalescence (|sqrt(D)| below tolerance)
     both branches carry the single shared eigenvector and degenerate=True.
-    For a k array use track_branches, which evaluates the same kernel.
+    This is track_branches on the one-point grid [k].
     """
-    kf = float(k)
-    m = _modes(p, np.array([kf]))
-    vec_l, vec_u = _eigvecs(m)
-    degenerate = bool(m.degenerate[0])
-    omega_l, omega_u = m.omega[:, 0].tolist()
-    return (ComplexBranch(omega_l, "L", vec_l[0], kf, degenerate),
-            ComplexBranch(omega_u, "U", vec_u[0], kf, degenerate))
+    (lower,), (upper,) = track_branches(p, [float(k)])
+    return lower, upper
 
 
 def _overlap(prev, new):

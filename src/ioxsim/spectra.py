@@ -64,21 +64,21 @@ _FIT_WIDTH_STEPS = 10
 class InputOccupation:
     """Input photon distribution n(omega), dimensionless, finite and >= 0.
 
-    Wraps a constant or a tabulated (omega_points, values) pair
-    interpolated linearly, both validated here once.
+    Wraps a constant or a tabulated (omega_points, values) pair, a tuple
+    or list, interpolated linearly, both validated here once.
     """
 
     def __init__(self, n_of_omega=1.0):
-        if np.ndim(n_of_omega) == 0:
-            vals = float(n_of_omega)
-            self._fn = lambda omega: np.full_like(omega, vals)
-        else:
+        if isinstance(n_of_omega, (tuple, list)):
             pts, vals = n_of_omega
             pts = _axis(pts, "tabulated omega points")
             vals = np.asarray(vals, dtype=float)
             if pts.shape != vals.shape:
                 raise ValueError("tabulated occupation needs matching 1-d arrays")
             self._fn = lambda omega: np.interp(omega, pts, vals)
+        else:
+            vals = float(n_of_omega)
+            self._fn = lambda omega: np.full_like(omega, vals)
         if (_finite(vals, "occupation") < 0).any():
             raise ValueError("occupation must be non-negative")
 

@@ -316,27 +316,46 @@ class TestKernelFreq:
             g = kernel_freq(b, p, 0.0, float(w))
             assert np.max(np.abs(g - gmat)) < 0.01 * (1.0 + 1.8)
 
-    def test_near_node_derivative_is_np_gradient(self):
-        # the principal value reads f' at the node(s) nearest the pole with
-        # np.gradient's own three-point formula: the same bits at every
-        # interior node of linspace grids, seven of them exactly uniform
-        # (np.gradient's scalar-spacing branch), five not
-        grids = [np.linspace(*g) for g in (
-            (0.0, 1.0, 5), (500.0, 1500.0, 1001), (500.0, 1500.0, 2001),
-            (500.0, 1500.0, 4001), (0.0, 8.0, 33), (700.0, 1300.0, 1201),
-            (-1.0, 1.0, 9), (0.0, 1.0, 11), (800.0, 1200.0, 2001),
-            (500.0, 1500.0, 1000), (300.0, 1700.0, 2001),
-            (500.0, 1500.0, 3000))]
-        uniform = [np.all(np.diff(g) == g[1] - g[0]) for g in grids]
-        assert sum(uniform) == 7
-        rng = np.random.default_rng(29)
+    def test_principal_value_bits_pinned(self):
+        # Im Gamma~_cc, the principal value times kappa_c^2, pinned bit for
+        # bit; every probe sits within half a cell of a grid node, so each
+        # reads the near-node derivative np.gradient gives
         b = BathSpec(WINDOW)
-        for grid in grids:
-            inner = np.arange(1, grid.size - 1)
-            for f in (rng.standard_normal(grid.size),
-                      bath._spectral_weight(b, 0.0, grid)):
-                assert np.array_equal(bath._gradient_at(f, grid, inner),
-                                      np.gradient(f, grid)[1:-1])
+        p = SystemParams(delta=3.0, gamma_c=1.0, gamma_x=1.8)
+        probes = np.append(np.linspace(900.0, 1100.0, 9), [530.3, 1470.7])
+        for (k, npoints), pinned in PINNED_PV.items():
+            im = kernel_freq(b, p, k, probes, npoints=npoints)[:, 0, 0].imag
+            assert np.array_equal(im, [float.fromhex(v) for v in pinned])
+
+
+# Im kernel_freq(BathSpec(WINDOW), SystemParams(delta=3, gamma_c=1,
+# gamma_x=1.8), k, probes, npoints)[:, 0, 0], keyed by (k, npoints)
+PINNED_PV = {
+    (0.0, 1001): (
+        "-0x1.16ced23df9575p-3", "-0x1.9f6d25e746173p-4", "-0x1.13a6c8baf3ad2p-4",
+        "-0x1.12e1e0dca6160p-5", "0x0.0p+0", "0x1.12e1e0dca6164p-5",
+        "0x1.13a6c8baf3ad5p-4", "0x1.9f6d25e746173p-4", "0x1.16ced23df9575p-3",
+        "-0x1.918b12b41428ep+0", "0x1.93b399527b650p+0",
+    ),
+    (0.0, 4001): (
+        "-0x1.16ceddd594aecp-3", "-0x1.9f6d36acb849bp-4", "-0x1.13a6d3a16c471p-4",
+        "-0x1.12e1eb9950757p-5", "0x1.45f306dc9c882p-59", "0x1.12e1eb995075bp-5",
+        "0x1.13a6d3a16c475p-4", "0x1.9f6d36acb849bp-4", "0x1.16ceddd594aebp-3",
+        "-0x1.9189510fb631ep+0", "0x1.93b27ea60f0b8p+0",
+    ),
+    (0.7, 1001): (
+        "-0x1.16cebc23f8728p-3", "-0x1.9f6cf8a360cc0p-4", "-0x1.13a69a9e14bf2p-4",
+        "-0x1.12e18348e5ecep-5", "0x1.7a9f05f5bd1c9p-23", "0x1.12e240614f1f6p-5",
+        "0x1.13a6f8d678948p-4", "0x1.9f6d564c1f2f2p-4", "0x1.16ceea8f81ce3p-3",
+        "-0x1.918b21cb5550cp+0", "0x1.93b39e093c2b9p+0",
+    ),
+    (0.7, 4001): (
+        "-0x1.16cec7bb94062p-3", "-0x1.9f6d0968d3510p-4", "-0x1.13a6a5848d8c0p-4",
+        "-0x1.12e18e05907d9p-5", "0x1.7a9f05eb5066cp-23", "0x1.12e24b1df9a6ap-5",
+        "0x1.13a703bcf156cp-4", "0x1.9f6d6711919c8p-4", "0x1.16cef6271d4cap-3",
+        "-0x1.91896026cd2c1p+0", "0x1.93b2835cce920p+0",
+    ),
+}
 
 
 PASSIVE = SystemParams(delta=2.0, g_rabi=1.0, gamma_c=1.0, gamma_x=0.8)

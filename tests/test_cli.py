@@ -232,6 +232,34 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="input_occupation: must be finite"):
             cli.parse_config(base_doc(**dispersion_scan(input_occupation=bad)))
 
+    @pytest.mark.parametrize("key, value, path", [
+        pytest.param("k_grid", [0.5, 0.0], "scan.k_grid", id="decreasing-k"),
+        pytest.param("omega_grid", [], "scan.omega_grid", id="empty-omega"),
+        pytest.param("input_occupation", -0.5, "scan.input_occupation",
+                     id="negative-occupation"),
+        pytest.param("input_occupation",
+                     {"omega": [990.0, 1000.0, 1010.0], "n": [1.0, 2.0]},
+                     "scan.input_occupation", id="short-n"),
+        pytest.param("input_occupation",
+                     {"omega": [990.0, 1010.0, 1000.0], "n": [1.0, 2.0, 3.0]},
+                     "scan.input_occupation.omega", id="unsorted-omega"),
+        pytest.param("input_occupation",
+                     {"omega": [990.0, 1010.0], "n": [1.0, -2.0]},
+                     "scan.input_occupation", id="negative-n"),
+    ])
+    def test_library_rules_name_the_json_path(self, tmp_path, key, value,
+                                              path):
+        # grids and occupations are checked by core._axis and
+        # InputOccupation, whose ValueError becomes a config error there
+        doc = base_doc(**dispersion_scan())
+        doc["scan"][key] = value
+        doc["output"]["directory"] = str(tmp_path / "out")
+        with pytest.raises(ConfigError, match="^%s: " % re.escape(path)):
+            cli.parse_config(doc)
+        assert cli.main(["dispersion", "--config",
+                         write_cfg(tmp_path, doc)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_decode_error_carries_line_and_column(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "system": {,}\n}')
@@ -604,6 +632,21 @@ class TestOracleCompareRun:
         ref = kernel_freq(cfg.bath, cfg.systems[0], 3.0, table[:, 0]).real
         ref = np.column_stack((ref[:, 0, 0], ref[:, 1, 1], ref[:, 0, 1]))
         assert np.max(np.abs(table[:, 1:] - ref) / ref) <= 1e-2
+
+    def test_damping_target_at_the_scan_momentum(self, tmp_path):
+        # c|k|/eps0 = 0.4: the golden rule at k is 9% above its k = 0 value
+        # at the carrier; scored against the k = 0 rates, damping_rel_err
+        # read 5.84e-2.  The closed-form lines keep their k = 0 rates, so
+        # the peak centers may still miss their bound, which fails the run
+        # after summary.csv is written
+        doc = self.oracle_doc(tmp_path, k_grid=[1.0])
+        doc["bath"] = {"omega_window": [500.0, 1500.0], "c_light": 400.0}
+        doc["scan"].pop("t_grid")
+        rc = cli.main(["oracle-compare", "--config", write_cfg(tmp_path, doc)])
+        _, rows = read_csv(tmp_path / "out" / "summary.csv")
+        summary = {row[0]: float(row[1]) for row in rows}
+        assert summary["damping_rel_err"] <= 1e-2
+        assert rc == (3 if any(row[3] == "no" for row in rows) else 0)
 
     def test_single_k_accepted(self, tmp_path):
         doc = self.oracle_doc(tmp_path, k_grid=[0.2])
