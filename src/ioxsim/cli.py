@@ -11,15 +11,18 @@ core._axis, occupations, SystemParams, BathSpec, BathOracle: _checked);
 decode errors carry line and column.  Each scan kind is one
 _Scan record in SCANS; a scan key, detuning list or bath block that its
 record does not take is rejected as not referenced.  CSV output uses 17
-significant digits, so identical configs give byte-identical files
-across runs.  A numeric table is a _Grid whose columns stay unbroadcast;
-the one numeric writer, _write_grid, formats each value once: k and
-delta once per row block, omega or t once per table, and only the value
-columns per row.  Exit codes: 0 all outputs written and every gate
-passed, 2 config error or unwritable output directory, 3 numerical-check
-failure.  Every gate is one _gate call, which a NaN fails.  A failed
-gate or a raised error writes nothing; only oracle-compare writes all
-its files, summary.csv included, before its bounds decide the exit code.
+significant digits (FLOAT_FMT), so identical configs give byte-identical
+files across runs.  A numeric table is a _Grid whose columns stay
+unbroadcast; the one numeric writer, _write_grid, formats each value
+once, a column at a time, with _format, which gives FLOAT_FMT's bytes
+from numpy arithmetic and falls back to FLOAT_FMT itself for each value
+it cannot certify.  k, delta and omega or t are formatted once per
+table, the value columns in chunks of rows that numpy joins.  Exit
+codes: 0 all outputs written and every gate passed, 2 config error or
+unwritable output directory, 3 numerical-check failure.  Every gate is
+one _gate call, which a NaN fails.  A failed gate or a raised error
+writes nothing; only oracle-compare writes all its files, summary.csv
+included, before its bounds decide the exit code.
 """
 
 import argparse
@@ -320,11 +323,138 @@ def _fmt(value):
     return FLOAT_FMT % float(value)
 
 
-# rows formatted and written per chunk, so that no string grows with the
-# table.  Over 30 in-process passes of the bundled map configs, peak RSS
-# rose 4.1 MB above the per-value writer with 1024-row chunks, 1.6 MB
-# with 256 and 1.4 MB with 128; the speed is the same
-_CHUNK_ROWS = 128
+# _scaled forms |v| * 10**q in long double, where 10**q is exact for
+# |q| <= _EXACT_POW10 (5**q < 2**(nmant + 1)).  Only the x87 extended
+# (nmant 63) and IEEE binary128 (nmant 112) formats are trusted; on any
+# other platform nothing is certified and every value takes FLOAT_FMT
+_NMANT = np.finfo(np.longdouble).nmant
+_EXACT_POW10 = (max(q for q in range(64) if 5 ** q < 2 ** (_NMANT + 1))
+                if _NMANT in (63, 112) else -1)
+_POW10 = np.array([10 ** q for q in range(max(_EXACT_POW10, 0) + 1)],
+                  dtype=np.longdouble)
+# the 17-digit range of y: 10**16 <= y < 10**17 - 1/2
+_LOW, _HIGH = np.longdouble(10 ** 16), np.longdouble(10 ** 17) - 0.5
+# "0000" to "9999", each as the uint32 word of its four ASCII digits
+_QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
+                              indexing="ij"), axis=-1).view(np.uint32).ravel()
+# _KEEP[n] keeps the first n bytes of a 24-byte cell
+_KEEP = np.array([[1] * n + [0] * (24 - n) for n in range(25)], np.uint8)
+
+
+def _scaled(x):
+    """(certified, digits, exponent) for a 1-d float array x: digits is
+    the 17-digit integer of |x| rounded to 17 significant digits and
+    exponent its decimal exponent, wherever certified is True.
+
+    y = |x| * 10**q, q = 16 - floor(log10 |x|), is one long-double
+    multiply or divide by an exact 10**|q|, so it is the exact product
+    correctly rounded.  For 10**16 <= y < 10**17 - 1/2, ulp(y) <= 2**-7
+    and frac(y) - 1/2 is a multiple of ulp(y): unless it is zero it is at
+    least ulp(y), twice the largest rounding error, so y and the exact
+    product round to the same integer.  Not certified: zeros, non-finite
+    values, |q| > _EXACT_POW10, ties, and values whose floor(log10)
+    misses by one (the float neighbours of powers of ten)."""
+    ok = np.isfinite(x) & (x != 0.0)
+    e = np.floor(np.log10(np.abs(x, where=ok, out=np.ones_like(x))))
+    q = 16.0 - e
+    ok &= np.abs(q) <= _EXACT_POW10
+    # a value not certified stands in as 10**16, scaled by 10**0, which
+    # no cast overflows
+    q[~ok] = 0.0
+    y = np.where(ok, np.abs(x), 1e16).astype(np.longdouble)
+    scale = _POW10[np.abs(q).astype(np.intp)]
+    np.multiply(y, scale, out=y, where=q >= 0.0)
+    np.divide(y, scale, out=y, where=q < 0.0)
+    digits = y.astype(np.int64)
+    half = (y - digits).astype(float) - 0.5
+    ok &= (y >= _LOW) & (y < _HIGH) & (half != 0.0)
+    digits += half > 0.0
+    return ok, digits, np.where(ok, e, 0.0)
+
+
+def _digit_rows(digits):
+    """Each 17-digit integer as a row of 24 ASCII bytes: seven '0', then
+    its digits."""
+    top, bot = np.divmod(digits, 10 ** 8)
+    head, top = np.divmod(top, 10 ** 4)
+    lead, head = np.divmod(head, 10 ** 4)
+    words = np.empty((digits.size, 6), np.uint32)
+    words[:, 0] = _QUADS[0]
+    for i, part in enumerate((lead, head, top) + np.divmod(bot, 10 ** 4)):
+        words[:, i + 1] = _QUADS[part]
+    return words.view(np.uint8)
+
+
+def _laid_out(rows, key):
+    """The cells of the digit rows under their layout keys, unstripped.
+
+    key is 2 * layout + sign.  Layouts 0-20 are fixed notation at
+    exponent -4 to 16, layout 21 the mantissa of exponent notation: the
+    point follows `at` characters of a stream of `cut` zeros and the 17
+    digits, and a sign shifts the cell by one.  The rows are sorted by
+    key, so that each key is laid out by slices."""
+    order = np.argsort(key, kind="stable")
+    rows, laid = rows[order], np.empty(rows.shape, np.uint8)
+    start = 0
+    for k, count in enumerate(np.bincount(key).tolist()):
+        if not count:
+            continue
+        stop, layout, sign = start + count, k // 2, k % 2
+        exp = layout - 4
+        at, cut = ((1, 0) if layout == 21
+                   else (max(exp, 0) + 1, max(-exp, 0)))
+        cell, digits = laid[start:stop], rows[start:stop, 7 - cut:]
+        if sign:
+            cell[:, 0] = 45
+        cell[:, sign:sign + at] = digits[:, :at]
+        cell[:, sign + at] = 46
+        cell[:, sign + at + 1:sign + 18 + cut] = digits[:, at:]
+        start = stop
+    rows[order] = laid
+    return rows
+
+
+def _format(values):
+    """FLOAT_FMT % v for each v of a float array, as a bytes array of the
+    same shape.  The digits of each certified value (_scaled) are laid
+    out as %g lays them out (_laid_out): fixed notation for -4 <=
+    exponent < 17, exponent notation otherwise, trailing zeros and a bare
+    point stripped.  Zeros are written directly; every other value takes
+    FLOAT_FMT itself."""
+    x = np.asarray(values, dtype=float).ravel()
+    neg = np.signbit(x)
+    ok, digits, e = _scaled(x)
+    rows = _digit_rows(digits)
+    kept = 17 - np.argmax(rows[:, :6:-1] != 48, axis=1)
+    # the cell: a sign, at least `at` characters of the stream, then a
+    # point only before further digits (see _laid_out)
+    sci = (e < -4) | (e > 16)
+    at = np.where(sci, 1.0, np.maximum(e, 0.0) + 1.0)
+    cut = np.where(sci, 0.0, np.maximum(-e, 0.0))
+    size = (neg + np.maximum(kept + cut, at) + (kept + cut > at)).astype(int)
+    text = _laid_out(rows, (2 * np.where(sci, 21, e + 4) + neg)
+                     .astype(np.uint8))
+    text *= _KEEP[size]
+    # exponent notation: e, its sign and two digits after the mantissa
+    pos = np.flatnonzero(sci)
+    for i, char in enumerate((101, np.where(e[pos] < 0, 45, 43),
+                              48 + np.abs(e[pos]) // 10,
+                              48 + np.abs(e[pos]) % 10)):
+        text[pos, size[pos] + i] = char
+
+    out = text.view("S24").ravel()
+    zero = x == 0.0
+    out[zero] = np.where(neg[zero], b"-0", b"0")
+    other = np.flatnonzero(~(ok | zero))
+    out[other] = [(FLOAT_FMT % v).encode() for v in x[other].tolist()]
+    return out.reshape(np.shape(values))
+
+
+# cells formatted and joined per chunk of rows, so that no buffer grows
+# with the table.  On 2 vCPU a pass of the bundled map configs took 97,
+# 83 and 79 ms with 4096, 8192 and 16384, and the writer's traced peak
+# is about 1 MB at 8192
+_CHUNK_VALUES = 8192
 
 
 class _Grid(tuple):
@@ -334,46 +464,33 @@ class _Grid(tuple):
 
 def _write_grid(fh, columns):
     """The rows of a _Grid, FLOAT_FMT per value, each value formatted
-    once.  A row block is one run of the last axis.  A column constant
-    along it is formatted once per block; with several blocks, a column
-    that varies along the last axis alone is formatted once per table;
-    every other column is formatted per row.  Each chunk of rows is one
-    template that holds the table's strings, takes the block's strings
-    in place of its markers, and formats the row values in one pass."""
+    once.  A column with fewer values than the table has rows (k and
+    delta, omega or t, a constant) is formatted whole by one _format
+    call; the others hold one value per row and are formatted chunk by
+    chunk, together.  Chunks of at most _CHUNK_VALUES cells are joined
+    row by row in numpy and written as bytes."""
     shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
-    lead, width = shape[:-1], shape[-1]
-    cells, heads, values = [], [], []
-    for column in columns:
-        dims = (1,) * (len(shape) - np.ndim(column)) + np.shape(column)
-        view = np.broadcast_to(column, shape)
-        if dims[-1] == 1:
-            # a marker that no formatted number and no FLOAT_FMT holds
-            cells.append("\0%d\0" % len(heads))
-            heads.append((cells[-1], view[..., 0]))
-        elif lead and dims[:-1] == (1,) * len(lead):
-            cells.append([FLOAT_FMT % v
-                          for v in view[(0,) * len(lead)].tolist()])
-        else:
-            cells.append(FLOAT_FMT)
-            values.append(view)
-
-    def line(w):
-        return ",".join(c if isinstance(c, str) else c[w]
-                        for c in cells) + "\n"
-
-    lines = ([line(w) for w in range(width)]
-             if any(isinstance(c, list) for c in cells) else None)
-    for idx in np.ndindex(*lead):
-        marked = [(mark, FLOAT_FMT % head[idx]) for mark, head in heads]
-        rows = (np.stack([v[idx] for v in values], axis=-1) if values
-                else np.empty((width, 0)))
-        for start in range(0, width, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, width)
-            template = ("".join(lines[start:stop]) if lines
-                        else line(0) * (stop - start))
-            for mark, head in marked:
-                template = template.replace(mark, head)
-            fh.write(template % tuple(rows[start:stop].ravel().tolist()))
+    count = int(np.prod(shape))
+    whole = [np.size(c) < count for c in columns]
+    # each cell is 25 bytes: its NUL-padded text, then its separator;
+    # the NULs are dropped when the chunk is joined
+    ends = np.full(len(columns), ord(","), np.uint8)
+    ends[-1] = ord("\n")
+    for chunk in np.nditer(
+            [_format(c) if w else np.asarray(c, dtype=float)
+             for c, w in zip(columns, whole)],
+            ("external_loop", "buffered", "zerosize_ok"), order="C",
+            buffersize=max(1, _CHUNK_VALUES // len(columns))):
+        chunk = chunk if isinstance(chunk, tuple) else (chunk,)
+        values = [part for part, w in zip(chunk, whole) if not w]
+        text = iter(np.split(_format(np.concatenate(values)), len(values))
+                    if values else ())
+        cells = np.empty((chunk[0].size, len(columns)), "S25")
+        for i, (part, w) in enumerate(zip(chunk, whole)):
+            cells[:, i] = part if w else next(text)
+        joined = cells.view(np.uint8).reshape(len(cells), -1)
+        joined[:, 24::25] = ends
+        fh.write(joined[joined != 0])
 
 
 def _emit(cfg, tables, plot=None):
@@ -387,13 +504,14 @@ def _emit(cfg, tables, plot=None):
         os.makedirs(cfg.directory, exist_ok=True)
         for name, header, rows in tables:
             files.append(os.path.join(cfg.directory, name))
-            with open(files[-1], "w", newline="") as fh:
-                fh.write(",".join(header) + "\n")
+            with open(files[-1], "wb") as fh:
+                fh.write((",".join(header) + "\n").encode())
                 if isinstance(rows, _Grid):
                     _write_grid(fh, rows)
                 else:
                     for row in rows:
-                        fh.write(",".join(_fmt(v) for v in row) + "\n")
+                        fh.write((",".join(_fmt(v) for v in row)
+                                  + "\n").encode())
         if plot is not None and "gnuplot" in cfg.formats:
             files.append(os.path.join(cfg.directory, "plot.gp"))
             with open(files[-1], "w", newline="") as fh:
@@ -406,8 +524,9 @@ def _emit(cfg, tables, plot=None):
 
 def _abs2(z):
     """|z|^2 bit for bit as abs(z) ** 2 on each complex scalar: C hypot,
-    then C pow.  np.abs and squaring round differently."""
-    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+    then C pow, in place.  np.abs and squaring round differently."""
+    size = np.hypot(z.real, z.imag)
+    return np.float_power(size, 2.0, out=size)
 
 
 def _spectrum_grid(fn, what, *args):
@@ -552,10 +671,13 @@ def _trajectory_with_check(p, k, t_grid):
 def run_dynamics(cfg):
     """Amplitude dynamics from x(0) = 1, c(0) = 0 (vacuum environment)."""
     deltas = np.array([p.delta for p in cfg.systems])[:, None, None]
-    # c and x indexed (detuning, k, t), the order of the rows
-    c, x = np.moveaxis(np.array([[_trajectory_with_check(p, k, cfg.t_grid)
-                                  for k in cfg.k_grid] for p in cfg.systems]),
-                       2, 0)
+    # c and x indexed (detuning, k, t), the order of the rows, filled one
+    # trajectory at a time
+    c, x = np.empty((2, len(cfg.systems), cfg.k_grid.size, cfg.t_grid.size),
+                    complex)
+    for i, p in enumerate(cfg.systems):
+        for j, k in enumerate(cfg.k_grid):
+            c[i, j], x[i, j] = _trajectory_with_check(p, k, cfg.t_grid)
 
     return _emit(cfg, [
         ("dynamics.csv",

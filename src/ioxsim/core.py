@@ -25,8 +25,9 @@ One input rule holds for the whole package and lives here: a NaN or inf
 k, omega or time raises ValueError naming the argument (_finite), and a
 grid must also be nonempty, 1-d and strictly increasing (_axis).  The
 three dynamics paths share one time-grid rule, which adds non-negative
-times and finite initial amplitudes (_times).  k is checked where it
-enters the closed forms, in kinetic_energies and detunings.
+times and finite initial amplitudes (_times).  k is checked once where
+it enters the closed forms: in kinetic_energies, which complex_poles and
+_modes call, and in detunings; _modes takes its detunings unchecked.
 """
 
 import math
@@ -292,8 +293,8 @@ def _modes(p, k):
     EP/BiC points.  A point is degenerate when |sqrt(D)| falls below
     DEGENERACY_TOL times the local energy scale.
     """
-    pole = complex_poles(p, k)
-    det = detunings(p, k)
+    pole = complex_poles(p, k)  # checks k
+    det = _detunings(p, k)
     # dz = d_eps - 1j d_gamma and D = dz * dz + 4 g~**2 written out as
     # CPython evaluates them on scalars: numpy's complex multiply fuses
     # multiply-adds and can differ in the last bit, while these float64
@@ -421,17 +422,26 @@ def track_branches(p, kgrid):
     return tracks
 
 
+def _detunings(p, k):
+    """Detunings at a checked float k array.  float_power is C pow(), as
+    Python's k ** 2 on a float; it rounds differently from the multiply
+    in kinetic_energies for about one k in 1,200, so the two squares stay
+    separate."""
+    d_eps = p.delta + (1.0 - p.mass_ratio) * np.float_power(k, 2.0)
+    d_gamma = (p.gamma_c + p.gamma_nr_c) - (p.gamma_x + p.gamma_nr_x)
+    return Detunings(d_eps, d_gamma)
+
+
 def detunings(p, k):
     """Detunings at momentum k; nonradiative rates are included in d_gamma.
 
     d_eps is formed without eps0 (it cancels exactly), keeping EP/BiC
     condition checks at full precision.  For a k array, d_eps is an array.
     """
-    k = _finite(k, "k")
-    # float_power is C pow(), as Python's k ** 2 on a float
-    d_eps = p.delta + (1.0 - p.mass_ratio) * np.float_power(k, 2.0)
-    d_gamma = (p.gamma_c + p.gamma_nr_c) - (p.gamma_x + p.gamma_nr_x)
-    return Detunings(float(d_eps) if k.ndim == 0 else d_eps, d_gamma)
+    det = _detunings(p, _finite(k, "k"))
+    if np.ndim(k) == 0:
+        return Detunings(float(det.d_eps), det.d_gamma)
+    return det
 
 
 def _solve_ring_radius(p, target):

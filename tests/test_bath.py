@@ -114,6 +114,24 @@ class TestBathSpec:
         assert np.allclose(ramp, _half_cosine(b, omega), rtol=0.0, atol=1e-15)
         assert float(taper(lo - 1.0)) == 0.0
 
+    def test_taper_at_the_ramp_ends(self):
+        # edge 0 at either window end and edge 1 at either ramp end are
+        # exact: sin(0) = +0.0 and sin(pi/2) rounds to 1.0; beyond the
+        # window the taper is +0.0, and on the ramp sin(pi/2 * edge)
+        b = BathSpec((100.0, 1100.0), taper_frac=0.1)
+        lo, hi = b.omega_window
+        width = (hi - lo) * b.taper_frac
+        ends = bath._taper(b, np.array([lo, hi, lo + width, hi - width,
+                                         lo - 1.0, hi + 1.0, 600.0]))
+        assert ends.tolist() == [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0]
+        assert not np.signbit(ends).any()
+        ramp = np.array([np.nextafter(lo, hi), lo + width / 3.0,
+                         np.nextafter(lo + width, lo),
+                         np.nextafter(hi - width, hi), np.nextafter(hi, lo)])
+        edge = np.minimum(ramp - lo, hi - ramp) / width
+        assert (bath._taper(b, ramp).tolist()
+                == np.sin(0.5 * np.pi * edge).tolist())
+
     def test_zero_taper_is_hard_window(self):
         b = BathSpec(WINDOW, taper_frac=0.0)
         assert float(bath._taper(b, WINDOW[0] + 1.0)) == 1.0

@@ -836,7 +836,7 @@ class TestEmit:
     def test_array_table_matches_row_tuples(self, tmp_path):
         # a grid of 1-d columns, more rows than one chunk, with the
         # extreme and inexact values
-        n = cli._CHUNK_ROWS + 7
+        n = cli._CHUNK_VALUES + 7
         table = np.linspace(-1.0, 1.0, 4 * n).reshape(n, 4)
         table[0] = (-0.0, 5e-324, 1e308, 1.0 / 3.0)
         table[-1] = (1.0 / 3.0, -1e308, -5e-324, -0.0)
@@ -855,8 +855,8 @@ class TestEmit:
         assert written.count(b"\n") == n + 1
 
     @pytest.mark.parametrize("shape", [
-        (5, 7), (5, cli._CHUNK_ROWS + 3), (1, 9), (6, 1),
-        (2, 3, 11), (3, 2, 2 * cli._CHUNK_ROWS + 1), (1, 4, 5), (2, 1, 6),
+        (5, 7), (5, cli._CHUNK_VALUES + 3), (1, 9), (6, 1),
+        (2, 3, 11), (3, 2, 2 * cli._CHUNK_VALUES + 1), (1, 4, 5), (2, 1, 6),
         (3, 4, 1)], ids=str)
     def test_grid_matches_the_broadcast_table(self, tmp_path, shape):
         # one axis column per dimension, unbroadcast as the CLI passes k,
@@ -877,7 +877,7 @@ class TestEmit:
         # an axis after the values, a value column between two axes and a
         # scalar column: each cell in its own column's place
         k = np.array([[0.5], [-0.0], [1e-300]])
-        omega = np.arange(cli._CHUNK_ROWS + 2) / 7.0
+        omega = np.arange(cli._CHUNK_VALUES + 2) / 7.0
         values = np.arange(k.size * omega.size).reshape(3, -1) / 3.0
         columns = (values, k, 1.0 / 3.0, -values, omega)
         header = ("v", "k", "s", "w", "omega")
