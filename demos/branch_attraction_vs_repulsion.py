@@ -23,8 +23,8 @@ kgrid = np.linspace(-3.0, 3.0, 241)
 for name, p in (("dissipative (attraction)", attraction),
                 ("coherent   (repulsion)", repulsion)):
     lower, upper = track_branches(p, kgrid)
-    re_lo = np.array([br.omega.real for br in lower])
-    re_up = np.array([br.omega.real for br in upper])
+    re_lo = lower.omega.real
+    re_up = upper.omega.real
 
     # curvature of the lower branch at k = 0 by central differences
     i0 = np.argmin(np.abs(kgrid))
@@ -62,8 +62,8 @@ if plt is not None:
     for ax, (name, p) in zip(axes, (("dissipative", attraction),
                                     ("coherent", repulsion))):
         lo, up = track_branches(p, kgrid)
-        ax.plot(kgrid, [b.omega.real for b in lo], "C0", label="lower")
-        ax.plot(kgrid, [b.omega.real for b in up], "C1", label="upper")
+        ax.plot(kgrid, lo.omega.real, "C0", label="lower")
+        ax.plot(kgrid, up.omega.real, "C1", label="upper")
         ax.plot(kgrid, [kinetic_energies(p, k)[0] for k in kgrid],
                 "k--", lw=0.8)
         ax.plot(kgrid, [kinetic_energies(p, k)[1] for k in kgrid],

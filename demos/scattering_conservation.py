@@ -80,8 +80,8 @@ if plt is not None:
     fig, ax = plt.subplots(figsize=(6, 4))
     im = ax.pcolormesh(ks, ws, A.T, shading="auto")
     lower, upper = track_branches(p, ks)
-    ax.plot(ks, [b.omega.real for b in lower], "w--", lw=0.8)
-    ax.plot(ks, [b.omega.real for b in upper], "w--", lw=0.8)
+    ax.plot(ks, lower.omega.real, "w--", lw=0.8)
+    ax.plot(ks, upper.omega.real, "w--", lw=0.8)
     ax.set_xlabel("k")
     ax.set_ylabel("omega")
     fig.colorbar(im, ax=ax, label="absorption")

@@ -5,6 +5,7 @@ from .core import (
     SystemParams,
     ComplexPole,
     ComplexBranch,
+    BranchTrack,
     Detunings,
     EpCondition,
     BicCondition,

@@ -80,8 +80,7 @@ def check_anomalous_dispersion():
     p = SystemParams(delta=3.0, gamma_x=1.8)
     h = 0.01
     tracks = track_branches(p, np.array([-h, 0.0, h]))
-    lower = min(tracks, key=lambda tr: tr[1].omega.real)
-    re = [br.omega.real for br in lower]
+    re = min((track.omega.real for track in tracks), key=lambda r: r[1])
     curv = (re[0] - 2.0 * re[1] + re[2]) / h ** 2
 
     low, up = eigen_branches(p, 0.0)

@@ -559,11 +559,11 @@ def _det_residual(p, k, omega):
 
 
 def _branch_table(tracks):
-    low, up = (np.array([b.omega for b in track]) for track in tracks)
+    low, up = tracks
     return ("branches.csv",
             ("k", "re_omega_l", "im_omega_l", "re_omega_u", "im_omega_u"),
-            _Grid((np.array([b.k for b in tracks[0]]),
-                   low.real, low.imag, up.real, up.imag)))
+            _Grid((low.k, low.omega.real, low.omega.imag,
+                   up.omega.real, up.omega.imag)))
 
 
 def _plot_prelude(title):

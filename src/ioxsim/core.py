@@ -20,6 +20,9 @@ detunings and discriminant accept a 1-d k array, and one private kernel
 (_modes) gives the eigenvalues and degeneracy flags for a whole k array.
 track_branches evaluates it on a k grid and eigen_branches is its
 one-point case, so they agree bit for bit, as do the spectra built on it.
+A tracked grid is two BranchTrack, each a set of arrays over k (omega,
+eigvec, the degenerate flags and the per-point label) with no per-point
+objects; indexing a track builds the ComplexBranch at that point.
 
 One input rule holds for the whole package and lives here: a NaN or inf
 k, omega or time raises ValueError naming the argument (_finite), and a
@@ -107,8 +110,8 @@ class ComplexBranch:
 
     label is "L" (minus sign of the principal square root) or "U" (plus).
     degenerate marks a coalesced (exceptional) point, where both branches
-    carry the same eigenvector.  Slotted, with no instance __dict__: a
-    tracked k grid holds two of these per point.
+    carry the same eigenvector.  eigen_branches returns two of these, and
+    indexing a BranchTrack builds one for its point.
     """
 
     omega: complex
@@ -116,6 +119,30 @@ class ComplexBranch:
     eigvec: np.ndarray
     k: float
     degenerate: bool = False
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class BranchTrack:
+    """One continuity-sorted branch along a grid of K momenta, as arrays:
+    omega (K,) and eigvec (K, 2) at each k (K,); degenerate (K,) is shared
+    by both tracks of a grid, and upper (K,) is True where the track
+    carries the "U" label.  track[i] builds the ComplexBranch at the i-th k.
+    """
+
+    k: np.ndarray
+    omega: np.ndarray
+    eigvec: np.ndarray
+    degenerate: np.ndarray
+    upper: np.ndarray
+
+    def __len__(self):
+        return self.k.size
+
+    def __getitem__(self, i):
+        return ComplexBranch(self.omega.item(i),
+                             "U" if self.upper.item(i) else "L",
+                             self.eigvec[i], self.k.item(i),
+                             self.degenerate.item(i))
 
 
 @dataclass(frozen=True)
@@ -335,10 +362,9 @@ def discriminant(p, k):
 
 
 def _eigvecs(m):
-    """(vec_l, vec_u), each (n, 2): normalized kernel vectors of
-    (omega*1 - H) at both eigenvalues, with a fixed phase.  At a
-    coalescence both branches carry the single shared eigenvector, taken
-    at the mean eigenvalue."""
+    """(2, n, 2): normalized kernel vectors of (omega*1 - H) at the "L" and
+    "U" eigenvalues, with a fixed phase.  At a coalescence both branches
+    carry the single shared eigenvector, taken at the mean eigenvalue."""
     omega = np.where(m.degenerate, m.center, m.omega)
     # Two algebraically equivalent kernel vectors, (omega - z_x, g~) and
     # (g~, omega - z_c); keep the one with the larger norm for stability
@@ -361,7 +387,7 @@ def _eigvecs(m):
     # component is real > 0
     lead = np.where(np.abs(v[..., 0]) > 1e-12 * norm, v[..., 0], v[..., 1])
     v *= (lead.conj() / (np.abs(lead) * norm))[..., None]
-    return v[0], v[1]
+    return v
 
 
 def eigen_branches(p, k):
@@ -373,53 +399,58 @@ def eigen_branches(p, k):
     both branches carry the single shared eigenvector and degenerate=True.
     This is track_branches on the one-point grid [k].
     """
-    (lower,), (upper,) = track_branches(p, [float(k)])
-    return lower, upper
+    lower, upper = track_branches(p, [float(k)])
+    return lower[0], upper[0]
 
 
-def _overlap(prev, new):
-    """|<prev_i, new_i+1>|^2 between neighbouring grid points."""
-    return np.abs(np.sum(prev[:-1].conj() * new[1:], axis=1)) ** 2
+def _swaps(keep, swap):
+    """Which of the K points carry swapped labels, from the scores of the
+    K - 1 steps.  The first point is unswapped; a tied step (keep == swap)
+    resets to unswapped, and otherwise a step with keep < swap toggles the
+    previous point's state.  So a point is swapped when the flips since the
+    last reset are odd in number: a segmented cumulative XOR.
+    """
+    n = keep.size + 1
+    odd = np.zeros(n, dtype=bool)
+    np.logical_xor.accumulate(keep < swap, out=odd[1:])
+    reset = np.arange(n)
+    reset[1:] *= keep == swap
+    np.maximum.accumulate(reset, out=reset)
+    return odd != odd[reset]
 
 
 def track_branches(p, kgrid):
     """Continuity-sorted branches along an increasing momentum grid.
 
-    Returns two lists of ComplexBranch.  The first list starts on the "L"
-    branch of the first grid point.  At each step the assignment maximizes
-    eigenvector overlap with the previous point and falls back to
-    closest-eigenvalue matching when the overlaps tie or the point is
-    degenerate.  Output is deterministic, and every branch equals
-    eigen_branches(p, k) at its k.
+    Returns (lower, upper), two BranchTrack over the K grid points.  lower
+    starts on the "L" branch of the first grid point.  At each step the
+    assignment maximizes eigenvector overlap with the previous point and
+    falls back to closest-eigenvalue matching when the overlaps tie or the
+    point is degenerate.  Output is deterministic, and lower[i] and
+    upper[i] equal eigen_branches(p, k) at the i-th k.
     """
     kgrid = _axis(kgrid, "k")
     m = _modes(p, kgrid)
-    vec_l, vec_u = _eigvecs(m)
+    vecs = _eigvecs(m)
+    # |<a|b>|^2 and |omega_a - omega_b| from label a at point i-1 to label b
+    # at point i, as (2, 2, K - 1) tables
+    overlap = np.abs(np.sum(vecs[:, None, :-1].conj() * vecs[None, :, 1:],
+                            axis=-1)) ** 2
+    dist = np.abs(m.omega[:, None, :-1] - m.omega[None, :, 1:])
     # scores of keeping or swapping the labels of step i-1 -> i, for the
     # unswapped labels at i-1; a swap at i-1 exchanges the two scores
-    keep = _overlap(vec_l, vec_l) + _overlap(vec_u, vec_u)
-    swap = _overlap(vec_l, vec_u) + _overlap(vec_u, vec_l)
+    keep = overlap[0, 0] + overlap[1, 1]
+    swap = overlap[0, 1] + overlap[1, 0]
     fallback = (m.degenerate[1:] | m.degenerate[:-1]
                 | (np.abs(keep - swap) < 1e-12))
-    om_l, om_u = m.omega
-    keep = np.where(fallback, -(np.abs(om_l[:-1] - om_l[1:])
-                                + np.abs(om_u[:-1] - om_u[1:])), keep)
-    swap = np.where(fallback, -(np.abs(om_l[:-1] - om_u[1:])
-                                + np.abs(om_u[:-1] - om_l[1:])), swap)
-    # a tie keeps the labels as they come ("L" on the first track)
-    swapped = [False]
-    for tie, flip in zip((keep == swap).tolist(), (keep < swap).tolist()):
-        swapped.append(not tie and swapped[-1] != flip)
-
-    tracks = ([], [])
-    for kf, w_l, w_u, v_l, v_u, deg, swp in zip(
-            kgrid.tolist(), om_l.tolist(), om_u.tolist(), vec_l, vec_u,
-            m.degenerate.tolist(), swapped):
-        low = ComplexBranch(w_l, "L", v_l, kf, deg)
-        up = ComplexBranch(w_u, "U", v_u, kf, deg)
-        tracks[0].append(up if swp else low)
-        tracks[1].append(low if swp else up)
-    return tracks
+    keep = np.where(fallback, -(dist[0, 0] + dist[1, 1]), keep)
+    swap = np.where(fallback, -(dist[0, 1] + dist[1, 0]), swap)
+    # row 0 is the lower track, which carries "U" where the labels swapped
+    upper = np.logical_xor(_swaps(keep, swap), [[False], [True]])
+    omega = np.where(upper, m.omega[1], m.omega[0])
+    eigvec = np.where(upper[..., None], vecs[1], vecs[0])
+    return (BranchTrack(kgrid, omega[0], eigvec[0], m.degenerate, upper[0]),
+            BranchTrack(kgrid, omega[1], eigvec[1], m.degenerate, upper[1]))
 
 
 def _detunings(p, k):

@@ -18,6 +18,7 @@ from ioxsim import (
     ep_conditions,
     bic_condition,
 )
+from ioxsim import core
 from ioxsim.core import discriminant
 
 SQRT2 = np.sqrt(2.0)
@@ -200,8 +201,7 @@ class TestTrackBranches:
         p = SystemParams(delta=-2.0, g_rabi=g, gamma_c=0.0, gamma_x=0.0)
         kgrid = np.linspace(0.0, 3.0, 601)  # detuning sweeps through zero
         tr = track_branches(p, kgrid)
-        gaps = np.array([abs(b1.omega - b0.omega)
-                         for b0, b1 in zip(tr[0], tr[1])])
+        gaps = np.abs(tr[1].omega - tr[0].omega)
         assert gaps.min() >= 2 * g - 1e-12
         assert gaps.min() == pytest.approx(2 * g, abs=1e-4)  # grid resolution
         # exactly on resonance the gap is exactly 2 g_rabi
@@ -209,14 +209,12 @@ class TestTrackBranches:
         assert abs(up.omega - low.omega) == pytest.approx(2 * g, abs=1e-12)
         # continuity: no jumps anywhere near the crossing
         for track in tr:
-            om = np.array([b.omega for b in track])
-            assert np.max(np.abs(np.diff(om))) < 0.1
+            assert np.max(np.abs(np.diff(track.omega))) < 0.1
 
     def test_anomalous_lower_branch_maximum(self):
         kgrid = np.linspace(-1.0, 1.0, 201)
         tr = track_branches(ATTRACT, kgrid)
-        low = tr[0] if tr[0][100].omega.real < tr[1][100].omega.real else tr[1]
-        re = np.array([b.omega.real for b in low])
+        re = min((track.omega.real for track in tr), key=lambda r: r[100])
         assert np.argmax(re) == 100  # local maximum exactly at k = 0
 
     def test_validates_grid(self):
@@ -259,9 +257,42 @@ class TestComplexBranchRecord:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # 308 B per branch with an instance __dict__
-        assert retained <= 290 * 2 * kgrid.size
+        # arrays: 16 B of omega, 32 B of eigvec and a label byte per branch
+        # point, with the degenerate flags shared (269 B as slotted records)
+        assert retained <= 64 * 2 * kgrid.size
         assert sum(map(len, tracks)) == 2 * kgrid.size
+
+
+class TestBranchRecordCount:
+    """A track holds arrays and builds a ComplexBranch only when indexed:
+    exact counts, independent of the host."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        original = core.ComplexBranch
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(core, "ComplexBranch", counted)
+        return calls
+
+    def test_track_builds_none(self, built):
+        tracks = track_branches(ATTRACT, np.linspace(-3.0, 3.0, 1001))
+        assert len(tracks[0]) == len(tracks[1]) == 1001
+        assert built == []
+
+    def test_eigen_branches_builds_two(self, built):
+        eigen_branches(ATTRACT, 0.3)
+        assert len(built) == 2
+
+    def test_index_builds_one(self, built):
+        lower, _ = track_branches(ATTRACT, np.linspace(-3.0, 3.0, 1001))
+        branch = lower[500]
+        assert len(built) == 1
+        assert branch.k == lower.k[500] and branch.omega == lower.omega[500]
 
 
 class TestDetunings:

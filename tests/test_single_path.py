@@ -2,17 +2,20 @@
 tracked branches equal the scalar calls bit for bit, signed zeros and NaNs
 included, as the byte-identical CSVs need."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from ioxsim import (
+    core,
     SystemParams,
     bic_condition,
     complex_poles,
     eigen_branches,
     ep_conditions,
 )
-from ioxsim.core import discriminant, track_branches
+from ioxsim.core import _swaps, discriminant, track_branches
 from ioxsim.errors import DivergentPointError
 from ioxsim.spectra import (
     _BLOCK_ROWS,
@@ -138,9 +141,12 @@ def test_seeded_branches_equal_cpython_formula():
     for seed in range(4):
         p = _seeded(seed)
         low, up = track_branches(p, k_values)
-        got = {(b.k, b.label): b.omega for b in low + up}
-        for k in k_values.tolist():
-            assert _same([got[k, "L"], got[k, "U"]], _scalar_branches(p, k))
+        assert _same(low.k, k_values) and _same(up.k, k_values)
+        # the tracks in label order: "L" is the lower track where unswapped
+        om_l = np.where(low.upper, up.omega, low.omega)
+        om_u = np.where(low.upper, low.omega, up.omega)
+        for i, k in enumerate(k_values.tolist()):
+            assert _same([om_l[i], om_u[i]], _scalar_branches(p, k))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -174,6 +180,57 @@ def test_track_branches_equal_eigen_branches(case):
             assert tracked.k == direct.k
             assert tracked.degenerate == direct.degenerate
             assert _same(tracked.eigvec, direct.eigvec)
+
+
+def _label_loop(keep, swap):
+    """The label pass as a loop over the steps, one state at a time: the
+    reference for _swaps."""
+    swapped = [False]
+    for tie, flip in zip((keep == swap).tolist(), (keep < swap).tolist()):
+        swapped.append(not tie and swapped[-1] != flip)
+    return swapped
+
+
+# one (keep, swap) pair per kind of step: a tie, a flip, a kept label
+STEPS = np.array([(1.0, 1.0), (0.0, 2.0), (2.0, 1.0)])
+
+
+def _score_arrays():
+    """keep and swap scores from {0, 1, 2}: every sequence of up to seven
+    steps, then long random ones in which ties and flips are dense, with
+    ties at the first and the last step."""
+    for n in range(8):
+        for kinds in itertools.product(range(3), repeat=n):
+            yield STEPS[list(kinds)].T
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 50, 1000):
+        for _ in range(20):
+            keep, swap = rng.integers(0, 3, (2, n)).astype(float)
+            keep[[0, -1]] = swap[[0, -1]]
+            yield keep, swap
+            yield rng.integers(0, 3, (2, n)).astype(float)
+
+
+def test_label_pass_equals_the_loop():
+    for keep, swap in _score_arrays():
+        swapped = _swaps(keep, swap)
+        assert swapped.dtype == bool
+        assert swapped.tolist() == _label_loop(keep, swap)
+
+
+def test_cases_swap_and_tie(monkeypatch):
+    # the bit tests above see both label states and the reset at a tie
+    seen = []
+
+    def recorded(keep, swap):
+        seen.append((keep, swap, _swaps(keep, swap)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(core, "_swaps", recorded)
+    for p, k_values in CASES.values():
+        track_branches(p, k_values)
+    assert sum(np.count_nonzero(keep == swap) for keep, swap, _ in seen)
+    assert sum(np.count_nonzero(swapped) for _, _, swapped in seen)
 
 
 def test_exact_ep_is_degenerate_in_both_paths():
