@@ -23,6 +23,14 @@ unwritable output directory, 3 numerical-check failure.  Every gate is
 one _gate call, which a NaN fails.  A failed gate or a raised error
 writes nothing; only oracle-compare writes all its files, summary.csv
 included, before its bounds decide the exit code.
+
+main is run by ioxsim.__main__.main, the one entry of the ``ioxsim``
+script and ``python -m ioxsim``, which sets OPENBLAS_NUM_THREADS=1
+before numpy loads unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
+set; set either to choose another count.  Importing this module touches
+no environment variable.  bath is imported only where a bath block is
+parsed or run, and the acceptance checks only for their subcommand, so
+a closed-form run loads neither.
 """
 
 import argparse
@@ -34,8 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import acceptance
-from .bath import MIN_MODES, BathOracle, BathSpec, _spectral_weight
+from . import DEFAULT_SEED
 from .core import (
     SystemParams,
     _axis,
@@ -192,7 +199,7 @@ class RunConfig:
 
     kind: str
     systems: tuple
-    bath: BathSpec | None
+    bath: "BathSpec | None"
     n_modes: int
     k_grid: np.ndarray | None
     omega_grid: np.ndarray | None
@@ -243,6 +250,8 @@ def parse_config(doc):
     bath = None
     n_modes = 4000
     if record.bath:
+        from .bath import MIN_MODES, BathSpec
+
         bath_block = _mapping(doc["bath"], "bath")
         _check_keys(bath_block, _BATH_KEYS, ("omega_window",), "bath")
         window = bath_block["omega_window"]
@@ -768,6 +777,8 @@ def run_oracle_compare(cfg):
     rows; any metric above its bound fails the run (exit code 3) after
     all files are written.
     """
+    from .bath import BathOracle, _spectral_weight
+
     p = cfg.systems[0]
     k = float(cfg.k_grid[0])
     # the window and the system come from the config
@@ -863,13 +874,15 @@ def _build_parser():
                         help="override output.directory")
     sp = sub.add_parser("acceptance", help="run the acceptance checks")
     sp.add_argument("--seed", type=int, default=None,
-                    help="RNG seed (default: %d)" % acceptance.DEFAULT_SEED)
+                    help="RNG seed (default: %d)" % DEFAULT_SEED)
     return ap
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     if args.command == "acceptance":
+        from . import acceptance
+
         results = acceptance.run_all(seed=args.seed)
         return 0 if all(r.passed for r in results) else 3
 
@@ -891,7 +904,3 @@ def main(argv=None):
     for path in files:
         print(path)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -798,12 +798,12 @@ class TestExitCodes:
             calls["seed"] = seed
             return [CheckResult("x", True, "", 0.0, 1.0)]
 
-        monkeypatch.setattr(cli.acceptance, "run_all", fake_run_all)
+        monkeypatch.setattr(ioxsim.acceptance, "run_all", fake_run_all)
         assert cli.main(["acceptance", "--seed", "7"]) == 0
         assert calls["seed"] == 7
 
         monkeypatch.setattr(
-            cli.acceptance, "run_all",
+            ioxsim.acceptance, "run_all",
             lambda seed=None: [CheckResult("x", False, "", 0.0, 1.0)])
         assert cli.main(["acceptance"]) == 3
 
@@ -814,7 +814,7 @@ class TestExitCodes:
             seeds.append(seed)
             return [CheckResult("x", True, "", 0.0, 1.0)]
 
-        monkeypatch.setattr(cli.acceptance, "run_all", fake_run_all)
+        monkeypatch.setattr(ioxsim.acceptance, "run_all", fake_run_all)
         for argv in (["acceptance", "--seed", "7"], ["acceptance"],
                      ["acceptance", "--seed", "8"]):
             assert cli.main(argv) == 0
@@ -1032,6 +1032,153 @@ class TestImportCost:
             capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+# the public names of the package, each under the submodule defining it
+EXPORTS = {
+    "core": ("SystemParams", "ComplexPole", "ComplexBranch", "BranchTrack",
+             "Detunings", "EpCondition", "BicCondition", "kinetic_energies",
+             "complex_poles", "effective_hamiltonian", "eigen_branches",
+             "track_branches", "detunings", "ep_conditions",
+             "bic_condition"),
+    "spectra": ("InputOccupation", "SpectrumGrid", "power_spectrum",
+                "power_spectrum_grid", "scattering_amplitude_single_bath",
+                "scattering_matrix_three_bath", "reflection", "absorption",
+                "absorption_components", "absorption_grid",
+                "power_absorption_relation_check", "default_omega_window",
+                "lorentzian_pair_fit"),
+    "dynamics": ("analytic_trajectory", "bic_amplitudes", "evolve_ode"),
+    "bath": ("BathSpec", "BathOracle", "kernel_freq", "full_matrix"),
+}
+SUBMODULES = ("core", "spectra", "dynamics", "bath", "errors", "cli",
+              "acceptance")
+
+
+def child_env():
+    """src_env() with neither BLAS thread variable set."""
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.pop("OMP_NUM_THREADS", None)
+    return env
+
+
+class TestLazyPackage:
+    def test_every_public_name_imports(self):
+        # each `from ioxsim import X` in a fresh interpreter, in turn, is
+        # the object its submodule defines
+        names = {name: module for module, group in EXPORTS.items()
+                 for name in group}
+        assert sorted(ioxsim.__all__) == sorted(names)
+        script = (
+            "import importlib, sys, types\n"
+            "import ioxsim\n"
+            "for name, module in %r:\n"
+            "    exec('from ioxsim import %%s as value' %% name)\n"
+            "    assert value is getattr(importlib.import_module("
+            "'ioxsim.' + module), name), name\n"
+            "for module in %r:\n"
+            "    assert isinstance(getattr(ioxsim, module),"
+            " types.ModuleType), module\n"
+            "print('ok')\n" % (sorted(names.items()), SUBMODULES))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            ioxsim.no_such_name
+        with pytest.raises(ImportError):
+            exec("from ioxsim import no_such_name")
+
+    def test_import_loads_no_numpy_and_keeps_the_environment(self):
+        script = (
+            "import os, sys\n"
+            "before = dict(os.environ)\n"
+            "import ioxsim\n"
+            "print(ioxsim.__version__, 'numpy' in sys.modules,"
+            " dict(os.environ) == before)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0.1.0 False True\n"
+
+    def test_closed_form_runs_load_only_what_they_use(self, tmp_path):
+        # no bath, no acceptance checks, no numpy.random for any bundled
+        # config that runs no bath oracle
+        script = (
+            "import glob, json, os, sys\n"
+            "from ioxsim import cli\n"
+            "root, out = sys.argv[1:]\n"
+            "for path in sorted(glob.glob(os.path.join(root, 'configs',"
+            " '*.json'))):\n"
+            "    with open(path) as fh:\n"
+            "        if 'bath' in json.load(fh):\n"
+            "            continue\n"
+            "    kind = cli.load_config(path).kind\n"
+            "    dest = os.path.join(out, os.path.basename(path))\n"
+            "    assert cli.main([kind, '--config', path, '--out', dest]) == 0\n"
+            "print(len(os.listdir(out)), sorted(m for m in ('ioxsim.bath',"
+            " 'ioxsim.acceptance', 'numpy.random') if m in sys.modules))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, ROOT, str(tmp_path)],
+            capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "7 []"
+
+
+class TestEntryFunction:
+    @pytest.mark.parametrize("preset, threads", [
+        pytest.param({}, "1", id="unset"),
+        pytest.param({"OPENBLAS_NUM_THREADS": "2"}, "2", id="openblas-set"),
+        pytest.param({"OMP_NUM_THREADS": "2"}, None, id="omp-set"),
+    ])
+    def test_blas_default_only_when_unset(self, monkeypatch, preset, threads):
+        from ioxsim import __main__ as entry
+
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in preset.items():
+            monkeypatch.setenv(var, value)
+        seen = []
+
+        def fake_main(argv=None):
+            seen.append((argv, os.environ.get("OPENBLAS_NUM_THREADS"),
+                         os.environ.get("OMP_NUM_THREADS")))
+            return 5
+
+        monkeypatch.setattr(cli, "main", fake_main)
+        assert entry.main(["ep-bic"]) == 5
+        assert seen == [(["ep-bic"], threads,
+                         preset.get("OMP_NUM_THREADS"))]
+
+    def test_default_is_set_before_numpy_loads(self, tmp_path):
+        # importing the entry module loads neither numpy nor the CLI, so
+        # the default is in place when OpenBLAS reads it
+        doc = {
+            "system": {"eps0": 1000.0, "delta": DELTA_BIC, "g_rabi": 3.0,
+                       "gamma_c": 1.0, "gamma_x": 0.3},
+            "scan": {"kind": "ep-bic"},
+            "output": {"directory": str(tmp_path / "out"),
+                       "formats": ["csv"]},
+        }
+        script = (
+            "import os, sys\n"
+            "from ioxsim import __main__ as entry\n"
+            "loaded = sorted(m for m in ('numpy', 'ioxsim.cli')"
+            " if m in sys.modules)\n"
+            "assert entry.main(['ep-bic', '--config', sys.argv[1]]) == 0\n"
+            "print(loaded, os.environ['OPENBLAS_NUM_THREADS'])\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, write_cfg(tmp_path, doc)],
+            capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[] 1"
+
+    def test_console_script_and_module_share_the_entry(self):
+        with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+            assert 'ioxsim = "ioxsim.__main__:main"\n' in fh.read()
 
 
 class TestBundledConfigs:

@@ -36,7 +36,8 @@ ARGS = {
 
 
 def _cases():
-    for name, fn in sorted(vars(ioxsim).items()):
+    for name in sorted(ioxsim.__all__):
+        fn = getattr(ioxsim, name)
         if not inspect.isfunction(fn):
             continue
         params = inspect.signature(fn).parameters
