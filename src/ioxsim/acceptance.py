@@ -8,17 +8,17 @@ scattering conservation laws, the Green's-matrix identity, emergence of the
 Markov rates from a discretized bath, the absorption/power ridge match, and
 closed-form dynamics against the exact matrix-exponential reference.
 
-Every check returns a CheckResult with a pass flag, a one-line detail
-string and its runtime; each also carries a wall-clock budget that is part
-of the pass condition.  run_all prints one PASS/FAIL line per check.
-Stochastic checks draw from Python's random.Random seeded by the seed
-argument (--seed, default 1234), so no run loads numpy.random.  The
-points a seed draws are not those that numpy's Generator drew for it in
-earlier versions.  The bath kernels are in frequency only.
+Each check body computes its values and returns (ok, details); the
+_check decorator registers it in CHECKS, in reporting order, and alone
+times it, fails it over its wall-clock budget or when it raises, and
+builds its CheckResult.  run_all prints one PASS/FAIL line per check.
+Stochastic checks draw from Python's random.Random(seed), seed 1234
+(DEFAULT_SEED) unless given, so no run loads numpy.random; a seed draws
+other points than numpy's Generator did in earlier versions.  The bath
+kernels are in frequency only.  Run the checks with `ioxsim acceptance`.
 """
 
 import random
-import sys
 import time
 from dataclasses import dataclass
 
@@ -47,11 +47,6 @@ from .spectra import (
 )
 
 
-def resolve_seed(seed=None):
-    """Explicit seed, else DEFAULT_SEED."""
-    return DEFAULT_SEED if seed is None else int(seed)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one acceptance check."""
@@ -67,18 +62,43 @@ class CheckResult:
         return "%s %-22s %6.1f s  %s" % (status, self.name, self.elapsed, self.details)
 
 
-def _finish(name, budget, t0, ok, details):
-    elapsed = time.perf_counter() - t0
-    if elapsed > budget:
-        ok = False
-        details += " [over budget %.0f s]" % budget
-    return CheckResult(name, bool(ok), details, elapsed, budget)
+# (name, check, takes_seed) in reporting order, filled by _check
+CHECKS = []
 
 
+def _check(name, budget, seeded=False):
+    """Register a check body in CHECKS as a check run by the harness."""
+    def register(body):
+        def run(*rng):
+            t0 = time.perf_counter()
+            try:
+                ok, details = body(*rng)
+            except Exception as exc:  # a crash is a failure, not a traceback
+                ok, details = False, "raised %r" % exc
+            elapsed = time.perf_counter() - t0
+            if elapsed > budget:
+                ok = False
+                details += " [over budget %.0f s]" % budget
+            return CheckResult(name, bool(ok), details, elapsed, budget)
+
+        if seeded:
+            def check(seed=DEFAULT_SEED):
+                return run(random.Random(seed))
+        else:
+            def check():
+                return run()
+        # by hand: functools.wraps would report the body's signature
+        check.__name__ = check.__qualname__ = body.__name__
+        check.__doc__ = body.__doc__
+        CHECKS.append((name, check, seeded))
+        return check
+    return register
+
+
+@_check("anomalous-dispersion", 5.0)
 def check_anomalous_dispersion():
     """Level attraction: negative lower-branch curvature at k = 0 and a
     fitted peak separation below the bare detuning (< 2 gamma_c)."""
-    t0 = time.perf_counter()
     p = SystemParams(delta=3.0, gamma_x=1.8)
     h = 0.01
     # the L and U tracks by their labels at k = 0
@@ -96,15 +116,15 @@ def check_anomalous_dispersion():
     ok = curv < 0.0 and sep < 2.0 * p.gamma_c
     details = ("d2 Re(omega_L)/dk2 = %.3f; fitted peak separation %.4f"
                " (bare detuning %.1f)" % (curv, sep, p.delta))
-    return _finish("anomalous-dispersion", 5.0, t0, ok, details)
+    return ok, details
 
 
+@_check("undamped-pole", 60.0)
 def check_undamped_pole():
     """Dark-state point: lower branch loses its linewidth, emission peaks
     grow as the inverse square of their distance to the undamped pole along
     a detuning family, and the trapped-population plateau matches the
     closed form (1e-8) and the discretized-bath oracle (5%)."""
-    t0 = time.perf_counter()
     base = SystemParams(g_rabi=3.0, gamma_x=0.3)
     delta_bic = bic_condition(base).d_eps_bic
     p = SystemParams(delta=delta_bic, g_rabi=3.0, gamma_x=0.3)
@@ -148,14 +168,14 @@ def check_undamped_pole():
                "plateau closed-form err %.1e, oracle err %.2f%%"
                % (abs(low.omega.imag), slope, decades, closed_err,
                   100 * orc_err))
-    return _finish("undamped-pole", 60.0, t0, ok, details)
+    return ok, details
 
 
+@_check("exceptional-point", 5.0)
 def check_exceptional_point():
     """Coalescence certificate: vanishing discriminant, unit eigenvector
     overlap, and an exact matrix-exponential envelope growing as t before
     the common decay."""
-    t0 = time.perf_counter()
     p = SystemParams(delta=2.0 * np.sqrt(2.0), g_rabi=0.5,
                      gamma_c=1.0, gamma_x=2.0)
     disc = abs(complex(discriminant(p, 0.0)))
@@ -188,14 +208,13 @@ def check_exceptional_point():
                "R^2 = %.6f, Gamma = %.4f (expect %.4f)"
                % (disc, 1.0 - overlap, r_sq, rate,
                   0.5 * (p.gamma_c + p.gamma_x)))
-    return _finish("exceptional-point", 5.0, t0, ok, details)
+    return ok, details
 
 
-def check_conservation(seed=None):
+@_check("conservation", 5.0, seeded=True)
+def check_conservation(rng):
     """|S| = 1 (single bath) and R + A = 1 (three baths) to 1e-12, and the
     emission/absorption identity to 1e-10, on 1000 random passive draws."""
-    t0 = time.perf_counter()
-    rng = random.Random(resolve_seed(seed))
     res_s, res_ra, res_id = [], [], []
     for _ in range(1000):
         delta = rng.uniform(-5.0, 5.0)
@@ -223,14 +242,13 @@ def check_conservation(seed=None):
     ok = worst_s < 1e-12 and worst_ra < 1e-12 and worst_id < 1e-10
     details = ("max ||S|-1| = %.1e; max |R+A-1| = %.1e; "
                "identity residual %.1e" % (worst_s, worst_ra, worst_id))
-    return _finish("conservation", 5.0, t0, ok, details)
+    return ok, details
 
 
-def check_green_identity(seed=None):
+@_check("green-identity", 10.0, seeded=True)
+def check_green_identity(rng):
     """||M G - 1||_max < 1e-12 on 1000 random points, alternating between
     the memoryless and the full frequency-dependent-kernel response."""
-    t0 = time.perf_counter()
-    rng = random.Random(resolve_seed(seed))
     ident = np.eye(2)
     b = BathSpec((500.0, 1500.0))
     resid = []
@@ -249,14 +267,14 @@ def check_green_identity(seed=None):
     worst = np.max(resid)
     ok = worst < 1e-12
     details = "max ||M G - 1|| = %.1e over 1000 draws (half full-kernel)" % worst
-    return _finish("green-identity", 10.0, t0, ok, details)
+    return ok, details
 
 
+@_check("rate-emergence", 120.0)
 def check_rate_emergence():
     """A discretized bath reproduces the golden-rule rates (2%), the
     cross damping sqrt(gamma_c gamma_x) (3%), and puts its spectral peaks
     on the branch energies (one grid step)."""
-    t0 = time.perf_counter()
     p = SystemParams(delta=3.0, gamma_x=1.8)
     orc = BathOracle(BathSpec((500.0, 1500.0)), 4000, p)
 
@@ -281,13 +299,13 @@ def check_rate_emergence():
     details = ("rate errors %.2f%% / %.2f%%, cross %.2f%%; "
                "peak offset %.3f (grid step %.2f)"
                % (100 * err_c, 100 * err_x, 100 * err_cross, peak_err, step))
-    return _finish("rate-emergence", 120.0, t0, ok, details)
+    return ok, details
 
 
+@_check("absorption-ridge", 10.0)
 def check_absorption_ridge():
     """With symmetric weak nonradiative losses the absorption map stays in
     [0, 1] and its ridge tracks the emission ridge at every momentum."""
-    t0 = time.perf_counter()
     ks = np.linspace(-3.0, 3.0, 61)
     w = np.arange(995.0, 1015.0 + 1e-9, 0.02)
     worst_ridge = 0
@@ -306,15 +324,14 @@ def check_absorption_ridge():
     details = ("absorption in [0,1]: %s; max ridge offset %d grid step(s) "
                "across %d momenta x 2 detunings"
                % (bounds_ok, worst_ridge, ks.size))
-    return _finish("absorption-ridge", 10.0, t0, ok, details)
+    return ok, details
 
 
-def check_dynamics_agreement(seed=None):
+@_check("dynamics-agreement", 10.0, seeded=True)
+def check_dynamics_agreement(rng):
     """Closed-form two-exponential dynamics and the independent exact
     matrix-exponential reference agree to 1e-8 sup-norm over t in [0, 20]
     for 100 random passive non-coalescing draws."""
-    t0 = time.perf_counter()
-    rng = random.Random(resolve_seed(seed))
     t_grid = np.linspace(0.0, 20.0, 201)
     resid = []
     for _ in range(100):
@@ -340,31 +357,14 @@ def check_dynamics_agreement(seed=None):
     ok = worst < 1e-8
     details = ("closed form vs exact matrix exponential: sup-norm %.1e "
                "over 100 draws, t in [0, 20]" % worst)
-    return _finish("dynamics-agreement", 10.0, t0, ok, details)
+    return ok, details
 
 
-# (name, callable, takes_seed) in reporting order
-CHECKS = (
-    ("anomalous-dispersion", check_anomalous_dispersion, False),
-    ("undamped-pole", check_undamped_pole, False),
-    ("exceptional-point", check_exceptional_point, False),
-    ("conservation", check_conservation, True),
-    ("green-identity", check_green_identity, True),
-    ("rate-emergence", check_rate_emergence, False),
-    ("absorption-ridge", check_absorption_ridge, False),
-    ("dynamics-agreement", check_dynamics_agreement, True),
-)
-
-
-def run_all(seed=None):
+def run_all(seed=DEFAULT_SEED):
     """Run every check, print one PASS/FAIL line each, return the results."""
-    seed = resolve_seed(seed)
     results = []
-    for name, fn, takes_seed in CHECKS:
-        try:
-            res = fn(seed) if takes_seed else fn()
-        except Exception as exc:  # a crash is a failure, not a traceback
-            res = CheckResult(name, False, "raised %r" % exc, 0.0, 0.0)
+    for _, fn, takes_seed in CHECKS:
+        res = fn(seed) if takes_seed else fn()
         results.append(res)
         print(res.line(), flush=True)
     n_pass = sum(r.passed for r in results)
@@ -373,9 +373,6 @@ def run_all(seed=None):
 
 
 if __name__ == "__main__":
-    # python -m ioxsim.acceptance is `ioxsim acceptance`: one parser, one
-    # exit-code mapping.  numpy has loaded with this module, so the BLAS
-    # threads are whatever the environment asked for
-    from .cli import main
-
-    sys.exit(main(["acceptance", *sys.argv[1:]]))
+    # not an entry: the CLI entry sets the BLAS default before numpy loads,
+    # which this module has already imported
+    raise SystemExit("run the checks with `ioxsim acceptance`")

@@ -20,9 +20,10 @@ it cannot certify.  k, delta and omega or t are formatted once per
 table, the value columns in chunks of rows that numpy joins.  Exit
 codes: 0 all outputs written and every gate passed, 2 config error or
 unwritable output directory, 3 numerical-check failure.  Every gate is
-one _gate call, which a NaN fails.  A failed gate or a raised error
-writes nothing; only oracle-compare writes all its files, summary.csv
-included, before its bounds decide the exit code.
+one _gate call, which a NaN fails, and every map one _spectrum_grid
+call.  A failed gate or a raised error writes nothing; only
+oracle-compare writes all its files, summary.csv included, before its
+bounds decide the exit code.
 
 main is run by ioxsim.__main__.main, the one entry of the ``ioxsim``
 script and ``python -m ioxsim``, which sets OPENBLAS_NUM_THREADS=1
@@ -644,8 +645,9 @@ def run_dispersion(cfg):
 def run_spectrum(cfg):
     """Emission spectra over (detuning family) x k_grid x omega_grid."""
     # one row per k, bit for bit the scalar call at that k
-    maps = np.array([power_spectrum(p, cfg.k_grid, cfg.omega_grid,
-                                    cfg.occupation) for p in cfg.systems])
+    maps = np.array([_spectrum_grid(
+        power_spectrum_grid, "power spectrum diverges", p, cfg.k_grid,
+        cfg.omega_grid, cfg.occupation).intensity for p in cfg.systems])
     deltas = np.array([p.delta for p in cfg.systems])[:, None, None]
     for p in cfg.systems:
         mid = cfg.omega_grid[cfg.omega_grid.size // 2]
@@ -873,7 +875,7 @@ def _build_parser():
         sp.add_argument("--out", default=None,
                         help="override output.directory")
     sp = sub.add_parser("acceptance", help="run the acceptance checks")
-    sp.add_argument("--seed", type=int, default=None,
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help="RNG seed (default: %d)" % DEFAULT_SEED)
     return ap
 

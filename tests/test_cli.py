@@ -820,7 +820,8 @@ class TestExitCodes:
             assert cli.main(argv) == 0
         # one build per process; each parse starts from the defaults
         assert cli._build_parser.cache_info().misses == 1
-        assert seeds == [7, None, 8]
+        # the default seed is the parser's, not resolved later
+        assert seeds == [7, 1234, 8]
 
 
 def emit_grid(tmp_path, header, *columns):
@@ -891,9 +892,11 @@ class TestGates:
         with pytest.raises(cli.NumericalCheckError, match="residual = nan"):
             cli._gate("residual", float("nan"), 1.0)
 
-    def test_nan_identity_residual_exits_3(self, tmp_path):
-        # rates of 1e160 overflow every intensity to NaN.  A subprocess
-        # keeps the overflow RuntimeWarnings out of this suite's filter.
+    def test_nan_identity_residual_exits_3(self, tmp_path, monkeypatch,
+                                           capsys):
+        # rates of 1e160 overflow every intensity to NaN, which the map's
+        # own rule refuses before the identity gate.  A subprocess keeps
+        # the overflow RuntimeWarnings out of this suite's filter.
         doc = {
             "system": {"eps0": 1000.0, "delta": 3.0,
                        "gamma_c": 1e160, "gamma_x": 1e160},
@@ -908,7 +911,39 @@ class TestGates:
              "--config", write_cfg(tmp_path, doc)],
             capture_output=True, text=True, env=src_env())
         assert proc.returncode == 3, proc.stderr
-        assert "emission/absorption identity residual = nan" in proc.stderr
+        assert "intensity must be finite" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+        # a NaN identity residual behind a finite map fails its gate
+        doc["system"].update(gamma_c=1.0, gamma_x=0.3)
+        monkeypatch.setattr(cli, "power_absorption_relation_check",
+                            lambda *args: float("nan"))
+        assert cli.main(["spectrum", "--config",
+                         write_cfg(tmp_path, doc)]) == 3
+        assert ("emission/absorption identity residual = nan"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_nonfinite_spectrum_map_exits_3(self, tmp_path):
+        # omega = 1e160 overflows the power row to NaN off any pole: the
+        # spectrum map obeys the same grid rule as dispersion and
+        # absorption, so nothing is written.  A subprocess keeps the
+        # RuntimeWarnings out of this suite's filter.
+        doc = {
+            "system": {"eps0": 1000, "delta": 3, "g_rabi": 1, "gamma_c": 1,
+                       "gamma_x": 0.3},
+            "scan": {"kind": "spectrum", "omega_grid": [990, 1000, 1e160]},
+            "output": {"directory": str(tmp_path / "out"),
+                       "formats": ["csv"]},
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "ioxsim", "spectrum",
+             "--config", write_cfg(tmp_path, doc)],
+            capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "intensity must be finite" in proc.stderr
+        assert proc.stdout == ""
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_determinant_residual_exits_3(self, tmp_path):
@@ -935,8 +970,7 @@ class TestGates:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind, scan, message", [
-        pytest.param("spectrum", {},
-                     "emission/absorption identity residual = nan",
+        pytest.param("spectrum", {}, "intensity must be finite",
                      id="spectrum"),
         pytest.param("absorption", {"k_grid": [0.0, 1.0]},
                      "intensity must be finite", id="absorption"),
