@@ -20,8 +20,9 @@ it cannot certify.  k, delta and omega or t are formatted once per
 table, the value columns in chunks of rows that numpy joins.  Exit
 codes: 0 all outputs written and every gate passed, 2 config error or
 unwritable output directory, 3 numerical-check failure.  Every gate is
-one _gate call, which a NaN fails, and every map one _spectrum_grid
-call.  A failed gate or a raised error writes nothing; only
+one _gate call, which a NaN fails, and every spectra or fit call one
+_numerical call, which turns a refused value into a numerical-check
+failure.  A failed gate or a raised error writes nothing; only
 oracle-compare writes all its files, summary.csv included, before its
 bounds decide the exit code.
 
@@ -66,11 +67,9 @@ from .errors import (
 from .spectra import (
     InputOccupation,
     absorption,
-    absorption_grid,
     lorentzian_pair_fit,
     power_absorption_relation_check,
     power_spectrum,
-    power_spectrum_grid,
     reflection,
 )
 
@@ -539,19 +538,16 @@ def _abs2(z):
     return np.float_power(size, 2.0, out=size)
 
 
-def _spectrum_grid(fn, what, *args):
-    """A spectra grid; values outside the grid's own range check and
-    on-pole points are numerical-check failures, not a crash."""
+def _numerical(fn, *args):
+    """fn(*args), a spectra or fit call.  A value the library refuses (its
+    ValueError) or a failed fit (lorentzian_pair_fit's RuntimeError) is a
+    numerical-check failure, not a crash."""
     try:
-        grid = fn(*args)
+        return fn(*args)
     except ValueError as exc:
         raise NumericalCheckError(str(exc))
-    if np.any(grid.divergent):
-        i, j = np.argwhere(grid.divergent)[0]
-        raise DivergentPointError(
-            "%s on an undamped pole at k = %g, omega = %r"
-            % (what, grid.k_values[i], float(grid.omega_values[j])))
-    return grid
+    except RuntimeError as exc:
+        raise NumericalCheckError("two-Lorentzian fit failed: %s" % exc)
 
 
 def _det_residual(p, k, omega):
@@ -631,13 +627,13 @@ def run_dispersion(cfg):
             _gate("branch determinant residual at k = %g" % branch.k,
                   _det_residual(p, branch.k, branch.omega), 1e-8)
 
-    grid = _spectrum_grid(power_spectrum_grid, "power spectrum diverges",
-                          p, cfg.k_grid, cfg.omega_grid, cfg.occupation)
+    intensity = _numerical(power_spectrum, p, cfg.k_grid, cfg.omega_grid,
+                           cfg.occupation)
 
     return _emit(cfg, [
         _branch_table(tracks),
         ("power_map.csv", ("k", "omega", "intensity"),
-         _Grid((cfg.k_grid[:, None], cfg.omega_grid, grid.intensity)))],
+         _Grid((cfg.k_grid[:, None], cfg.omega_grid, intensity)))],
         _heatmap_script("emission intensity", "power_map.csv",
                         p, cfg.k_grid, cfg.omega_grid))
 
@@ -645,15 +641,15 @@ def run_dispersion(cfg):
 def run_spectrum(cfg):
     """Emission spectra over (detuning family) x k_grid x omega_grid."""
     # one row per k, bit for bit the scalar call at that k
-    maps = np.array([_spectrum_grid(
-        power_spectrum_grid, "power spectrum diverges", p, cfg.k_grid,
-        cfg.omega_grid, cfg.occupation).intensity for p in cfg.systems])
+    maps = np.array([_numerical(power_spectrum, p, cfg.k_grid,
+                                cfg.omega_grid, cfg.occupation)
+                     for p in cfg.systems])
     deltas = np.array([p.delta for p in cfg.systems])[:, None, None]
     for p in cfg.systems:
         mid = cfg.omega_grid[cfg.omega_grid.size // 2]
         _gate("emission/absorption identity residual",
-              power_absorption_relation_check(p, cfg.k_grid[0], mid,
-                                               cfg.occupation), 1e-10)
+              _numerical(power_absorption_relation_check, p,
+                         cfg.k_grid[0], mid, cfg.occupation), 1e-10)
 
     return _emit(cfg, [
         ("spectrum.csv", ("k", "delta", "omega", "intensity"),
@@ -737,6 +733,10 @@ def run_ep_bic(cfg):
         rows.append(("bic", "", "", det0.d_gamma, cond.d_eps_bic,
                      k_loc, resid, note))
 
+    # a formula-only row has no gate, so an overflow would reach the file
+    if not np.isfinite([v for row in rows for v in row
+                        if not isinstance(v, str)]).all():
+        raise NumericalCheckError("ep_bic.csv values must be finite")
     return _emit(cfg, [
         ("ep_bic.csv",
          ("condition", "sign", "d_gamma_required", "d_gamma_actual",
@@ -747,13 +747,12 @@ def run_ep_bic(cfg):
 def run_absorption(cfg):
     """Absorption map (fraction of input lost to the private baths)."""
     p = cfg.systems[0]
-    amap = _spectrum_grid(absorption_grid, "absorption is undefined",
-                          p, cfg.k_grid, cfg.omega_grid).intensity
+    amap = _numerical(absorption, p, cfg.k_grid, cfg.omega_grid)
     mid_w = cfg.omega_grid[cfg.omega_grid.size // 2]
     for k in (cfg.k_grid[0], cfg.k_grid[-1]):
         _gate("R + A = 1 residual at k = %g" % k,
-              abs(reflection(p, k, mid_w) + absorption(p, k, mid_w) - 1.0),
-              1e-10)
+              abs(_numerical(reflection, p, k, mid_w)
+                  + _numerical(absorption, p, k, mid_w) - 1.0), 1e-10)
 
     return _emit(cfg, [
         ("absorption_map.csv", ("k", "omega", "absorption"),
@@ -761,15 +760,6 @@ def run_absorption(cfg):
         _branch_table(track_branches(p, cfg.k_grid))],
         _heatmap_script("absorption", "absorption_map.csv",
                         p, cfg.k_grid, cfg.omega_grid))
-
-
-def _peak_centers(omega, values, guesses):
-    """Two-Lorentzian peak centers; a fit that does not converge is a
-    numerical-check failure."""
-    try:
-        return lorentzian_pair_fit(omega, values, guesses)[0]
-    except RuntimeError as exc:
-        raise NumericalCheckError("two-Lorentzian fit failed: %s" % exc)
 
 
 def run_oracle_compare(cfg):
@@ -808,12 +798,13 @@ def run_oracle_compare(cfg):
 
     if cfg.omega_grid is not None:
         ldos = oracle.spectrum(cfg.omega_grid)
-        intensity = power_spectrum(p, k, cfg.omega_grid)
+        intensity = _numerical(power_spectrum, p, k, cfg.omega_grid)
         low, up = eigen_branches(p, k)
         guesses = (low.omega.real, up.omega.real)
         step = float(np.max(np.diff(cfg.omega_grid)))
-        c_orc = _peak_centers(cfg.omega_grid, ldos, guesses)
-        c_ana = _peak_centers(cfg.omega_grid, intensity, guesses)
+        c_orc, c_ana = (_numerical(lorentzian_pair_fit, cfg.omega_grid,
+                                   values, guesses)[0]
+                        for values in (ldos, intensity))
         metrics.append(("peak_center_offset",
                         float(np.max(np.abs(c_orc - c_ana))), step))
         tables.append((

@@ -15,10 +15,12 @@ over k and evaluate it in blocks of k rows, so a grid row equals the
 scalar call at its k exactly; when one block holds every k, its rows are
 the result.  power_absorption_relation_check forms I, A_gamma and A_m in
 one such pass, from one kernel.
-Exactly on an undamped pole the scalar calls raise DivergentPointError
-and the grids flag the point in SpectrumGrid.divergent.  A call in which
-no branch at any k is undamped cannot meet a pole: it forms no mask, and
-its grids carry a read-only all-False view with no storage.
+Exactly on an undamped pole the scalar and array calls raise
+DivergentPointError naming the first such (k, omega), and the grids flag
+it in SpectrumGrid.divergent; a call with no undamped branch at any k
+forms no mask, and its grids carry a read-only all-False view.  Every
+value then obeys one output rule, _output_rule: no inf, NaN only where
+flagged, power >= -1e-12 and absorption in [-1e-9, 1 + 1e-9].
 
 Scattering has one path, S = 1 - 2i W G W^T at one k over an omega scalar
 or array: the single-bath amplitude is its S11, reflection |S11|^2 and
@@ -46,7 +48,10 @@ POLE_TOL = 1e-12
 # 68.3 to 69.3 MB and the traced peak from 30.1 to 31.2 MB
 _BLOCK_ROWS = 8
 
-_KINDS = ("power", "absorption")
+# SpectrumGrid kinds: (lowest, highest, error for a value outside)
+_RANGES = {"power": (-1e-12, math.inf, "power spectrum must be non-negative"),
+           "absorption": (-1e-9, 1.0 + 1e-9,
+                          "absorption values must lie in [0, 1]")}
 
 # lorentzian_pair_fit: a step shorter than _FIT_XTOL |theta| ends the fit
 # and more than _FIT_MAX_STEPS trial steps fail it; a trial point whose
@@ -99,8 +104,8 @@ class SpectrumGrid:
     kind is "power" or "absorption".  divergent marks grid points sitting
     exactly on an undamped pole (intensity NaN there); the power and
     absorption grids fill it, with a read-only all-False view (no storage)
-    when no branch of the call is undamped.  The axes obey core._axis; the
-    intensity has no inf, and NaN exactly on the points divergent marks.
+    when no branch of the call is undamped.  The axes obey core._axis and
+    the intensity the output rule of its kind (_output_rule).
     """
 
     k_values: np.ndarray
@@ -111,8 +116,8 @@ class SpectrumGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "intensity", np.asarray(self.intensity, float))
-        if self.kind not in _KINDS:
-            raise ValueError("kind must be one of %s" % (_KINDS,))
+        if self.kind not in _RANGES:
+            raise ValueError("kind must be one of %s" % (tuple(_RANGES),))
         for name in ("k_values", "omega_values"):
             object.__setattr__(self, name, _axis(getattr(self, name), name))
         if self.intensity.shape != (self.k_values.size, self.omega_values.size):
@@ -121,22 +126,33 @@ class SpectrumGrid:
         object.__setattr__(self, "divergent", flagged)
         if flagged.shape != self.intensity.shape:
             raise ValueError("divergent shape does not match the axes")
-        # no inf, and NaN exactly on the divergent points; a comparison
-        # with NaN is False, so the range checks need no mask
-        values = self.intensity
-        if np.isinf(values).any() or np.any(np.isnan(values) != flagged):
-            raise ValueError("intensity must be finite, with NaN exactly on "
-                             "the divergent points")
-        if self.kind == "power":
-            if np.any(values < -1e-12):
-                raise ValueError("power spectrum must be non-negative")
-        elif np.any(values < -1e-9) or np.any(values > 1 + 1e-9):
-            raise ValueError("absorption values must lie in [0, 1]")
+        _output_rule(self.kind, self.intensity, flagged)
 
 
-def _on_grid(rows, p, k, omega, *args):
-    """Evaluate rows(p, modes, omega, flag, *args) over k in blocks of
-    _BLOCK_ROWS momenta.
+def _output_rule(kind, values, flagged):
+    """ValueError unless values hold no inf, NaN exactly where flagged
+    (None flags none) and the rest in the range of kind (_RANGES; other
+    kinds have none).  One unflagged value is checked as a Python float,
+    as core._finite checks one."""
+    lo, hi, message = _RANGES.get(kind, (-math.inf, math.inf, None))
+    if flagged is None and values.size == 1:
+        value = values.item()
+        finite, inside = math.isfinite(value), lo <= value <= hi
+    else:
+        # a comparison with NaN is False, so the range checks need no mask
+        finite = not (np.isinf(values).any() or np.any(
+            np.isnan(values) != (flagged is not None and flagged)))
+        inside = not (np.any(values < lo) or np.any(values > hi))
+    if not finite:
+        raise ValueError("intensity must be finite, with NaN exactly on "
+                         "the divergent points")
+    if not inside:
+        raise ValueError(message)
+
+
+def _on_grid(rows, p, k, omega, n=None):
+    """Evaluate rows(p, modes, omega, flag[, n(omega)]) over k in blocks
+    of _BLOCK_ROWS momenta, n(omega) only for an InputOccupation n.
 
     k is a scalar or a 1-d array and omega any shape; each returned array
     has shape np.shape(k) + np.shape(omega).  Scalar calls and grids share
@@ -150,6 +166,7 @@ def _on_grid(rows, p, k, omega, *args):
     flag = bool(_undamped(p, modes).any())
     om = _finite(omega, "omega")
     flat = om.reshape(-1)
+    args = () if n is None else (n(flat),)
     if ks.size <= _BLOCK_ROWS:
         # one block covers every k: its rows are the result
         outs = rows(p, modes, flat, flag, *args)
@@ -212,21 +229,34 @@ def _power_rows(p, m, om, flag, occupation):
     return np.where(mask, np.nan, out), mask
 
 
-def _power_with_mask(p, k, omega, n):
-    """Power spectrum values plus a mask of on-pole (divergent) points,
-    None where no branch is undamped."""
-    occupation = as_occupation(n)(np.asarray(omega, float).reshape(-1))
-    return _on_grid(_power_rows, p, k, omega, occupation)
-
-
-def _reject_on_pole(what, omega, mask):
-    """Raise DivergentPointError naming the omega values that mask flags;
-    a None mask flags none."""
-    if mask is not None and np.any(mask):
-        where = np.broadcast_to(np.asarray(omega, dtype=float), np.shape(mask))
+def _evaluated(rows, kind, what, p, k, omega, n=None):
+    """The value arrays of rows over k (_on_grid) for the entries that
+    raise: DivergentPointError naming the first on-pole point, then the
+    output rule of kind on each array."""
+    *values, mask = _on_grid(rows, p, k, omega, n)
+    if mask is not None and mask.any():
+        i, j = divmod(int(np.flatnonzero(mask)[0]), np.size(omega))
         raise DivergentPointError(
-            "%s on an undamped pole at omega = %s"
-            % (what, where[mask] if np.ndim(mask) else omega))
+            "%s on an undamped pole at k = %g, omega = %r"
+            % (what, _k_axis(k)[i], float(np.ravel(omega)[j])))
+    for value in values:
+        _output_rule(kind, value, None)
+    return values
+
+
+def _grid(rows, kind, p, k_values, omega_values, n=None):
+    """rows on a (k, omega) grid as a SpectrumGrid of kind.  The axes are
+    checked before any of it is computed, a NaN or inf first (named k or
+    omega, as at every entry); a None mask becomes a read-only all-False
+    view with no storage."""
+    k_values = _finite(k_values, "k")
+    omega_values = _finite(omega_values, "omega")
+    k_values = _axis(k_values, "k_values")
+    omega_values = _axis(omega_values, "omega_values")
+    intensity, mask = _on_grid(rows, p, k_values, omega_values, n)
+    return SpectrumGrid(k_values, omega_values, intensity, kind,
+                        np.broadcast_to(False, intensity.shape)
+                        if mask is None else mask)
 
 
 def power_spectrum(p, k, omega, n=None):
@@ -240,32 +270,15 @@ def power_spectrum(p, k, omega, n=None):
     Raises DivergentPointError exactly on an undamped pole; use
     power_spectrum_grid to get flagged grids instead.
     """
-    out, mask = _power_with_mask(p, k, omega, n)
-    _reject_on_pole("power spectrum diverges", omega, mask)
+    out, = _evaluated(_power_rows, "power", "power spectrum diverges",
+                      p, k, omega, as_occupation(n))
     return out if np.ndim(out) else float(out)
-
-
-def _grid_axes(k_values, omega_values):
-    """The axes of a grid, checked before any of it is computed: first a
-    NaN or inf, named as k or omega as at every entry point, then the
-    rest of core._axis, named as the SpectrumGrid field."""
-    k_values = _finite(k_values, "k")
-    omega_values = _finite(omega_values, "omega")
-    return _axis(k_values, "k_values"), _axis(omega_values, "omega_values")
-
-
-def _flags(mask, shape):
-    """The divergent field of a grid: mask, or for a None mask a read-only
-    all-False view with no storage."""
-    return np.broadcast_to(False, shape) if mask is None else mask
 
 
 def power_spectrum_grid(p, k_values, omega_values, n=None):
     """Power spectrum on a (k, omega) grid; on-pole points are flagged."""
-    k_values, omega_values = _grid_axes(k_values, omega_values)
-    intensity, mask = _power_with_mask(p, k_values, omega_values, n)
-    return SpectrumGrid(k_values, omega_values, intensity, "power",
-                        _flags(mask, intensity.shape))
+    return _grid(_power_rows, "power", p, k_values, omega_values,
+                 as_occupation(n))
 
 
 def _scattering(p, k, omega, full=True):
@@ -360,27 +373,23 @@ def absorption_components(p, k, omega):
     """(A_gamma, A_m): absorption lineshapes of the photon and matter loss
     channels, vectorized over omega; k may be a 1-d array.  Raises
     DivergentPointError exactly on an undamped pole."""
-    a_gamma, a_m, mask = _on_grid(_absorption_rows, p, k, omega)
-    _reject_on_pole("absorption lineshapes diverge", omega, mask)
-    return a_gamma, a_m
+    return tuple(_evaluated(_absorption_rows, "lineshape",
+                            "absorption lineshapes diverge", p, k, omega))
 
 
 def absorption(p, k, omega):
     """A = gamma_nr_c * A_gamma + gamma_nr_x * A_m, vectorized over omega;
     k may be a 1-d array.  Raises DivergentPointError exactly on an
     undamped pole; use absorption_grid to get flagged grids instead."""
-    out, mask = _on_grid(_total_absorption_rows, p, k, omega)
-    _reject_on_pole("absorption is undefined", omega, mask)
+    out, = _evaluated(_total_absorption_rows, "absorption",
+                      "absorption is undefined", p, k, omega)
     return out if np.ndim(out) else float(out)
 
 
 def absorption_grid(p, k_values, omega_values):
     """Absorption on a (k, omega) grid; on-pole points are flagged."""
-    k_values, omega_values = _grid_axes(k_values, omega_values)
-    intensity, mask = _on_grid(_total_absorption_rows, p, k_values,
-                               omega_values)
-    return SpectrumGrid(k_values, omega_values, intensity, "absorption",
-                        _flags(mask, intensity.shape))
+    return _grid(_total_absorption_rows, "absorption", p, k_values,
+                 omega_values)
 
 
 def _relation_rows(p, m, om, flag, occupation):
@@ -395,9 +404,8 @@ def power_absorption_relation_check(p, k, omega, n=None):
     """|I - (A_gamma + A_m) n|; vanishes identically, returned as evidence.
     Raises DivergentPointError exactly on an undamped pole, as
     power_spectrum does."""
-    occupation = as_occupation(n)(np.asarray(omega, float).reshape(-1))
-    resid, mask = _on_grid(_relation_rows, p, k, omega, occupation)
-    _reject_on_pole("power spectrum diverges", omega, mask)
+    resid, = _evaluated(_relation_rows, "residual", "power spectrum diverges",
+                        p, k, omega, as_occupation(n))
     return resid if np.ndim(resid) else float(resid)
 
 

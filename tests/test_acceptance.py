@@ -16,6 +16,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import ioxsim
 from ioxsim import acceptance, cli
 
@@ -133,19 +135,24 @@ def test_seed_comes_only_from_the_argument(monkeypatch):
             == acceptance.check_conservation(acceptance.DEFAULT_SEED).details)
 
 
-def test_benchmark_checks_workload_passes():
-    # the `checks` workload of perfbench reads CHECKS, calls each check
-    # with or without the seed and reads its CheckResult
+@pytest.mark.parametrize("name", ["checks", "sweep", "oracle"])
+def test_benchmark_checks_workload_passes(tmp_path, name):
+    # one pass of a perfbench workload, as it runs and gates it: checks
+    # reads CHECKS and each CheckResult, sweep calls every spectra grid
+    # and scalar entry, oracle runs the discretized-bath CLI comparison
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", os.path.join(root, "perfbench", "workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    bench = workloads.Checks(root, 1234)
-    outcomes, info = bench.check(bench.run(None), None)
-    assert [name for name, _ in outcomes] == list(workloads.CHECK_NAMES)
+    bench = workloads.WORKLOADS[name](root, 1234)
+    outcomes, info = bench.check(bench.run(str(tmp_path)), str(tmp_path))
+    assert outcomes
     assert [err for _, err in outcomes] == [None] * len(outcomes)
-    assert len(info) == len(outcomes)
+    if name == "checks":
+        assert [check for check, _ in outcomes] == list(
+            workloads.CHECK_NAMES)
+        assert len(info) == len(outcomes)
 
 
 def _run(*args):

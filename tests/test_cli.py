@@ -547,22 +547,34 @@ class TestAbsorptionRun:
         assert rc == 3
         assert not (tmp_path / "out" / "absorption_map.csv").exists()
 
-    @pytest.mark.parametrize("value", [1.5, np.nan], ids=["above-1", "nan"])
+    @pytest.mark.parametrize("kind, rows, value, message", [
+        pytest.param("absorption", "_total_absorption_rows", 1.5,
+                     "absorption values must lie in [0, 1]", id="above-1"),
+        pytest.param("absorption", "_total_absorption_rows", np.nan,
+                     "intensity must be finite", id="nan"),
+    ] + [pytest.param(kind, "_power_rows", value, message,
+                      id="%s-%s" % (kind, value_id))
+         for kind in ("dispersion", "spectrum")
+         for value, value_id, message in (
+             (-1.0, "negative", "power spectrum must be non-negative"),
+             (np.nan, "nan", "intensity must be finite"))])
     def test_bad_value_is_numerical_failure(self, tmp_path, monkeypatch,
-                                            value):
-        # SpectrumGrid's own rules reject a value outside [0, 1] and an
-        # unflagged NaN, before anything is written
-        def rows(p, m, om, flag):
+                                            capsys, kind, rows, value,
+                                            message):
+        # the spectra output rule rejects a value outside the range of its
+        # kind and an unflagged NaN, before anything is written
+        def bad_rows(p, m, om, flag, *occupation):
             shape = (m.levels.shape[1], om.size)
             return np.full(shape, value), np.zeros(shape, bool)
 
-        monkeypatch.setattr(ioxsim.spectra, "_total_absorption_rows", rows)
+        monkeypatch.setattr(ioxsim.spectra, rows, bad_rows)
         doc = base_doc(**dispersion_scan())
-        doc["scan"]["kind"] = "absorption"
-        doc["scan"].pop("input_occupation", None)
+        doc["scan"]["kind"] = kind
         doc["output"]["directory"] = str(tmp_path / "out")
-        rc = cli.main(["absorption", "--config", write_cfg(tmp_path, doc)])
+        rc = cli.main([kind, "--config", write_cfg(tmp_path, doc)])
         assert rc == 3
+        assert ("numerical check failed: %s" % message
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
 
@@ -967,6 +979,56 @@ class TestGates:
         assert "Traceback" not in proc.stderr
         assert ("branch determinant residual at k = 0 = inf"
                 in proc.stderr)
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_oracle_compare_exits_3(self, tmp_path):
+        # g_rabi = 1e155 overflows the analytic spectrum and the branch
+        # guesses of the peak fits: a refused value, no traceback, no
+        # files.  A subprocess keeps the RuntimeWarnings out of this
+        # suite's filter.
+        doc = {
+            "system": {"eps0": 1000, "delta": 3, "g_rabi": 1e155,
+                       "gamma_c": 1, "gamma_x": 1.8},
+            "bath": {"omega_window": [500, 1500], "n_modes": 2000},
+            "scan": {"kind": "oracle-compare",
+                     "omega_grid": {"start": 995, "stop": 1011, "num": 41}},
+            "output": {"directory": str(tmp_path / "out"),
+                       "formats": ["csv"]},
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "ioxsim", "oracle-compare",
+             "--config", write_cfg(tmp_path, doc)],
+            capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "numerical check failed" in proc.stderr
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("system", [
+        {"g_rabi": 1e200, "gamma_c": 1},
+        {"g_rabi": 1, "gamma_c": 1e300},
+    ], ids=["coupling", "rate"])
+    def test_nonfinite_ep_bic_cell_exits_3(self, tmp_path, system):
+        # the bic row with nonradiative losses is formula only, with no
+        # gate: its overflowing residual is still refused, not written.
+        # A subprocess keeps the RuntimeWarnings out of this suite's
+        # filter.
+        doc = {
+            "system": dict(system, eps0=1000, delta=3, gamma_x=0.3,
+                           gamma_nr_c=0.1),
+            "scan": {"kind": "ep-bic"},
+            "output": {"directory": str(tmp_path / "out"),
+                       "formats": ["csv"]},
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "ioxsim", "ep-bic",
+             "--config", write_cfg(tmp_path, doc)],
+            capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "ep_bic.csv values must be finite" in proc.stderr
+        assert proc.stdout == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind, scan, message", [

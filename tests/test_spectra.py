@@ -1,5 +1,6 @@
 """Tests for spectra: power spectrum, scattering amplitudes, R and A."""
 
+import dataclasses
 import os
 import tracemalloc
 import warnings
@@ -740,3 +741,69 @@ class TestNonFiniteInput:
         k, omega = (bad, 1000.0) if axis == "k" else (0.0, bad)
         with pytest.raises(ValueError, match="%s must be finite" % axis):
             NON_FINITE_CALLS[name](p, k, omega)
+
+
+# omega = 1e160 overflows every row to NaN off any pole
+OVERFLOW = SystemParams(delta=3.0, g_rabi=1.0, gamma_c=1.0, gamma_x=0.3)
+OVERFLOW_OMEGA = [990.0, 1000.0, 1e160]
+TWO_K = np.array([0.0, 0.5])
+
+
+class TestOutputRule:
+    """Scalar, k-array and grid calls refuse a value by one rule."""
+
+    @pytest.mark.parametrize("fn, k", [
+        pytest.param(fn, k, id="%s-%s" % (fn.__name__, k_id))
+        for fn in (power_spectrum, absorption, absorption_components,
+                   power_absorption_relation_check)
+        for k, k_id in ((0.0, "scalar"), (TWO_K, "array"))
+    ] + [pytest.param(power_spectrum_grid, TWO_K, id="power_spectrum_grid")])
+    def test_overflow_is_not_finite(self, fn, k):
+        # the overflow warnings are the subject here, not a silent path
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="intensity must be finite"):
+            fn(OVERFLOW, k, OVERFLOW_OMEGA)
+
+    @pytest.mark.parametrize("rows, fn, value, message", [
+        ("_power_rows", power_spectrum, -2e-12, "must be non-negative"),
+        ("_total_absorption_rows", absorption, -2e-9, r"lie in \[0, 1\]"),
+        ("_total_absorption_rows", absorption, 1.0 + 2e-9, r"lie in \[0, 1\]"),
+        ("_absorption_rows", absorption_components, np.inf, "finite"),
+        ("_relation_rows", power_absorption_relation_check, np.nan,
+         "finite"),
+    ], ids=["power", "absorption-low", "absorption-high", "lineshape",
+            "residual"])
+    @pytest.mark.parametrize("omega", [1000.0, [999.0, 1000.0]],
+                             ids=["one-value", "values"])
+    def test_value_outside_its_kind_is_refused(self, monkeypatch, rows, fn,
+                                               value, message, omega):
+        # one value takes the Python-float path of the rule, several the
+        # array path
+        def bad_rows(p, m, om, flag, *args):
+            shape = (m.levels.shape[1], om.size)
+            arrays = 2 if rows == "_absorption_rows" else 1
+            return (np.full(shape, value),) * arrays + (None,)
+
+        monkeypatch.setattr(spectra, rows, bad_rows)
+        with pytest.raises(ValueError, match=message):
+            fn(LOSSY, 0.0, omega)
+
+    @pytest.mark.parametrize("fn, what", [
+        pytest.param(fn, what, id=fn.__name__) for fn, what in (
+            (power_spectrum, "power spectrum diverges"),
+            (absorption, "absorption is undefined"),
+            (absorption_components, "absorption lineshapes diverge"),
+            (power_absorption_relation_check, "power spectrum diverges"))])
+    @pytest.mark.parametrize("k, offsets", [
+        (0.0, 0.0), (np.array([0.0, 0.5]), np.array([0.0, 0.25])),
+    ], ids=["scalar", "array"])
+    def test_on_pole_text_is_the_clis(self, fn, what, k, offsets):
+        # the first on-pole (k, omega), as the CLI reports it; with equal
+        # masses the dark mode is undamped at every k, shifted by k^2, so
+        # the array call meets two poles
+        p = dataclasses.replace(BIC, mass_ratio=1.0)
+        pole = float(eigen_branches(p, 0.0)[0].omega.real)
+        with pytest.raises(DivergentPointError) as info:
+            fn(p, k, pole + offsets)
+        assert str(info.value) == (
+            "%s on an undamped pole at k = 0, omega = %r" % (what, pole))
