@@ -15,7 +15,9 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ioxsim
@@ -37,6 +39,24 @@ def test_undamped_pole():
 
 def test_exceptional_point():
     _report(acceptance.check_exceptional_point())
+
+
+@pytest.mark.parametrize("x", [
+    np.log10([1e-2, 1e-3, 1e-4, 1e-5]), np.linspace(0.5, 15.0, 291),
+    np.linspace(995.0, 1015.0, 1001)], ids=["decades", "times", "offset"])
+def test_line_fit_equals_polyfit(x):
+    rng = np.random.default_rng(x.size)
+    y = -2.0 * x + 3.0 + rng.normal(0.0, 0.1, x.size)
+    fit = acceptance._line_fit(x, y)
+    # polyfit's own intercept is 1.6e-12 off on the offset axis
+    assert np.allclose(fit, np.polyfit(x, y, 1), rtol=1e-11, atol=0.0)
+    # the exact least-squares line, in rationals
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    x_mean, y_mean = sum(xs) / x.size, sum(ys) / x.size
+    slope = (sum((a - x_mean) * (b - y_mean) for a, b in zip(xs, ys))
+             / sum((a - x_mean) ** 2 for a in xs))
+    exact = [float(slope), float(y_mean - slope * x_mean)]
+    assert np.allclose(fit, exact, rtol=1e-13, atol=0.0)
 
 
 def test_conservation():
