@@ -11,11 +11,10 @@ the single-bath amplitude is exactly unimodular and R + A = 1.
 power_spectrum, absorption and absorption_components take k as a scalar
 or a 1-d array and return one row per k; the grid functions are the same
 call wrapped in a SpectrumGrid.  All of them form the core kernel once
-over k and evaluate it in tiles of at most _BLOCK_POINTS k x omega
-points, so a grid row equals the scalar call at its k exactly and a long
-omega axis costs no more scratch than a short one; when one tile holds
-the whole call, its rows are the result.  power_absorption_relation_check
-forms I, A_gamma and A_m in one such pass, from one kernel.
+over k and evaluate it in blocks of k rows, so a grid row equals the
+scalar call at its k exactly; when one block holds every k, its rows are
+the result.  power_absorption_relation_check forms I, A_gamma and A_m in
+one such pass, from one kernel.
 Exactly on an undamped pole the scalar and array calls raise
 DivergentPointError naming the first such (k, omega), and the grids flag
 it in SpectrumGrid.divergent; a call with no undamped branch at any k
@@ -24,9 +23,9 @@ value then obeys one output rule, _output_rule: no inf, NaN only where
 flagged, power >= -1e-12 and absorption in [-1e-9, 1 + 1e-9].
 
 Scattering has one path, S = 1 - 2i W G W^T at one k over an omega scalar
-or array, in the same omega tiles: the single-bath amplitude is its S11,
-reflection |S11|^2 and scattering_matrix_three_bath all of S.  k and
-omega obey the package's one input rule (see core).
+or array: the single-bath amplitude is its S11, reflection |S11|^2 and
+scattering_matrix_three_bath all of S.  k and omega obey the package's
+one input rule (see core).
 """
 
 import math
@@ -41,16 +40,13 @@ from .errors import DivergentPointError
 # reported as divergent rather than as a huge float
 POLE_TOL = 1e-12
 
-# k x omega points evaluated together: one k row of a tile carries four
-# complex distance planes (two eigenvalues, two poles), so a tile's
-# temporaries stay near 0.4 MB whatever the omega axis.  A tile holds
-# _BLOCK_POINTS // n_omega whole rows, or one row cut into omega runs of
-# _BLOCK_POINTS when a row is longer.  The budget is the 8 rows x 801
-# omega tile of a dense map; on the sixteen 241 x 801 grids of eight
-# parameter draws (2 vCPU host, timings noisy), budgets of 2,048 / 3,072
-# / 4,096 / 6,408 / 12,816 points took 140-185 / 121-131 / 107-112 /
-# 96-105 / 128-136 ms
-_BLOCK_POINTS = 6408
+# momenta evaluated together on a (k, omega) grid.  Each row carries four
+# complex distance planes (two eigenvalues, two poles), so at 801 omega a
+# block's temporaries stay near 0.4 MB.  Whole grids spill out of cache;
+# on eight parameter draws, each a 241 x 801 power and absorption map,
+# 16-row blocks ran a few percent faster but raised the peak RSS from
+# 68.3 to 69.3 MB and the traced peak from 30.1 to 31.2 MB
+_BLOCK_ROWS = 8
 
 # SpectrumGrid kinds: (lowest, highest, error for a value outside)
 _RANGES = {"power": (-1e-12, math.inf, "power spectrum must be non-negative"),
@@ -154,36 +150,9 @@ def _output_rule(kind, values, flagged):
         raise ValueError(message)
 
 
-def _tiled(evaluate, n_k, n_omega):
-    """Assemble evaluate(k_rows, omega_cols), a list of arrays of shape
-    (rows, cols, ...) or None, over tiles of at most _BLOCK_POINTS of the
-    n_k x n_omega points, into arrays of shape (n_k, n_omega, ...).  The
-    tiles run in row-major order; a call that one tile holds returns its
-    parts as they are."""
-    if n_k * n_omega <= _BLOCK_POINTS:
-        return evaluate(slice(None), slice(None))
-    rows = max(1, _BLOCK_POINTS // n_omega)
-    cols = min(n_omega, _BLOCK_POINTS)
-    outs = None
-    for i in range(0, n_k, rows):
-        for j in range(0, n_omega, cols):
-            tile = slice(i, i + rows), slice(j, j + cols)
-            parts = evaluate(*tile)
-            if outs is None:
-                outs = [None if part is None
-                        else np.empty((n_k, n_omega) + part.shape[2:],
-                                      part.dtype)
-                        for part in parts]
-            for out, part in zip(outs, parts):
-                if out is not None:
-                    out[tile] = part
-    return outs
-
-
 def _on_grid(rows, p, k, omega, n=None):
-    """Evaluate rows(p, modes, omega, flag[, n(omega)]) over tiles of k x
-    omega points (_tiled), n(omega) per tile and only for an
-    InputOccupation n.
+    """Evaluate rows(p, modes, omega, flag[, n(omega)]) over k in blocks
+    of _BLOCK_ROWS momenta, n(omega) only for an InputOccupation n.
 
     k is a scalar or a 1-d array and omega any shape; each returned array
     has shape np.shape(k) + np.shape(omega).  Scalar calls and grids share
@@ -197,13 +166,22 @@ def _on_grid(rows, p, k, omega, n=None):
     flag = bool(_undamped(p, modes).any())
     om = _finite(omega, "omega")
     flat = om.reshape(-1)
-
-    def evaluate(k_rows, cols):
-        part = flat[cols]
-        args = () if n is None else (n(part),)
-        return rows(p, modes.block(k_rows), part, flag, *args)
-
-    outs = _tiled(evaluate, ks.size, flat.size)
+    args = () if n is None else (n(flat),)
+    if ks.size <= _BLOCK_ROWS:
+        # one block covers every k: its rows are the result
+        outs = rows(p, modes, flat, flag, *args)
+    else:
+        outs = None
+        for start in range(0, ks.size, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            parts = rows(p, modes.block(block), flat, flag, *args)
+            if outs is None:
+                outs = [None if part is None
+                        else np.empty((ks.size, flat.size), part.dtype)
+                        for part in parts]
+            for out, part in zip(outs, parts):
+                if out is not None:
+                    out[block] = part
     shape = np.shape(k) + om.shape
     return [None if out is None else out.reshape(shape)[()] for out in outs]
 
@@ -316,34 +294,27 @@ def _scattering(p, k, omega, full=True):
     _finite(k, "k")
     om = _finite(omega, "omega")
     flat = om.reshape(-1)
+    u = flat - p.eps0
     k2 = k * k
     gc, gx, gnc, gnx = p.gamma_c, p.gamma_x, p.gamma_nr_c, p.gamma_nr_x
     g_t = complex(p.g_rabi, -math.sqrt(gc * gx))
     # M = [[a, -g~], [-g~, b]] with a = omega - z_c, b = omega - z_x
-    shift_a = complex(p.delta + k2, -(gc + gnc))
-    shift_b = complex(p.mass_ratio * k2, -(gx + gnx))
-
-    def evaluate(_, cols):
-        z = flat[cols]
-        u = z - p.eps0
-        a, b = u - shift_a, u - shift_b
-        det = _response_det(a, -g_t, -g_t, b, z)
-        # the off-diagonal of M - 2i Gamma is -g~ - 2i sqrt(gc gx) = -conj(g~)
-        det_out = (a - 2j * gc) * (b - 2j * gx) - g_t.conjugate() ** 2
-        # det_out / det, with an exact numerator when det_out = conj(det)
-        s11 = 1.0 + (det_out - det) / det
-        if not full:
-            return [s11[None]]
-        # G = adj / det with adj = [[b, g~], [g~, a]]
-        adj = np.full((z.size, 2, 2), g_t)
-        adj[:, 0, 0], adj[:, 1, 1] = b, a
-        w = np.sqrt([[gc, gx], [0.0, gnx], [gnc, 0.0]])
-        smat = np.eye(3) + np.einsum("ia,nab,jb,n->nij", w, adj, w, -2j / det)
-        smat[:, 0, 0] = s11
-        return [smat[None]]
-
-    out, = _tiled(evaluate, 1, flat.size)
-    return out.reshape(om.shape + out.shape[2:])
+    a = u - complex(p.delta + k2, -(gc + gnc))
+    b = u - complex(p.mass_ratio * k2, -(gx + gnx))
+    det = _response_det(a, -g_t, -g_t, b, flat)
+    # the off-diagonal of M - 2i Gamma is -g~ - 2i sqrt(gc gx) = -conj(g~)
+    det_out = (a - 2j * gc) * (b - 2j * gx) - g_t.conjugate() ** 2
+    # det_out / det, with an exact numerator when det_out = conj(det)
+    s11 = 1.0 + (det_out - det) / det
+    if not full:
+        return s11.reshape(om.shape)
+    # G = adj / det with adj = [[b, g~], [g~, a]]
+    adj = np.full((flat.size, 2, 2), g_t)
+    adj[:, 0, 0], adj[:, 1, 1] = b, a
+    w = np.sqrt([[gc, gx], [0.0, gnx], [gnc, 0.0]])
+    smat = np.eye(3) + np.einsum("ia,nab,jb,n->nij", w, adj, w, -2j / det)
+    smat[:, 0, 0] = s11
+    return smat.reshape(om.shape + (3, 3))
 
 
 def scattering_amplitude_single_bath(p, k, omega):

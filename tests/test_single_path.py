@@ -16,10 +16,9 @@ from ioxsim import (
     ep_conditions,
 )
 from ioxsim.core import _swaps, discriminant, track_branches
-from ioxsim.errors import DivergentPointError, SingularMatrixError
+from ioxsim.errors import DivergentPointError
 from ioxsim.spectra import (
-    _BLOCK_POINTS,
-    InputOccupation,
+    _BLOCK_ROWS,
     absorption,
     absorption_components,
     absorption_grid,
@@ -27,16 +26,10 @@ from ioxsim.spectra import (
     power_absorption_relation_check,
     power_spectrum,
     power_spectrum_grid,
-    reflection,
-    scattering_amplitude_single_bath,
-    scattering_matrix_three_bath,
 )
 
-# the case grids sample the window at _BLOCK_POINTS // TILE_ROWS omega,
-# plus both branches at every k, so a tile holds at most TILE_ROWS whole
-# rows, and N_ROWS momenta cross a k-tile edge into a partial last tile
-TILE_ROWS = 16
-N_ROWS = TILE_ROWS + 5
+# a row count that crosses block edges without filling the last block
+N_ROWS = 2 * _BLOCK_ROWS + 5
 
 
 def _same(a, b):
@@ -93,7 +86,7 @@ CASES = {
 def _omega(p, k_values):
     """The default window plus both real parts at every k, so that the
     dark-mode case puts grid points exactly on its undamped pole."""
-    w = np.linspace(*default_omega_window(p), _BLOCK_POINTS // TILE_ROWS)
+    w = np.linspace(*default_omega_window(p), 97)
     extra = [b.omega.real for k in k_values for b in eigen_branches(p, k)]
     return np.union1d(w, extra)
 
@@ -168,12 +161,6 @@ def test_grids_equal_per_k_formulas(case):
         ref_absorbed[absorbed.divergent[i]] = np.nan
         assert _same(power.intensity[i], ref_power)
         assert _same(absorbed.intensity[i], ref_absorbed)
-
-
-def test_cases_cross_k_tile_edges(case):
-    _, k_values, omega = case
-    rows = _BLOCK_POINTS // omega.size
-    assert 1 < rows <= TILE_ROWS < k_values.size and k_values.size % rows
 
 
 def test_dark_mode_case_has_on_pole_points():
@@ -321,8 +308,7 @@ def test_absorption_rows_equal_scalar_calls(case):
                          grid.intensity[-1, j])
 
 
-# one row, rows across the first k-tile edge of every case, all rows
-@pytest.mark.parametrize("rows", [slice(3, 4), slice(1, TILE_ROWS + 2),
+@pytest.mark.parametrize("rows", [slice(3, 4), slice(1, _BLOCK_ROWS + 2),
                                   slice(None)])
 @pytest.mark.parametrize("cols", [slice(40, 41), slice(None)])
 def test_sub_grids_equal_full_grid(case, rows, cols):
@@ -337,109 +323,27 @@ def test_sub_grids_equal_full_grid(case, rows, cols):
     assert np.array_equal(sub_a.divergent, full_a.divergent[rows, cols])
 
 
-# an omega axis two and a half tiles long, so that one k row is cut into
-# omega tiles and the last one is partial; SHORT omega fit in one tile
-# and cut the axis at other points
-LONG = 2 * _BLOCK_POINTS + _BLOCK_POINTS // 2
-SHORT = 1000
-LOSSY = CASES["seed1"][0]
-RADIATIVE = CASES["mass_ratio=0"][0]
-
-
-def _long_omega(p):
-    return np.linspace(*default_omega_window(p), LONG)
-
-
-def _occupation(p):
-    return InputOccupation((np.linspace(*default_omega_window(p), 9),
-                            np.linspace(0.5, 2.0, 9)))
-
-
-LONG_CALLS = {
-    "power_spectrum": (LOSSY, lambda p, k, w: power_spectrum(
-        p, k, w, _occupation(p))),
-    "absorption": (LOSSY, absorption),
-    "absorption_components": (LOSSY, absorption_components),
-    "power_absorption_relation_check": (
-        LOSSY, lambda p, k, w: power_absorption_relation_check(
-            p, k, w, _occupation(p))),
-    "reflection": (LOSSY, reflection),
-    "scattering_matrix_three_bath": (LOSSY, scattering_matrix_three_bath),
-    "scattering_amplitude_single_bath": (RADIATIVE,
-                                         scattering_amplitude_single_bath),
-}
-
-
-def _arrays(value):
-    return value if isinstance(value, tuple) else (value,)
-
-
-def _joined(call, omega):
-    """The arrays of call over omega in SHORT-long pieces, joined."""
-    parts = [_arrays(call(omega[i:i + SHORT]))
-             for i in range(0, omega.size, SHORT)]
-    return tuple(np.concatenate(part) for part in zip(*parts))
-
-
-@pytest.mark.parametrize("name", sorted(LONG_CALLS))
-def test_long_omega_equals_short_calls(name):
-    p, fn = LONG_CALLS[name]
-    omega = _long_omega(p)
-    wholes = _arrays(fn(p, 0.7, omega))
-    folded = _arrays(fn(p, 0.7, omega.reshape(2, -1)))
-    for whole, joined, fold in zip(
-            wholes, _joined(lambda w: fn(p, 0.7, w), omega), folded):
-        assert _same(whole, joined)
-        assert _same(fold, whole.reshape((2, -1) + whole.shape[1:]))
-
-
-@pytest.mark.parametrize("grid_fn, row_fn", [
-    (power_spectrum_grid, power_spectrum), (absorption_grid, absorption)])
-def test_long_grid_rows_equal_scalar_calls(grid_fn, row_fn):
-    k_values = np.array([-1.5, 0.25, 0.7])
-    omega = _long_omega(LOSSY)
-    grid = grid_fn(LOSSY, k_values, omega)
-    assert not grid.divergent.any()
-    assert _same(row_fn(LOSSY, k_values, omega), grid.intensity)
-    for row, k in zip(grid.intensity, k_values):
-        assert _same(row_fn(LOSSY, k, omega), row)
-        assert _same(_joined(lambda w: row_fn(LOSSY, k, w), omega)[0], row)
-
-
 # undamped and uncoupled: at k the poles are eps0 + delta + k^2 (photon)
-# and eps0 (exciton), both real, so M is singular and every spectrum
-# diverges on each of them
+# and eps0 (exciton), both real, so every spectrum diverges on each of them
 UNDAMPED = SystemParams(delta=1.0, gamma_c=0.0)
-EVALUATED = [power_spectrum, absorption, absorption_components,
-             power_absorption_relation_check]
 
 
-def _message(fn, *args):
-    with pytest.raises((DivergentPointError, SingularMatrixError)) as err:
-        fn(UNDAMPED, *args)
-    return str(err.value)
-
-
-@pytest.mark.parametrize("first, second", [(1001.0, 1000.0),
-                                           (1000.0, 1001.0)])
-@pytest.mark.parametrize("fn", EVALUATED + [reflection],
+@pytest.mark.parametrize("fn", [power_spectrum, absorption,
+                                absorption_components,
+                                power_absorption_relation_check],
                          ids=lambda fn: fn.__name__)
-def test_first_pole_named_across_omega_tiles(fn, first, second):
-    # the two poles sit in the second and the third omega tile of k = 0
-    omega = np.linspace(995.25, 1006.25, LONG)
-    omega[_BLOCK_POINTS + 3] = first
-    omega[2 * _BLOCK_POINTS + 5] = second
-    assert _message(fn, 0.0, omega) == _message(fn, 0.0, first)
-
-
-@pytest.mark.parametrize("fn", EVALUATED, ids=lambda fn: fn.__name__)
-def test_first_pole_named_across_k_tiles(fn):
+def test_first_pole_named_across_k_blocks(fn):
     omega = np.linspace(995.25, 1006.25, 801)
-    rows = _BLOCK_POINTS // omega.size
-    k_values = np.linspace(-1.0, 1.0, 3 * rows + 3)
-    # the photon pole of row rows + 1, in the second k tile; the same k^2
-    # again in the third tile, which must not be named
-    k_first = k_values[rows + 1]
-    k_values[2 * rows + 1] = -k_first
+    k_values = np.linspace(-1.0, 1.0, 3 * _BLOCK_ROWS + 3)
+    # the photon pole of a row in the second block; the same k^2 again in
+    # the third block, which must not be named
+    k_first = k_values[_BLOCK_ROWS + 1]
+    k_values[2 * _BLOCK_ROWS + 1] = -k_first
     omega[400] = UNDAMPED.eps0 + UNDAMPED.delta + k_first * k_first
-    assert _message(fn, k_values, omega) == _message(fn, k_first, omega[400])
+
+    def message(*args):
+        with pytest.raises(DivergentPointError) as err:
+            fn(UNDAMPED, *args)
+        return str(err.value)
+
+    assert message(k_values, omega) == message(k_first, omega[400])

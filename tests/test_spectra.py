@@ -662,44 +662,18 @@ class TestSpectrumGrid:
         assert peak < 0.5 * intensity.nbytes
 
 
-def _traced_peak(fn, *args):
-    """(fn(*args), the peak of the memory it traced)."""
+def test_pair_fit_scratch_per_sample():
+    # the start's (W, W, n) Gram product took 1.16 kB a sample; formed one
+    # row of widths at a time the fit needs 0.37 kB
+    w = np.linspace(-10.0, 10.0, 20_000)
+    values = two_lorentzians(w, 1.0, -1.0, 1.0, 0.5, 1.0, 0.7)
     tracemalloc.start()
     try:
-        out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1]
+        lorentzian_pair_fit(w, values, (-1.2, 0.8))
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-class TestBoundedScratch:
-    """Scratch stays bounded however long the omega axis or the fit."""
-
-    W = np.linspace(980.0, 1020.0, 200_000)
-    # one k over 2e5 omega: untiled, these calls held 16 to 34 MB beyond
-    # their output; in k x omega tiles at most 3.2 MB (reflection, whose
-    # complex S11 sits beside its output)
-    TILE_SCRATCH = 4e6
-
-    @pytest.mark.parametrize("fn", [
-        power_spectrum, absorption, absorption_components,
-        power_absorption_relation_check, reflection,
-        scattering_amplitude_single_bath], ids=lambda fn: fn.__name__)
-    def test_long_omega_holds_output_plus_tile(self, fn):
-        # the single-bath amplitude needs a purely radiative system
-        p = ATTRACT if fn is scattering_amplitude_single_bath else LOSSY
-        out, peak = _traced_peak(fn, p, 0.3, self.W)
-        held = sum(v.nbytes for v in (out if isinstance(out, tuple)
-                                      else (out,)))
-        assert peak <= held + self.TILE_SCRATCH
-
-    def test_pair_fit_scratch_per_sample(self):
-        # the start's (W, W, n) Gram product took 1.16 kB a sample; the
-        # fit now needs 0.37 kB
-        w = np.linspace(-10.0, 10.0, 20_000)
-        values = two_lorentzians(w, 1.0, -1.0, 1.0, 0.5, 1.0, 0.7)
-        _, peak = _traced_peak(lorentzian_pair_fit, w, values, (-1.2, 0.8))
-        assert peak <= 500 * w.size
+    assert peak <= 500 * w.size
 
 
 class TestAllClearGrids:
